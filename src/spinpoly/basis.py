@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .cfn import cfn
-from .exact import Poly, poly
+from .exact import Poly, poly, poly_eval
 from .halfint import HalfInt
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -50,25 +50,13 @@ def vandermonde(j: HalfInt) -> Matrix:
 
 @lru_cache(maxsize=None)
 def _vandermonde_inverse(two_j: int) -> Matrix:
-    # rational Gauss-Jordan; the nodes are distinct so no pivot ever vanishes
-    n = two_j + 1
-    a = [list(row) for row in _vandermonde(two_j)]
-    inv = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if a[r][col] != 0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        if pivot != 1:
-            a[col] = [x / pivot for x in a[col]]
-            inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    # column m holds the Lagrange basis polynomial of the m-th node, the
+    # deflated characteristic polynomial over its value at that node
+    columns = [
+        tuple(c / denom for c in quotient)
+        for quotient, denom in _lagrange_factors(spectrum(HalfInt(two_j)).eigs)
+    ]
+    return tuple(zip(*columns))
 
 
 def vandermonde_inverse(j: HalfInt) -> Matrix:
@@ -142,25 +130,30 @@ def project_coefficients(j: HalfInt, fvals: Sequence) -> list:
 def lagrange_sylvester(j: HalfInt, fvals: Sequence) -> list:
     """Same coefficients via eigenprojector (Frobenius covariant) expansion.
 
-    Independent of the inverse-Vandermonde route: each projector
-    prod_{i != m} (S - lambda_i)/(lambda_m - lambda_i) is expanded to
-    monomial coefficients exactly and weighted by f(lambda_m).
+    Each projector prod_{i != m} (S - lambda_i)/(lambda_m - lambda_i) is
+    expanded to monomial coefficients exactly and weighted by f(lambda_m).
+    The columns of vandermonde_inverse are these same projectors, so the
+    independent oracles for both are findumonde_entry and V @ V^-1 = I.
     """
     n = j.two_j + 1
     if len(fvals) != n:
         raise ValueError(f"expected {n} sample values, got {len(fvals)}")
-    eigs = spectrum(j).eigs
-    full: Poly = poly([1])
-    for lam in eigs:
-        full = _mul_linear(full, lam)
     coeffs: list = [Fraction(0)] * n
-    for m, lam in enumerate(eigs):
-        quotient = _deflate(full, lam)
-        denom = _eval_int(quotient, lam)  # = prod_{i != m} (lam - lambda_i)
+    for m, (quotient, denom) in enumerate(_lagrange_factors(spectrum(j).eigs)):
         weight = fvals[m] / denom
         for power, c in enumerate(quotient):
             coeffs[power] = coeffs[power] + c * weight
     return coeffs
+
+
+def _lagrange_factors(eigs: Sequence[int]):
+    """(q_m, q_m(lambda_m)) per node, q_m = prod_{i != m} (x - lambda_i)."""
+    full: Poly = poly([1])
+    for lam in eigs:
+        full = _mul_linear(full, lam)
+    for lam in eigs:
+        quotient = _deflate(full, lam)
+        yield quotient, poly_eval(quotient, lam)
 
 
 def _mul_linear(p: Poly, root: int) -> Poly:
@@ -181,13 +174,6 @@ def _deflate(p: Poly, root: int) -> Poly:
     for i in range(d - 1, 0, -1):
         q[i - 1] = p[i] + root * q[i]
     return poly(q)
-
-
-def _eval_int(p: Poly, x: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cayley import b_coeffs
+from .cayley import eval_coeffs
 from .cfn import cfn
 from .expcoeffs import a_coeff_trunc
 from .halfint import HalfInt
@@ -30,15 +30,7 @@ def laplace_sin_power(m: int, alpha):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = alpha**m
-    if m % 2 == 0:
-        for l in range(1, m // 2 + 1):
-            out /= 1 + 4 * l * l * alpha * alpha
-    else:
-        for l in range(1, (m + 1) // 2 + 1):
-            odd = 2 * l - 1
-            out /= 1 + odd * odd * alpha * alpha
-    return out
+    return _over_sin_factors(alpha**m, m, alpha)
 
 
 def laplace_sin_cos_power(n: int, alpha):
@@ -50,14 +42,13 @@ def laplace_sin_cos_power(n: int, alpha):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = alpha**n
-    if n % 2 == 0:  # n+1 odd
-        for l in range(1, (n + 2) // 2 + 1):
-            odd = 2 * l - 1
-            out /= 1 + odd * odd * alpha * alpha
-    else:  # n+1 even
-        for l in range(1, (n + 1) // 2 + 1):
-            out /= 1 + 4 * l * l * alpha * alpha
+    return _over_sin_factors(alpha**n, n + 1, alpha)
+
+
+def _over_sin_factors(out, m: int, alpha):
+    # out / prod (1 + r^2 alpha^2) over r = m, m-2, ... > 0, smallest r first
+    for r in range(2 - m % 2, m + 1, 2):
+        out /= 1 + r * r * alpha * alpha
     return out
 
 
@@ -104,7 +95,7 @@ class LaplacePair:
 
 
 def laplace_pair(j: HalfInt, k: int, alpha: float) -> LaplacePair:
-    direct = float(b_coeffs(j).B[k](Fraction(alpha)))
+    direct = eval_coeffs(j, alpha)[0][k]
     via = float(b_from_a_laplace(j, k, Fraction(alpha)))
     return LaplacePair(j, k, alpha, direct, via)
 

@@ -7,8 +7,8 @@ is the characteristic determinant det(1 - 2i*alpha*n.J).  Several
 independent generation paths are implemented: the truncation formula,
 the difference-equation recursion, the general resolvent formula, and
 (in the bridge module) a Laplace transform of the exponential
-coefficients.  All exact tables are cached immutably; float evaluation
-over alpha grids may run concurrently.
+coefficients.  All exact tables are cached immutably; eval_coeffs is the
+one float evaluator.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .cfn import cfn, det_cfn_row
 from .exact import (
     Poly,
     RationalFunction,
+    i_power_sum,
     poly,
     poly_add,
     poly_mul,
@@ -155,6 +156,42 @@ def _b_coeffs(two_j: int) -> CayleyCoeffs:
 def b_coeffs(j: HalfInt) -> CayleyCoeffs:
     """The truncation-formula path (the production route)."""
     return _b_coeffs(j.two_j)
+
+
+@lru_cache(maxsize=None)
+def _det_ints(two_j: int) -> Tuple[int, ...]:
+    return tuple(int(c) for c in det_poly(HalfInt(two_j)))
+
+
+def eval_coeffs(j: HalfInt, alpha) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """All B_k(alpha) and A_k(alpha), k = 0..2j, as correctly rounded floats.
+
+    With alpha = p/q the scaled truncations S_n = q**n * Trunc_n[det](alpha)
+    are the integer partial sums S_n = q*S_{n-1} + d_n*p**n, and
+    B_k = p**k * q**(deg - 2j) * S_{2j-k} / S_deg.  Each B_k, and each
+    A_k = 2B_k (2B_0 - 1 at k = 0), is one int/int division, which rounds
+    exactly as Fraction.__float__ does: every entry is the exact table's
+    value at alpha, rounded once.
+    """
+    p, q = Fraction(alpha).as_integer_ratio()
+    two_j = j.two_j
+    det = _det_ints(two_j)
+    partial = []
+    s, p_pow = 0, 1
+    for d in det:
+        s = s * q + d * p_pow
+        partial.append(s)
+        p_pow *= p
+    den = partial[-1]  # q**deg * det(alpha) > 0
+    scale = q ** (len(det) - 1 - two_j)  # p**k * q**(deg - 2j) as k runs
+    b, a = [], []
+    for k in range(two_j + 1):
+        num = scale * partial[two_j - k]
+        b.append(num / den)
+        # A_k is divided out too: float 2*B_0 - 1 cancels, 2*B_k loses subnormal bits
+        a.append((2 * num - den) / den if k == 0 else 2 * num / den)
+        scale *= p
+    return tuple(b), tuple(a)
 
 
 def b_coeffs_cfn(j: HalfInt) -> CayleyCoeffs:
@@ -336,7 +373,7 @@ def relative_error(j: HalfInt, k: int, alpha: float) -> float:
     """
     if not 0 <= k <= j.two_j:
         raise ValueError(f"k must lie in 0..{j.two_j}, got {k}")
-    a_j = b_coeffs(j).A[k](Fraction(alpha))
+    a_j = eval_coeffs(j, alpha)[1][k]
     if a_j == 0:
         raise ZeroDivisionError(f"A_{k}[{j}]({alpha}) = 0")
     ratio = b_limit_ratio(j.is_integer, k, alpha)
@@ -344,7 +381,7 @@ def relative_error(j: HalfInt, k: int, alpha: float) -> float:
         a_inf = 2.0 * ratio - 1.0
     else:
         a_inf = 2.0 * alpha**k * ratio
-    return (a_inf - float(a_j)) / float(a_j)
+    return (a_inf - a_j) / a_j
 
 
 @dataclass(frozen=True)
@@ -364,15 +401,7 @@ def cayley_reconstruction(j: HalfInt, alpha) -> CayleyReconstruction:
     max_err = 0.0
     exact = True
     for m2 in range(j.two_j, -j.two_j - 1, -2):  # M = 2m, integer
-        re = Fraction(0)
-        im = Fraction(0)
-        for k, av in enumerate(avals):
-            term = av * Fraction(m2) ** k
-            half, rem = divmod(k, 2)  # i**k = (-1)**half * i**rem
-            if rem == 0:
-                re += -term if half % 2 else term
-            else:
-                im += -term if half % 2 else term
+        re, im = i_power_sum(av * Fraction(m2) ** k for k, av in enumerate(avals))
         am = a * m2
         den = 1 + am * am
         ere = (1 - am * am) / den
@@ -382,8 +411,3 @@ def cayley_reconstruction(j: HalfInt, alpha) -> CayleyReconstruction:
         err = abs(complex(float(re - ere), float(im - eim)))
         max_err = max(max_err, err)
     return CayleyReconstruction(j, a, max_err, exact)
-
-
-def eval_b(j: HalfInt, k: int, alpha) -> float:
-    """B_k(alpha) as a float, through the exact table."""
-    return float(b_coeffs(j).B[k](Fraction(alpha)))

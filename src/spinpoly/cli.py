@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bench, bridge, cayley, expcoeffs, fixtures, plots, verify
+from . import bridge, cayley, expcoeffs, fixtures, plots, verify
 from .basis import dual_matrices, vandermonde, vandermonde_inverse
 from .cfn import cfn
 from .halfint import HalfInt
@@ -130,8 +130,8 @@ def _cmd_coeffs_exp(args) -> int:
 
 def _cmd_coeffs_cayley(args) -> int:
     j = args.j
-    table = cayley.b_coeffs(j)
     if args.exact:
+        table = cayley.b_coeffs(j)
         for k in range(j.two_j + 1):
             b = table.B[k]
             print(f"B_{k}: num = [{', '.join(map(str, b.num))}], den = [{', '.join(map(str, b.den))}]")
@@ -141,15 +141,15 @@ def _cmd_coeffs_cayley(args) -> int:
         return 0
     if args.alpha_grid is not None:
         rows = [
-            (alpha, k, float(table.B[k](Fraction(alpha))), float(table.A[k](Fraction(alpha))))
+            (alpha, k, b, a)
             for alpha in args.alpha_grid.values()
-            for k in range(j.two_j + 1)
+            for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha)))
         ]
         _emit_csv(("alpha", "k", "B_k", "A_k"), rows, args.csv)
         return 0
-    alpha = Fraction(args.alpha if args.alpha is not None else 1.0)
-    for k in range(j.two_j + 1):
-        print(f"k={k}  B_k = {float(table.B[k](alpha))!r}  A_k = {float(table.A[k](alpha))!r}")
+    alpha = args.alpha if args.alpha is not None else 1.0
+    for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha))):
+        print(f"k={k}  B_k = {b!r}  A_k = {a!r}")
     return 0
 
 
@@ -179,7 +179,7 @@ def _cmd_asymp(args) -> int:
     rows = []
     for alpha in args.alpha_grid.values():
         for j in args.j_list:
-            val = float(cayley.b_coeffs(j).B[args.k](Fraction(alpha))) / alpha**args.k
+            val = cayley.eval_coeffs(j, alpha)[0][args.k] / alpha**args.k
             rows.append((alpha, f"j={j}", val))
         rows.append(
             (alpha, "limit", cayley.b_limit_ratio(args.j_list[0].is_integer, args.k, alpha))
@@ -230,18 +230,6 @@ def _cmd_plotdata(args) -> int:
     grid = args.theta_grid or args.alpha_grid
     header, rows = plots.figure_rows(args.figure, js=js, ks=ks, grid=grid)
     _emit_csv(header, rows, args.csv)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    results = bench.run_bench(tuple(args.two_j), args.repeats)
-    print(f"{'2j':>5} {'build exact table':>20} {'cayley eval/alpha':>20} {'exp eval/theta':>18}")
-    for r in results:
-        print(
-            f"{r['two_j']:>5} {r['build_exact_table_ns']:>17.0f} ns"
-            f" {r['cayley_eval_per_alpha_ns']:>17.0f} ns"
-            f" {r['exp_eval_per_theta_ns']:>15.0f} ns"
-        )
     return 0
 
 
@@ -323,16 +311,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH")
     p.set_defaults(fn=_cmd_plotdata)
 
-    p = sub.add_parser("bench", help="table construction vs evaluation timings")
-    p.add_argument("--two-j", type=int, nargs="+", default=[10, 50, 100])
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(fn=_cmd_bench)
-
     return parser
+
+
+def _range_error(args) -> str | None:
+    """Why the parsed arguments fall outside a command's range, if they do."""
+    spins, ks, grid = [], [], None
+    if args.command in ("coeffs", "bridge") and getattr(args, "k", None) is not None:
+        spins, ks = [args.j], [args.k]
+    elif args.command == "asymp":
+        if not args.j_list:
+            return "--j-list names no spin"
+        spins, ks, grid = args.j_list, [args.k], args.alpha_grid
+    elif args.command == "plotdata" and args.figure == "cayley-B12":
+        ks, grid = args.k or [1], args.theta_grid or args.alpha_grid
+    for j in spins:
+        if not 0 <= ks[0] <= j.two_j:
+            return f"--k {ks[0]} is outside 0..2j = 0..{j.two_j} for j = {j}"
+    if grid is not None and any(ks) and 0.0 in grid.values():
+        return "B_k/alpha^k needs alpha != 0, but the alpha grid contains 0"
+    return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    error = _range_error(args)
+    if error:
+        print(f"spinpoly: error: {error}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

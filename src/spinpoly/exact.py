@@ -73,10 +73,18 @@ def poly_truncate(p: Sequence[Fraction], n: int) -> Poly:
 
 def poly_eval(p: Sequence[Fraction], x: Scalar):
     """Horner evaluation; exact for exact x, float/complex otherwise."""
-    acc = 0 * x if not isinstance(x, (int, Fraction)) else ZERO
+    acc = 0 * x
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def i_power_sum(terms: Iterable) -> tuple:
+    """(re, im) of sum_k terms[k] * i**k, for real terms."""
+    by_power = [ZERO] * 4  # the terms multiplying i**0, i**1, i**2, i**3
+    for k, term in enumerate(terms):
+        by_power[k % 4] += term
+    return by_power[0] - by_power[2], by_power[1] - by_power[3]
 
 
 def poly_negate_arg(p: Sequence[Fraction]) -> Poly:

@@ -9,7 +9,7 @@ are provided (truncated series, direct central-factorial sum, derivative
 relation); they must agree and are tested against each other.
 
 The series cache is exact and per (j, k); floats enter only when a table
-is evaluated at a concrete angle, so concurrent grid evaluation is safe.
+is evaluated at a concrete angle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Tuple
 
 from .cfn import cfn
-from .exact import Poly, poly, poly_eval, poly_mul, poly_truncate
+from .exact import Poly, i_power_sum, poly, poly_eval, poly_mul, poly_truncate
 from .halfint import HalfInt
 
 
@@ -73,18 +73,11 @@ def a_coeff_trunc(j: HalfInt, k: int, theta: float) -> float:
     """A_k(theta) from the truncated-series formula (the canonical path)."""
     eps = epsilon(j, k)
     s = math.sin(theta / 2.0)
-    val = _horner(_series_float(j.two_j, k), s * s)
+    val = poly_eval(_series_float(j.two_j, k), s * s)
     val *= s**k
     if eps:
         val *= math.cos(theta / 2.0)
     return val
-
-
-def _horner(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -206,15 +199,9 @@ def exp_reconstruction(j: HalfInt, theta: float) -> ExpReconstruction:
     max_err = 0.0
     exact = True
     for m2 in range(j.two_j, -j.two_j - 1, -2):  # M = 2m runs over eigvals of S
-        re = Fraction(0)
-        im = Fraction(0)
-        for k, a in enumerate(avals):
-            term = a * Fraction(m2) ** k / math.factorial(k)
-            half, rem = divmod(k, 2)  # i**k = (-1)**half * i**rem
-            if rem == 0:
-                re += -term if half % 2 else term
-            else:
-                im += -term if half % 2 else term
+        re, im = i_power_sum(
+            a * Fraction(m2) ** k / math.factorial(k) for k, a in enumerate(avals)
+        )
         ere, eim = _unit_cpow(c, s, m2)
         if (re, im) != (ere, eim):
             exact = False

@@ -3,21 +3,18 @@
 Three figure families are built in: the exponential coefficients A_0..A_5
 at two very large spins, the leading Cayley ratios B_k/alpha^k at a few
 integer spins against the large-j limit curve, and the inverse
-determinant for the six smallest spins.  Grid sweeps honor the
-SPINPOLY_THREADS cap and always gather results in input order, so output
-is deterministic.
+determinant for the six smallest spins.  Rows come out in grid order, so
+output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import cayley, expcoeffs
+from .exact import poly_eval
 from .halfint import HalfInt
 
 FIGURES = ("exp-A", "cayley-B12", "inv-det")
@@ -42,14 +39,6 @@ class GridSpec:
         return [self.start + i * step for i in range(self.count)]
 
 
-def _pmap(fn: Callable, items: Sequence) -> list:
-    workers = int(os.environ.get("SPINPOLY_THREADS", "1") or "1")
-    if workers <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # map preserves order: gather-then-emit
-
-
 def figure_rows(
     figure: str,
     js: Sequence[HalfInt] | None = None,
@@ -65,9 +54,9 @@ def figure_rows(
         rows = []
         for j in js:
             for k in ks:
-                vals = _pmap(lambda th, j=j, k=k: expcoeffs.a_coeff_trunc(j, k, th), grid.values())
                 rows += [
-                    (th, f"j={j} k={k}", v) for th, v in zip(grid.values(), vals)
+                    (th, f"j={j} k={k}", expcoeffs.a_coeff_trunc(j, k, th))
+                    for th in grid.values()
                 ]
         return header, rows
     if figure == "cayley-B12":
@@ -77,23 +66,19 @@ def figure_rows(
         header = ("alpha", "series", "value")
         rows = []
         for j in js:
-            table = cayley.b_coeffs(j)
+            bs = [cayley.eval_coeffs(j, a)[0] for a in grid.values()]
             for k in ks:
-                vals = _pmap(
-                    lambda a, rf=table.B[k], k=k: float(rf(Fraction(a))) / a**k,
-                    grid.values(),
-                )
-                rows += [(a, f"j={j} k={k}", v) for a, v in zip(grid.values(), vals)]
+                rows += [(a, f"j={j} k={k}", b[k] / a**k) for a, b in zip(grid.values(), bs)]
         parities = {j.is_integer for j in js}
         for k in ks:
             for parity in sorted(parities):
-                vals = _pmap(
-                    lambda a, k=k, p=parity: cayley.b_limit_ratio(p, k, a), grid.values()
-                )
                 label = "limit" if len(parities) == 1 else (
                     "limit (integer j)" if parity else "limit (semi-integer j)"
                 )
-                rows += [(a, f"{label} k={k}", v) for a, v in zip(grid.values(), vals)]
+                rows += [
+                    (a, f"{label} k={k}", cayley.b_limit_ratio(parity, k, a))
+                    for a in grid.values()
+                ]
         return header, rows
     if figure == "inv-det":
         js = js or [HalfInt(n) for n in range(1, 7)]
@@ -101,22 +86,11 @@ def figure_rows(
         header = ("alpha", "series", "value")
         rows = []
         for j in js:
-            det = cayley.det_poly(j)
-            fdet = [float(c) for c in det]
-            vals = _pmap(
-                lambda a, f=fdet: 1.0 / _horner(f, a * a), grid.values()
-            )
-            rows += [(a, f"j={j}", v) for a, v in zip(grid.values(), vals)]
+            # the determinant holds zeros at odd powers; evaluate in alpha^2
+            fdet = [float(c) for c in cayley.det_poly(j)[::2]]
+            rows += [(a, f"j={j}", 1.0 / poly_eval(fdet, a * a)) for a in grid.values()]
         return header, rows
     raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
-
-
-def _horner(even_coeffs_by_power: list[float], x2: float) -> float:
-    # determinant polynomials hold zeros at odd powers; evaluate in alpha^2
-    acc = 0.0
-    for c in reversed(even_coeffs_by_power[::2]):
-        acc = acc * x2 + c
-    return acc
 
 
 def validate_figure(figure: str) -> list[str]:
@@ -140,9 +114,8 @@ def validate_figure(figure: str) -> list[str]:
                         problems.append(f"exp-A j={j} k={k} theta={theta}: {a} vs {b}")
     elif figure == "cayley-B12":
         for j in (HalfInt(2), HalfInt(4), HalfInt(16)):
-            table = cayley.b_coeffs(j)
             for alpha in (0.1, 0.5, 1.0, 2.5, 5.0):
-                direct = float(table.B[1](Fraction(alpha))) / alpha
+                direct = cayley.eval_coeffs(j, alpha)[0][1] / alpha
                 gamma = cayley.b_exact_gamma(j.two_j // 2, 1, alpha)
                 if abs(direct - gamma) > 1e-9 * max(1.0, abs(direct)):
                     problems.append(f"cayley-B12 j={j} alpha={alpha}: {direct} vs {gamma}")

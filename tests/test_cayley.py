@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from spinpoly.cayley import (
     det_forms,
     det_gamma,
     det_poly,
+    eval_coeffs,
     relative_error,
     resolvent_coeffs,
     trigamma_int,
@@ -233,3 +235,36 @@ def test_reconstruction_small_spins():
         for alpha in (F(1, 3), F(-5, 7), F(2)):
             rep = cayley_reconstruction(j, alpha)
             assert rep.exact and rep.max_error == 0.0, (j, alpha)
+
+
+_RNG = random.Random(1506)
+EVAL_ALPHAS = (
+    [0.0, 0.7, -0.7, 1e-3, 1e3, 1e-300]
+    + [_RNG.choice((1, -1)) * 10.0 ** _RNG.uniform(-3, 3) for _ in range(4)]
+    # B_2 is subnormal here, and twice its rounded value is not 2*B_2 rounded
+    + [7e-157, 1.1e-158]
+)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 6, 9, 16, 25, 41, 60])
+def test_eval_coeffs_rounds_the_exact_table(two_j):
+    j = HalfInt(two_j)
+    table = b_coeffs(j)
+    for alpha in EVAL_ALPHAS:
+        bs, as_ = eval_coeffs(j, alpha)
+        exact_b = [rf(F(alpha)) for rf in table.B]
+        # the table's A_k shares B_k's denominator: A_k = 2B_k, A_0 = 2B_0 - 1
+        exact_a = [2 * exact_b[0] - 1] + [2 * b for b in exact_b[1:]]
+        assert bs == tuple(map(float, exact_b)), alpha
+        assert as_ == tuple(map(float, exact_a)), alpha
+
+
+def test_eval_coeffs_a0_is_rounded_once():
+    # at spin 1/2, A_0 = (1 - alpha^2)/(1 + alpha^2) is exactly 0 at alpha = 1
+    assert eval_coeffs(HalfInt(1), 1.0)[1][0] == 0.0
+    assert eval_coeffs(HalfInt(1), 0.5)[1] == (0.6, 0.8)
+    # 2*B_0 - 1 in floats would be off by an ulp here (2j = 3, alpha = 1)
+    for two_j in (1, 3, 5):
+        a0 = b_coeffs(HalfInt(two_j)).A[0]
+        for alpha in (1.0, math.nextafter(1.0, 2.0), 0.9999999):
+            assert eval_coeffs(HalfInt(two_j), alpha)[1][0] == float(a0(F(alpha)))

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spinpoly
 from spinpoly import cli, fixtures
 
 
@@ -14,8 +17,11 @@ def run(capsys, *argv):
 
 
 def test_module_entrypoint_help():
+    # the child does not see pytest's pythonpath; point it at this package
+    paths = [str(Path(spinpoly.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, "-m", "spinpoly", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "spinpoly", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "spin matrix" in proc.stdout.lower()
@@ -130,6 +136,10 @@ def test_asymp_command(capsys):
     assert lines[0] == "alpha,series,value"
     assert any(line.startswith("1.0,j=1,0.2") for line in lines)
     assert any("limit" in line for line in lines)
+    # B_0/alpha^0 is defined at alpha = 0, so k = 0 may keep it in the grid
+    code, out = run(capsys, "asymp", "--j-list", "1", "--k", "0", "--alpha-grid", "0:1:2")
+    assert code == 0
+    assert "0.0,j=1,1.0" in out
 
 
 def test_bridge_command(capsys):
@@ -162,20 +172,25 @@ def test_plotdata_command_and_determinism(capsys):
     assert exc.value.code == 2
 
 
-def test_plotdata_threads_env_is_deterministic(capsys, monkeypatch):
-    code, serial = run(capsys, "plotdata", "--figure", "inv-det", "--alpha-grid", "0:2:9")
-    monkeypatch.setenv("SPINPOLY_THREADS", "4")
-    code, threaded = run(capsys, "plotdata", "--figure", "inv-det", "--alpha-grid", "0:2:9")
-    assert code == 0
-    assert serial == threaded
-
-
-def test_bench_command(capsys):
-    code, out = run(capsys, "bench", "--two-j", "2", "4", "--repeats", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header + one row per size
-    assert "cayley eval/alpha" in lines[0]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "exp", "--j", "1", "--k", "5"],
+        ["coeffs", "exp", "--j", "1", "--theta-grid", "0:1:2", "--k", "5"],
+        ["coeffs", "exp", "--j", "1", "--k", "-1"],
+        ["bridge", "--j", "1", "--k", "5", "--alpha", "0.5"],
+        ["asymp", "--j-list", "1,3", "--k", "5", "--alpha-grid", "1:2:2"],
+        ["asymp", "--j-list", "1,2", "--k", "1", "--alpha-grid=-1:1:3"],
+        ["plotdata", "--figure", "cayley-B12", "--alpha-grid", "0:1:3"],
+        ["asymp", "--j-list", ",", "--alpha-grid", "1:1:1"],
+    ],
+)
+def test_out_of_range_arguments_exit_2_with_one_line(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("spinpoly: error: ")
 
 
 def test_grid_parsing_rejects_bad_spec():
