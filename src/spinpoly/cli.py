@@ -64,17 +64,10 @@ def _emit_csv(header, rows, path: str | None) -> None:
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)  # floats as repr, everything else as str
     finally:
         if out is not sys.stdout:
             out.close()
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _cmd_cfn(args) -> int:
@@ -323,13 +316,28 @@ def _range_error(args) -> str | None:
         if not args.j_list:
             return "--j-list names no spin"
         spins, ks, grid = args.j_list, [args.k], args.alpha_grid
-    elif args.command == "plotdata" and args.figure == "cayley-B12":
-        ks, grid = args.k or [1], args.theta_grid or args.alpha_grid
+    elif args.command == "plotdata" and args.figure != "inv-det":
+        spins = args.j or plots.DEFAULT_SPINS[args.figure]
+        ks = args.k or plots.DEFAULT_KS[args.figure]
+        if args.figure == "cayley-B12":
+            grid = args.theta_grid or args.alpha_grid
     for j in spins:
-        if not 0 <= ks[0] <= j.two_j:
-            return f"--k {ks[0]} is outside 0..2j = 0..{j.two_j} for j = {j}"
-    if grid is not None and any(ks) and 0.0 in grid.values():
+        for k in ks:
+            if not 0 <= k <= j.two_j:
+                return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"
+    if grid is None or not any(ks):
+        return None
+    alphas = grid.values()
+    if 0.0 in alphas:
         return "B_k/alpha^k needs alpha != 0, but the alpha grid contains 0"
+    for k in ks:
+        for alpha in alphas:
+            try:
+                in_range = 0.0 < abs(alpha**k) < math.inf
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                return f"alpha^k leaves the float range at alpha = {alpha!r}, k = {k}"
     return None
 
 

@@ -4,9 +4,12 @@ For spin j the rotation exp(i*theta*n.J) equals
 sum_k (1/k!) A_k(theta) (2i n.J)**k with k = 0..2j.  Each A_k is
 sin(theta/2)**k times an optional cos(theta/2) factor times a truncated
 power series in x = sin(theta/2)**2 whose Taylor coefficients are exact
-rationals built from central factorial numbers.  Three generation paths
-are provided (truncated series, direct central-factorial sum, derivative
-relation); they must agree and are tested against each other.
+rationals read off one column of the central factorial table: column k
+when 2j - k is even, column k + 1 when it is odd, through the identity
+(arcsin s)**k / sqrt(1 - s**2) = d/ds (arcsin s)**(k+1) / (k+1).  Three
+generation paths are provided (truncated series, direct central-factorial
+sum, derivative relation); they must agree and are tested against each
+other.
 
 The series cache is exact and per (j, k); floats enter only when a table
 is evaluated at a concrete angle.
@@ -22,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Tuple
 
 from .cfn import cfn
-from .exact import Poly, i_power_sum, poly, poly_eval, poly_mul, poly_truncate
+from .exact import Poly, i_power_sum, poly, poly_eval
 from .halfint import HalfInt
 
 
@@ -34,34 +37,23 @@ def epsilon(j: HalfInt, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _arcsin_power_series(k: int, order: int) -> Poly:
-    # Taylor coefficients in x of (arcsin(sqrt x)/sqrt x)**k through x**order
-    kfact = math.factorial(k)
-    coeffs = [
-        Fraction(kfact * 4**r, math.factorial(k + 2 * r)) * abs(cfn(k + 2 * r, k))
-        for r in range(order + 1)
-    ]
-    return poly(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _binomial_half_series(order: int) -> Poly:
-    # (1 - x)**(-1/2) = sum_m C(2m, m)/4**m x**m
-    return poly(Fraction(math.comb(2 * m, m), 4**m) for m in range(order + 1))
-
-
-@lru_cache(maxsize=None)
 def _series(two_j: int, k: int) -> Poly:
-    """Exact truncation entering A_k for spin two_j/2.
+    """Exact truncation entering A_k for spin two_j/2, at order floor(j - k/2).
 
-    The square-root factor is multiplied in *before* truncating, at order
-    floor(j - k/2).
+    Coefficient r is k! 4**r / (k + 2r)! * |t(col + 2r, col)|.  With
+    col = k this is the series of (arcsin(sqrt x)/sqrt x)**k; with
+    col = k + 1, used when 2j - k is odd, it is that series times
+    (1 - x)**(-1/2), since (arcsin s)**k / sqrt(1 - s**2) is the
+    derivative of (arcsin s)**(k+1) / (k+1).
     """
-    order = (two_j - k) // 2
-    base = _arcsin_power_series(k, order)
-    if (two_j - k) % 2:
-        base = poly_truncate(poly_mul(base, _binomial_half_series(order)), order)
-    return base
+    col = k + (two_j - k) % 2
+    kfact = math.factorial(k)
+    coeffs = []
+    for r in range((two_j - k) // 2 + 1):
+        t = cfn(col + 2 * r, col)
+        num = kfact * 4**r * abs(t.numerator)
+        coeffs.append(Fraction(num, math.factorial(k + 2 * r) * t.denominator))
+    return poly(coeffs)
 
 
 @lru_cache(maxsize=None)

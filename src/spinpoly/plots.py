@@ -19,6 +19,14 @@ from .halfint import HalfInt
 
 FIGURES = ("exp-A", "cayley-B12", "inv-det")
 
+# spins and k values a figure draws when none are given; inv-det takes no k
+DEFAULT_SPINS = {
+    "exp-A": (HalfInt(138), HalfInt(137)),
+    "cayley-B12": (HalfInt(2), HalfInt(4), HalfInt(16)),
+    "inv-det": tuple(HalfInt(n) for n in range(1, 7)),
+}
+DEFAULT_KS = {"exp-A": tuple(range(6)), "cayley-B12": (1,), "inv-det": ()}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -46,9 +54,11 @@ def figure_rows(
     grid: GridSpec | None = None,
 ) -> tuple[tuple[str, str, str], list[tuple[float, str, float]]]:
     """Rows for one named figure; raises ValueError on an unknown name."""
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
+    js = js or DEFAULT_SPINS[figure]
+    ks = ks if ks is not None else DEFAULT_KS[figure]
     if figure == "exp-A":
-        js = js or [HalfInt(138), HalfInt(137)]
-        ks = ks if ks is not None else range(6)
         grid = grid or GridSpec(0.0, 4 * math.pi, 800)
         header = ("theta", "series", "value")
         rows = []
@@ -60,8 +70,6 @@ def figure_rows(
                 ]
         return header, rows
     if figure == "cayley-B12":
-        js = js or [HalfInt(2), HalfInt(4), HalfInt(16)]
-        ks = ks if ks is not None else [1]
         grid = grid or GridSpec(0.05, 5.0, 200)
         header = ("alpha", "series", "value")
         rows = []
@@ -80,17 +88,14 @@ def figure_rows(
                     for a in grid.values()
                 ]
         return header, rows
-    if figure == "inv-det":
-        js = js or [HalfInt(n) for n in range(1, 7)]
-        grid = grid or GridSpec(0.0, 2.0, 400)
-        header = ("alpha", "series", "value")
-        rows = []
-        for j in js:
-            # the determinant holds zeros at odd powers; evaluate in alpha^2
-            fdet = [float(c) for c in cayley.det_poly(j)[::2]]
-            rows += [(a, f"j={j}", 1.0 / poly_eval(fdet, a * a)) for a in grid.values()]
-        return header, rows
-    raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
+    grid = grid or GridSpec(0.0, 2.0, 400)
+    header = ("alpha", "series", "value")
+    rows = []
+    for j in js:
+        # the determinant holds zeros at odd powers; evaluate in alpha^2
+        fdet = [float(c) for c in cayley.det_poly(j)[::2]]
+        rows += [(a, f"j={j}", 1.0 / poly_eval(fdet, a * a)) for a in grid.values()]
+    return header, rows
 
 
 def validate_figure(figure: str) -> list[str]:
@@ -102,8 +107,8 @@ def validate_figure(figure: str) -> list[str]:
     """
     problems = []
     if figure == "exp-A":
-        for j in (HalfInt(138), HalfInt(137)):
-            for k in range(6):
+        for j in DEFAULT_SPINS[figure]:
+            for k in DEFAULT_KS[figure]:
                 for theta in (0.7, 2.0, math.pi, 5.5, 9.1, 11.8):
                     a = expcoeffs.a_coeff_trunc(j, k, theta)
                     if expcoeffs.epsilon(j, k) == 0:
@@ -113,15 +118,14 @@ def validate_figure(figure: str) -> list[str]:
                     if a != b and abs(a - b) > 1e-12 * max(abs(a), abs(b)):
                         problems.append(f"exp-A j={j} k={k} theta={theta}: {a} vs {b}")
     elif figure == "cayley-B12":
-        for j in (HalfInt(2), HalfInt(4), HalfInt(16)):
+        for j in DEFAULT_SPINS[figure]:
             for alpha in (0.1, 0.5, 1.0, 2.5, 5.0):
                 direct = cayley.eval_coeffs(j, alpha)[0][1] / alpha
                 gamma = cayley.b_exact_gamma(j.two_j // 2, 1, alpha)
                 if abs(direct - gamma) > 1e-9 * max(1.0, abs(direct)):
                     problems.append(f"cayley-B12 j={j} alpha={alpha}: {direct} vs {gamma}")
     elif figure == "inv-det":
-        for n in range(1, 7):
-            j = HalfInt(n)
+        for j in DEFAULT_SPINS[figure]:
             det = cayley.det_poly(j)
             for alpha in (0.25, 0.8, 1.5, 2.0):
                 poly_val = math.fsum(float(c) * alpha**i for i, c in enumerate(det))

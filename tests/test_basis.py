@@ -60,15 +60,19 @@ def test_inverse_fixtures():
 
 
 def test_inverse_exact_up_to_two_j_40():
-    # also certifies trace orthonormality: row n of V^-1 against column m of V
+    # also certifies trace orthonormality: row n of V^-1 against column m of V.
+    # V holds powers of integer eigenvalues; each row of V^-1, scaled by the
+    # lcm d of its denominators, must give d times row r of the identity in
+    # exact integer dot products.
     for j in half_integers(40):
         v = vandermonde(j)
-        vinv = vandermonde_inverse(j)
-        n = j.two_j + 1
-        for r in range(n):
-            for c in range(n):
-                want = F(int(r == c))
-                assert sum(vinv[r][k] * v[k][c] for k in range(n)) == want
+        assert all(x.denominator == 1 for row in v for x in row)
+        columns = [[x.numerator for x in col] for col in zip(*v)]
+        for r, row in enumerate(vandermonde_inverse(j)):
+            d = math.lcm(*(x.denominator for x in row))
+            scaled = [x.numerator * (d // x.denominator) for x in row]
+            for c, col in enumerate(columns):
+                assert sum(a * b for a, b in zip(scaled, col)) == d * (r == c), (j, r, c)
 
 
 def test_findumonde_matches_elimination_high_rows():

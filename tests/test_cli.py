@@ -183,6 +183,10 @@ def test_plotdata_command_and_determinism(capsys):
         ["asymp", "--j-list", "1,2", "--k", "1", "--alpha-grid=-1:1:3"],
         ["plotdata", "--figure", "cayley-B12", "--alpha-grid", "0:1:3"],
         ["asymp", "--j-list", ",", "--alpha-grid", "1:1:1"],
+        ["plotdata", "--figure", "cayley-B12", "--k", "5"],
+        ["plotdata", "--figure", "exp-A", "--k", "300", "--theta-grid", "0:1:2"],
+        ["asymp", "--j-list", "2", "--k", "2", "--alpha-grid", "1e-200:1e-199:2"],
+        ["asymp", "--j-list", "40", "--k", "80", "--alpha-grid", "1e4:1e5:2"],
     ],
 )
 def test_out_of_range_arguments_exit_2_with_one_line(capsys, argv):

@@ -1,9 +1,13 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
+from spinpoly import expcoeffs
 from spinpoly.basis import project_coefficients, spectrum
+from spinpoly.cfn import cfn
+from spinpoly.exact import poly, poly_mul, poly_truncate
 from spinpoly.expcoeffs import (
     a_coeff_cfn_series,
     a_coeff_derivative_path,
@@ -31,6 +35,26 @@ def test_spin_half_coefficients():
     for theta in THETAS:
         assert a_coeff_trunc(j, 0, theta) == pytest.approx(math.cos(theta / 2), abs=1e-15)
         assert a_coeff_trunc(j, 1, theta) == pytest.approx(math.sin(theta / 2), abs=1e-15)
+
+
+def _series_by_product(two_j, k):
+    # (arcsin(sqrt x)/sqrt x)**k, times (1 - x)**(-1/2) = sum C(2m,m)/4**m x**m
+    # when 2j - k is odd, truncated at order (2j - k)//2
+    order = (two_j - k) // 2
+    arcsin_power = [
+        Fraction(math.factorial(k) * 4**r, math.factorial(k + 2 * r)) * abs(cfn(k + 2 * r, k))
+        for r in range(order + 1)
+    ]
+    if (two_j - k) % 2 == 0:
+        return poly(arcsin_power)
+    half = [Fraction(math.comb(2 * m, m), 4**m) for m in range(order + 1)]
+    return poly_truncate(poly_mul(arcsin_power, half), order)
+
+
+def test_series_equals_arcsin_power_times_binomial_product():
+    for two_j in range(61):
+        for k in range(two_j + 1):
+            assert expcoeffs._series(two_j, k) == _series_by_product(two_j, k), (two_j, k)
 
 
 def test_spin_one_coefficients():
