@@ -39,22 +39,19 @@ def det_poly(j: HalfInt) -> Poly:
     """det(1 - 2i*alpha*n.J) expanded exactly in alpha.
 
     Product of 1 + 4*alpha^2*(j+1-n)^2 over n = 1..floor(j+1/2); only even
-    powers appear and every coefficient is a positive integer.
+    powers appear and every coefficient is a positive integer, so the
+    product is built in integers (_det_ints) and converted once.
     """
-    out: Poly = poly([1])
-    for n in range(1, (j.two_j + 1) // 2 + 1):
-        m2 = j.two_j + 2 - 2 * n  # 2*(j+1-n)
-        out = _mul_even_quadratic(out, m2 * m2)
+    return poly(_det_ints(j.two_j))
+
+
+@lru_cache(maxsize=None)
+def _det_ints(two_j: int) -> Tuple[int, ...]:
+    out: Tuple[int, ...] = (1,)
+    for n in range(1, (two_j + 1) // 2 + 1):
+        c = (two_j + 2 - 2 * n) ** 2  # (2*(j+1-n))^2
+        out = tuple(lo + c * hi for lo, hi in zip(out + (0, 0), (0, 0) + out))
     return out
-
-
-def _mul_even_quadratic(p: Poly, c: int) -> Poly:
-    # p(alpha) * (1 + c*alpha^2)
-    out = [Fraction(0)] * (len(p) + 2)
-    for i, pi in enumerate(p):
-        out[i] += pi
-        out[i + 2] += pi * c
-    return poly(out)
 
 
 def det_cfn_poly(j: HalfInt) -> Poly:
@@ -156,11 +153,6 @@ def _b_coeffs(two_j: int) -> CayleyCoeffs:
 def b_coeffs(j: HalfInt) -> CayleyCoeffs:
     """The truncation-formula path (the production route)."""
     return _b_coeffs(j.two_j)
-
-
-@lru_cache(maxsize=None)
-def _det_ints(two_j: int) -> Tuple[int, ...]:
-    return tuple(int(c) for c in det_poly(HalfInt(two_j)))
 
 
 def eval_coeffs(j: HalfInt, alpha) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:

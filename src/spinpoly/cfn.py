@@ -2,10 +2,11 @@
 
 t(n, k) is the coefficient of x**k in the generating product of degree n:
 even rows expand prod_{l=0}^{m-1} (x^2 - l^2) for n = 2m, odd rows expand
-x * prod_{l=0}^{m-1} (x^2 - (l + 1/2)^2) for n = 2m + 1.  Rows are built by
-exact polynomial multiplication and memoized; mixed-parity entries come out
-zero structurally, t(even, even) are integers, t(odd, odd) are rationals
-whose denominators are powers of 4.
+x * prod_{l=0}^{m-1} (x^2 - (l + 1/2)^2) for n = 2m + 1.  Each row is kept
+as integers and memoized: even rows are the product itself, odd rows are
+4**m times it, i.e. x * prod (4x^2 - (2l + 1)^2).  So t(even, even) are
+integers, t(odd, odd) are rationals whose denominators divide 4**m, and
+mixed-parity entries come out zero structurally.
 """
 
 from __future__ import annotations
@@ -13,30 +14,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
-from .exact import Poly, poly_mul
 from .halfint import HalfInt
-
-ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
-def _row(n: int) -> Poly:
-    """Coefficients of the degree-n generating product, indexed by power.
+def _row(n: int) -> Tuple[int, ...]:
+    """Integer coefficients of the degree-n generating product, by power.
 
-    Each row extends the same-parity predecessor by one quadratic factor,
-    so filling the table through degree n costs O(n^2) exact multiplies.
+    Row n is t(n, k) scaled by 4**(n//2) when n is odd, and unscaled when
+    n is even.  Each row extends the same-parity predecessor by one
+    quadratic factor: x^2 - (n/2 - 1)^2 for even n, 4x^2 - (n - 2)^2 for
+    odd n.  Filling the table through degree n costs O(n^2) integer
+    multiplies.
     """
-    if n == 0:
-        return (ONE,)
-    if n == 1:
-        return (Fraction(0), ONE)
-    if n % 2 == 0:
-        m = n // 2  # append the l = m-1 factor (x^2 - (m-1)^2)
-        return poly_mul(_row(n - 2), (Fraction(-((m - 1) ** 2)), Fraction(0), ONE))
-    m = (n - 1) // 2  # append the l = m-1 factor (x^2 - (m-1/2)^2)
-    return poly_mul(_row(n - 2), (Fraction(-((2 * m - 1) ** 2), 4), Fraction(0), ONE))
+    if n < 2:
+        return (1,) if n == 0 else (0, 1)
+    a, c = (1, (n // 2 - 1) ** 2) if n % 2 == 0 else (4, (n - 2) ** 2)
+    prev = _row(n - 2)
+    return tuple(a * hi - c * lo for lo, hi in zip(prev + (0, 0), (0, 0) + prev))
 
 
 def cfn(n: int, k: int) -> Fraction:
@@ -45,8 +42,7 @@ def cfn(n: int, k: int) -> Fraction:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    row = _row(n)
-    return row[k] if k < len(row) else Fraction(0)
+    return Fraction(_row(n)[k], 4 ** (n // 2) if n % 2 else 1)
 
 
 def cfn_even(m: int, k: int) -> Fraction:

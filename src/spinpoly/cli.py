@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -226,6 +227,7 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state in the parser; main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinpoly",
@@ -309,6 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _range_error(args) -> str | None:
     """Why the parsed arguments fall outside a command's range, if they do."""
+    if args.command == "cfn" and min(args.n, args.k or 0) < 0:
+        return f"cfn needs n >= 0 and k >= 0, got n = {args.n}, k = {args.k}"
+    for name in ("alpha", "theta", "alpha_grid", "theta_grid"):
+        value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, GridSpec):
+            # a finite stop - start means both endpoints and every step are finite
+            if not math.isfinite(value.stop - value.start):
+                return f"{flag} needs finite endpoints, got {value.start!r}:{value.stop!r}"
+        elif value is not None and not math.isfinite(value):
+            return f"{flag} must be finite, got {value!r}"
     spins, ks, grid = [], [], None
     if args.command in ("coeffs", "bridge") and getattr(args, "k", None) is not None:
         spins, ks = [args.j], [args.k]

@@ -11,8 +11,9 @@ generation paths are provided (truncated series, direct central-factorial
 sum, derivative relation); they must agree and are tested against each
 other.
 
-The series cache is exact and per (j, k); floats enter only when a table
-is evaluated at a concrete angle.
+Each coefficient is cached once as an exact integer pair (num, den), shared
+by every spin whose series reaches it; the float series divides each pair
+once, so it holds the exact coefficients correctly rounded.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .cfn import cfn
-from .exact import Poly, i_power_sum, poly, poly_eval
+from .cfn import _row, cfn
+from .exact import Poly, i_power_sum, poly_eval
 from .halfint import HalfInt
 
 
@@ -37,28 +38,44 @@ def epsilon(j: HalfInt, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _series(two_j: int, k: int) -> Poly:
-    """Exact truncation entering A_k for spin two_j/2, at order floor(j - k/2).
+def _coef(k: int, col: int, r: int) -> Tuple[int, int]:
+    """Coefficient r of the series for A_k read off column col, as (num, den).
 
-    Coefficient r is k! 4**r / (k + 2r)! * |t(col + 2r, col)|.  With
-    col = k this is the series of (arcsin(sqrt x)/sqrt x)**k; with
-    col = k + 1, used when 2j - k is odd, it is that series times
-    (1 - x)**(-1/2), since (arcsin s)**k / sqrt(1 - s**2) is the
-    derivative of (arcsin s)**(k+1) / (k+1).
+    It is k! 4**r / (k + 2r)! * |t(col + 2r, col)|.  With col = k this is
+    the series of (arcsin(sqrt x)/sqrt x)**k; with col = k + 1, used when
+    2j - k is odd, it is that series times (1 - x)**(-1/2), since
+    (arcsin s)**k / sqrt(1 - s**2) is the derivative of
+    (arcsin s)**(k+1) / (k+1).  The integer row col + 2r holds t scaled by
+    4**(col//2 + r) when col is odd, so there the 4**r cancels and
+    4**(col//2) stays in the denominator.  The pair is left unreduced:
+    int/int division and Fraction both accept it, and a gcd would cost more.
     """
+    t = abs(_row(col + 2 * r)[col])
+    if col % 2:
+        return math.factorial(k) * t, math.factorial(k + 2 * r) << 2 * (col // 2)
+    return math.factorial(k) * t << 2 * r, math.factorial(k + 2 * r)
+
+
+def _terms(two_j: int, k: int) -> list[Tuple[int, int]]:
+    # the truncation entering A_k for spin two_j/2 has order floor(j - k/2);
+    # its only exact zeros are the tail t(2r, 0) = 0 for k = col = 0, dropped
     col = k + (two_j - k) % 2
-    kfact = math.factorial(k)
-    coeffs = []
-    for r in range((two_j - k) // 2 + 1):
-        t = cfn(col + 2 * r, col)
-        num = kfact * 4**r * abs(t.numerator)
-        coeffs.append(Fraction(num, math.factorial(k + 2 * r) * t.denominator))
-    return poly(coeffs)
+    terms = [_coef(k, col, r) for r in range((two_j - k) // 2 + 1)]
+    while not terms[-1][0]:
+        terms.pop()
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _series(two_j: int, k: int) -> Poly:
+    """Exact truncation entering A_k for spin two_j/2 (see _coef)."""
+    return tuple(Fraction(num, den) for num, den in _terms(two_j, k))
 
 
 @lru_cache(maxsize=None)
 def _series_float(two_j: int, k: int) -> Tuple[float, ...]:
-    return tuple(float(c) for c in _series(two_j, k))
+    # one int/int division per coefficient: the exact value correctly rounded
+    return tuple(num / den for num, den in _terms(two_j, k))
 
 
 def a_coeff_trunc(j: HalfInt, k: int, theta: float) -> float:

@@ -20,7 +20,14 @@ from spinpoly.cayley import (
     resolvent_coeffs,
     trigamma_int,
 )
-from spinpoly.exact import RationalFunction, poly, poly_negate_arg, poly_scale, poly_shift
+from spinpoly.exact import (
+    RationalFunction,
+    poly,
+    poly_mul,
+    poly_negate_arg,
+    poly_scale,
+    poly_shift,
+)
 from spinpoly.halfint import HalfInt, half_integers
 
 
@@ -37,6 +44,16 @@ def test_det_poly_fixture_values():
     assert det_poly(HalfInt(0)) == poly([1])
     assert det_poly(HalfInt(4)) == even_poly([1, 20, 64])
     assert det_poly(HalfInt(5)) == even_poly([1, 35, 259, 225])
+
+
+def test_det_poly_equals_fraction_product_over_the_spectrum():
+    # det = prod (1 + M^2 alpha^2) over the positive eigenvalues M of S = 2 n.J,
+    # so spin 2j extends spin 2j - 2 by the factor for M = 2j
+    dets = [poly([1]), poly([1, 0, 1])]
+    for two_j in range(2, 121):
+        dets.append(poly_mul(dets[two_j - 2], poly([1, 0, two_j * two_j])))
+    for two_j, want in enumerate(dets):
+        assert det_poly(HalfInt(two_j)) == want, two_j
 
 
 def test_det_equals_cfn_assembly():

@@ -13,6 +13,7 @@ from spinpoly.cfn import (
     cfn_t4,
     det_cfn_row,
 )
+from spinpoly.exact import poly, poly_mul
 from spinpoly.halfint import HalfInt
 
 
@@ -58,6 +59,21 @@ def test_row_eight_by_hand():
 def test_row_seven_by_hand():
     # x(x^2-1/4)(x^2-9/4)(x^2-25/4) = x^7 - 35/4 x^5 + 259/16 x^3 - 225/64 x
     assert [cfn(7, k) for k in (1, 3, 5, 7)] == [F(-225, 64), F(259, 16), F(-35, 4), 1]
+
+
+def _rows_by_fraction_product(max_n):
+    # row n expands x^(n%2) * prod (x^2 - (l + n%2/2)^2), one Fraction
+    # quadratic factor at a time; unscaled, unlike the library's integer rows
+    rows = [poly([1]), poly([0, 1])]
+    for n in range(2, max_n + 1):
+        root = F(n - 2, 2)  # l = n//2 - 1, plus 1/2 for odd n
+        rows.append(poly_mul(rows[n - 2], poly([-root * root, 0, 1])))
+    return rows
+
+
+def test_integer_rows_match_fraction_product():
+    for n, row in enumerate(_rows_by_fraction_product(200)):
+        assert [cfn(n, k) for k in range(n + 1)] == list(row), n
 
 
 def test_det_row_values():

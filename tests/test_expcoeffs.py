@@ -57,6 +57,15 @@ def test_series_equals_arcsin_power_times_binomial_product():
             assert expcoeffs._series(two_j, k) == _series_by_product(two_j, k), (two_j, k)
 
 
+def test_float_series_is_the_exact_series_rounded():
+    # covers the dropped zero tail at k = 0 for even 2j, and int/int
+    # division rounding as Fraction.__float__ does
+    for two_j in range(161):
+        for k in range(two_j + 1):
+            exact = tuple(float(c) for c in expcoeffs._series(two_j, k))
+            assert expcoeffs._series_float(two_j, k) == exact, (two_j, k)
+
+
 def test_spin_one_coefficients():
     j = HalfInt(2)
     for theta in THETAS:
