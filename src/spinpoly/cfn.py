@@ -36,13 +36,22 @@ def _row(n: int) -> Tuple[int, ...]:
     return tuple(a * hi - c * lo for lo, hi in zip(prev + (0, 0), (0, 0) + prev))
 
 
-def cfn(n: int, k: int) -> Fraction:
-    """t(n, k); zero for mixed parity or k > n, with t(0, 0) = 1."""
+def cfn_pair(n: int, k: int) -> Tuple[int, int]:
+    """t(n, k) as an unreduced integer pair (num, den), den a power of 4.
+
+    The only reader of the integer rows: den undoes the row's 4**(n//2)
+    scale for odd n and is 1 for even n.
+    """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     if k > n:
-        return Fraction(0)
-    return Fraction(_row(n)[k], 4 ** (n // 2) if n % 2 else 1)
+        return 0, 1
+    return _row(n)[k], 4 ** (n // 2) if n % 2 else 1
+
+
+def cfn(n: int, k: int) -> Fraction:
+    """t(n, k); zero for mixed parity or k > n, with t(0, 0) = 1."""
+    return Fraction(*cfn_pair(n, k))
 
 
 def cfn_even(m: int, k: int) -> Fraction:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -227,7 +226,6 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-@functools.cache  # parse_args keeps no state in the parser; main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinpoly",
@@ -317,9 +315,11 @@ def _range_error(args) -> str | None:
         value = getattr(args, name, None)
         flag = "--" + name.replace("_", "-")
         if isinstance(value, GridSpec):
-            # a finite stop - start means both endpoints and every step are finite
-            if not math.isfinite(value.stop - value.start):
-                return f"{flag} needs finite endpoints, got {value.start!r}:{value.stop!r}"
+            span = f"{value.start!r}:{value.stop!r}"
+            if not (math.isfinite(value.start) and math.isfinite(value.stop)):
+                return f"{flag} needs finite endpoints, got {span}"
+            if value.count > 1 and not math.isfinite(value.stop - value.start):
+                return f"{flag} span {span} overflows"
         elif value is not None and not math.isfinite(value):
             return f"{flag} must be finite, got {value!r}"
     spins, ks, grid = [], [], None

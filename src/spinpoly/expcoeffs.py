@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .cfn import _row, cfn
+from .cfn import cfn, cfn_pair
 from .exact import Poly, i_power_sum, poly_eval
 from .halfint import HalfInt
 
@@ -45,15 +45,11 @@ def _coef(k: int, col: int, r: int) -> Tuple[int, int]:
     the series of (arcsin(sqrt x)/sqrt x)**k; with col = k + 1, used when
     2j - k is odd, it is that series times (1 - x)**(-1/2), since
     (arcsin s)**k / sqrt(1 - s**2) is the derivative of
-    (arcsin s)**(k+1) / (k+1).  The integer row col + 2r holds t scaled by
-    4**(col//2 + r) when col is odd, so there the 4**r cancels and
-    4**(col//2) stays in the denominator.  The pair is left unreduced:
-    int/int division and Fraction both accept it, and a gcd would cost more.
+    (arcsin s)**(k+1) / (k+1).  The pair is left unreduced: int/int
+    division and Fraction both accept it, and a gcd would cost more.
     """
-    t = abs(_row(col + 2 * r)[col])
-    if col % 2:
-        return math.factorial(k) * t, math.factorial(k + 2 * r) << 2 * (col // 2)
-    return math.factorial(k) * t << 2 * r, math.factorial(k + 2 * r)
+    num, den = cfn_pair(col + 2 * r, col)
+    return math.factorial(k) * abs(num) << 2 * r, math.factorial(k + 2 * r) * den
 
 
 def _terms(two_j: int, k: int) -> list[Tuple[int, int]]:
