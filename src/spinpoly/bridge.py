@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cayley import eval_coeffs
-from .cfn import cfn
+from .cfn import cfn_pair
 from .expcoeffs import a_coeff_trunc
 from .halfint import HalfInt
 
@@ -52,30 +52,37 @@ def _over_sin_factors(out, m: int, alpha):
     return out
 
 
-def b_from_a_laplace(j: HalfInt, k: int, alpha):
+def b_from_a_laplace(j: HalfInt, k: int, alpha) -> Fraction:
     """B_k(alpha) by transforming the exponential coefficient analytically.
 
     Even 2j-k substitutes the central-factorial sum of A_k directly; odd
     2j-k first rewrites A_k through the derivative relation, which lands
-    every term in the sin/cos-power integral family.  Exact alpha gives an
-    exact rational value.
+    every term in the sin/cos-power integral family.  alpha is any exact
+    rational (a float is taken at its exact value); the result is exact.
+
+    With alpha = p/q and F_r = q^2 + r^2 p^2, the term of index m is
+    c_m alpha**(m - delta) / prod (1 + r^2 alpha^2)
+    = c_m p**(m - delta) q**e / prod F_r over 0 < r <= m, r = m mod 2, where
+    e = m % 2 + delta is the same for every term.  So the sum has one
+    integer denominator: the largest power of 4 under the t(m, col) times
+    prod F_r up to r = 2j, and one Horner pass over m builds its numerator.
     """
     if not 0 <= k <= j.two_j:
         raise ValueError(f"k must lie in 0..{j.two_j}, got {k}")
-    two_j = j.two_j
-    if (two_j - k) % 2 == 0:
-        total = 0 * alpha
-        for m in range(k, two_j + 1, 2):
-            t = abs(cfn(m, k))
-            if t:
-                total += Fraction(2**m, 2**k) * t * laplace_sin_power(m, alpha)
-        return total
-    total = 0 * alpha
-    for m in range(k + 1, two_j + 1, 2):
-        t = abs(cfn(m, k + 1))
-        if t:
-            total += Fraction(2**m, 2 ** (k + 1)) * t * laplace_sin_cos_power(m - 1, alpha)
-    return total
+    p, q = Fraction(alpha).as_integer_ratio()
+    delta = (j.two_j - k) % 2  # 1: the sin**(m-1) cos family of column k + 1
+    col = k + delta
+    pairs = [(m, *cfn_pair(m, col)) for m in range(col, j.two_j + 1, 2)]
+    top = max(den for _, _, den in pairs)
+    num = 0
+    den = top
+    for r in range(2 - col % 2, col, 2):
+        den *= q * q + r * r * p * p
+    for m, t_num, t_den in pairs:
+        f = q * q + m * m * p * p if m else 1  # r = 0 is no factor
+        num = num * f + (abs(t_num) << m - col) * (top // t_den) * p ** (m - delta)
+        den *= f
+    return Fraction(num * q ** (col % 2 + delta), den)
 
 
 @dataclass(frozen=True)

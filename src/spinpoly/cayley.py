@@ -23,9 +23,10 @@ from .cfn import cfn, det_cfn_row
 from .exact import (
     Poly,
     RationalFunction,
-    i_power_sum,
+    i_power_parts,
     poly,
     poly_add,
+    poly_eval,
     poly_mul,
     poly_scale,
     poly_shift,
@@ -155,18 +156,13 @@ def b_coeffs(j: HalfInt) -> CayleyCoeffs:
     return _b_coeffs(j.two_j)
 
 
-def eval_coeffs(j: HalfInt, alpha) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """All B_k(alpha) and A_k(alpha), k = 0..2j, as correctly rounded floats.
+def scaled_b(two_j: int, p: int, q: int) -> Tuple[list[int], int]:
+    """B_0..B_2j at alpha = p/q as integer numerators over one denominator.
 
-    With alpha = p/q the scaled truncations S_n = q**n * Trunc_n[det](alpha)
-    are the integer partial sums S_n = q*S_{n-1} + d_n*p**n, and
-    B_k = p**k * q**(deg - 2j) * S_{2j-k} / S_deg.  Each B_k, and each
-    A_k = 2B_k (2B_0 - 1 at k = 0), is one int/int division, which rounds
-    exactly as Fraction.__float__ does: every entry is the exact table's
-    value at alpha, rounded once.
+    The scaled truncations S_n = q**n * Trunc_n[det](alpha) are the integer
+    partial sums S_n = q*S_{n-1} + d_n*p**n, and
+    B_k = p**k * q**(deg - 2j) * S_{2j-k} / S_deg, with S_deg > 0.
     """
-    p, q = Fraction(alpha).as_integer_ratio()
-    two_j = j.two_j
     det = _det_ints(two_j)
     partial = []
     s, p_pow = 0, 1
@@ -174,16 +170,26 @@ def eval_coeffs(j: HalfInt, alpha) -> Tuple[Tuple[float, ...], Tuple[float, ...]
         s = s * q + d * p_pow
         partial.append(s)
         p_pow *= p
-    den = partial[-1]  # q**deg * det(alpha) > 0
     scale = q ** (len(det) - 1 - two_j)  # p**k * q**(deg - 2j) as k runs
-    b, a = [], []
+    nums = []
     for k in range(two_j + 1):
-        num = scale * partial[two_j - k]
-        b.append(num / den)
-        # A_k is divided out too: float 2*B_0 - 1 cancels, 2*B_k loses subnormal bits
-        a.append((2 * num - den) / den if k == 0 else 2 * num / den)
+        nums.append(scale * partial[two_j - k])
         scale *= p
-    return tuple(b), tuple(a)
+    return nums, partial[-1]
+
+
+def eval_coeffs(j: HalfInt, alpha) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """All B_k(alpha) and A_k(alpha), k = 0..2j, as correctly rounded floats.
+
+    Each B_k (see scaled_b), and each A_k = 2B_k (2B_0 - 1 at k = 0), is
+    one int/int division, which rounds exactly as Fraction.__float__ does:
+    every entry is the exact table's value at alpha, rounded once.
+    """
+    nums, den = scaled_b(j.two_j, *Fraction(alpha).as_integer_ratio())
+    b = tuple(num / den for num in nums)
+    # A_k is divided out too: float 2*B_0 - 1 cancels, 2*B_k loses subnormal bits
+    a = ((2 * nums[0] - den) / den,) + tuple(2 * num / den for num in nums[1:])
+    return b, a
 
 
 def b_coeffs_cfn(j: HalfInt) -> CayleyCoeffs:
@@ -386,20 +392,30 @@ class CayleyReconstruction:
 
 def cayley_reconstruction(j: HalfInt, alpha) -> CayleyReconstruction:
     """Check sum_k A_k(alpha) (2i m)**k == (1+2i*alpha*m)/(1-2i*alpha*m)
-    for every eigenvalue m of n.J, in exact rational arithmetic."""
+    for every eigenvalue m of n.J, exactly.
+
+    With alpha = p/q, M = 2m and the scaled table of scaled_b, the check is
+    the Gaussian-integer identity
+    X (q^2 + p^2 M^2) == S_deg (q^2 - p^2 M^2 + 2i p q M),
+    X = S_deg * sum_k A_k (iM)**k.  M and -M give conjugate sides.
+    """
     a = Fraction(alpha)
-    table = b_coeffs(j)
-    avals = [rf(a) for rf in table.A]
+    p, q = a.as_integer_ratio()
+    nums, den = scaled_b(j.two_j, p, q)
+    coeffs = [2 * num for num in nums]
+    coeffs[0] -= den
+    even, odd = i_power_parts(coeffs)
     max_err = 0.0
     exact = True
-    for m2 in range(j.two_j, -j.two_j - 1, -2):  # M = 2m, integer
-        re, im = i_power_sum(av * Fraction(m2) ** k for k, av in enumerate(avals))
-        am = a * m2
-        den = 1 + am * am
-        ere = (1 - am * am) / den
-        eim = 2 * am / den
-        if (re, im) != (ere, eim):
+    for m2 in range(j.two_j % 2, j.two_j + 1, 2):  # |M| = |2m|
+        re = poly_eval(even, m2 * m2)
+        im = m2 * poly_eval(odd, m2 * m2)
+        pm, qq = p * p * m2 * m2, q * q
+        tden = qq + pm
+        dre = re * tden - den * (qq - pm)
+        dim = im * tden - den * 2 * p * q * m2
+        if dre or dim:
             exact = False
-        err = abs(complex(float(re - ere), float(im - eim)))
+        err = abs(complex(dre / (den * tden), dim / (den * tden)))
         max_err = max(max_err, err)
     return CayleyReconstruction(j, a, max_err, exact)

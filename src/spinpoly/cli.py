@@ -104,12 +104,17 @@ def _cmd_basis(args) -> int:
 def _cmd_coeffs_exp(args) -> int:
     j = args.j
     if args.theta_grid is not None:
-        ks = [args.k] if args.k is not None else range(j.two_j + 1)
-        rows = [
-            (theta, k, expcoeffs.a_coeff_trunc(j, k, theta))
-            for theta in args.theta_grid.values()
-            for k in ks
-        ]
+        if args.k is not None:
+            rows = [
+                (theta, args.k, expcoeffs.a_coeff_trunc(j, args.k, theta))
+                for theta in args.theta_grid.values()
+            ]
+        else:
+            rows = [
+                (theta, k, a)
+                for theta in args.theta_grid.values()
+                for k, a in enumerate(expcoeffs.exp_poly(j, theta).A)
+            ]
         _emit_csv(("theta", "k", "A_k"), rows, args.csv)
         return 0
     table = expcoeffs.exp_poly(j, args.theta)

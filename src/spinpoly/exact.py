@@ -79,12 +79,12 @@ def poly_eval(p: Sequence[Fraction], x: Scalar):
     return acc
 
 
-def i_power_sum(terms: Iterable) -> tuple:
-    """(re, im) of sum_k terms[k] * i**k, for real terms."""
-    by_power = [ZERO] * 4  # the terms multiplying i**0, i**1, i**2, i**3
-    for k, term in enumerate(terms):
-        by_power[k % 4] += term
-    return by_power[0] - by_power[2], by_power[1] - by_power[3]
+def i_power_parts(coeffs: Iterable) -> tuple[list, list]:
+    """(E, O) with sum_k coeffs[k] (i*x)**k = E(x**2) + i*x*O(x**2), real coeffs."""
+    even, odd = [], []
+    for k, c in enumerate(coeffs):
+        (odd if k % 2 else even).append(-c if k % 4 > 1 else c)
+    return even, odd
 
 
 def poly_negate_arg(p: Sequence[Fraction]) -> Poly:
@@ -146,6 +146,24 @@ def _primitive_scale(p: Poly) -> Fraction:
     return -s if p[-1] < 0 else s
 
 
+def _cleared(rf: "RationalFunction") -> tuple[list[int], list[int]]:
+    # num and den times the lcm of all their denominators: the same function
+    lcm = math.lcm(*(c.denominator for c in rf.num + rf.den))
+    return (
+        [c.numerator * (lcm // c.denominator) for c in rf.num],
+        [c.numerator * (lcm // c.denominator) for c in rf.den],
+    )
+
+
+def _int_poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, pi in enumerate(p):
+        if pi:
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+    return out
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """A quotient of two exact polynomials, stored as given.
@@ -169,7 +187,9 @@ class RationalFunction:
         return poly_eval(self.num, x) / poly_eval(self.den, x)
 
     def equivalent(self, other: "RationalFunction") -> bool:
-        return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
+        n1, d1 = _cleared(self)
+        n2, d2 = _cleared(other)
+        return _int_poly_mul(n1, d2) == _int_poly_mul(n2, d1)
 
     def canonical(self) -> "RationalFunction":
         if not self.num:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Tuple
 
 from .cfn import cfn, cfn_pair
-from .exact import Poly, i_power_sum, poly_eval
+from .exact import Poly, i_power_parts, poly_eval
 from .halfint import HalfInt
 
 
@@ -74,15 +74,20 @@ def _series_float(two_j: int, k: int) -> Tuple[float, ...]:
     return tuple(num / den for num, den in _terms(two_j, k))
 
 
+def _trunc_at(two_j: int, k: int, s: float, s2: float, c: float) -> float:
+    # A_k at (s, s*s, c), (s, c) = (sin, cos)(theta/2): the one series evaluator
+    val = poly_eval(_series_float(two_j, k), s2)
+    val *= s**k
+    if (two_j - k) % 2:
+        val *= c
+    return val
+
+
 def a_coeff_trunc(j: HalfInt, k: int, theta: float) -> float:
     """A_k(theta) from the truncated-series formula (the canonical path)."""
-    eps = epsilon(j, k)
     s = math.sin(theta / 2.0)
-    val = poly_eval(_series_float(j.two_j, k), s * s)
-    val *= s**k
-    if eps:
-        val *= math.cos(theta / 2.0)
-    return val
+    c = math.cos(theta / 2.0) if epsilon(j, k) else 0.0  # enters odd 2j - k only
+    return _trunc_at(j.two_j, k, s, s * s, c)
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +146,15 @@ class ExpCoeffTable:
 
 
 def exp_poly(j: HalfInt, theta: float) -> ExpCoeffTable:
-    """Full coefficient table at one angle, via the truncated-series path."""
+    """Full coefficient table at one angle, via the truncated-series path.
+
+    The same values as a_coeff_trunc for each k, with the half-angle sine
+    and cosine taken once for the whole table.
+    """
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    s2 = s * s
     return ExpCoeffTable(
-        j, theta, tuple(a_coeff_trunc(j, k, theta) for k in range(j.two_j + 1))
+        j, theta, tuple(_trunc_at(j.two_j, k, s, s2, c) for k in range(j.two_j + 1))
     )
 
 
@@ -152,41 +163,43 @@ def exp_poly(j: HalfInt, theta: float) -> ExpCoeffTable:
 #
 # Floats are ill-conditioned here: at large 2j the terms of the
 # reconstruction sum reach ~1e14 before cancelling to unit modulus.  The
-# oracle therefore evaluates everything over exact rationals, entering
-# through a rational point (s, c) that lies *exactly* on the unit circle
-# (tan-half-angle parameterization), where the polynomial identity
-# sum_k (1/k!) A_k (i*M)**k == (c + i s)**M holds exactly per eigenvalue
-# M of S.  Floats appear only in the final comparison against exp.
+# oracle therefore checks the identity exactly, entering through a rational
+# point (s, c) = (2ab, b^2 - a^2) / (a^2 + b^2) that lies *exactly* on the
+# unit circle (t = tan(theta/4) = a/b), where
+# sum_k (1/k!) A_k (i*M)**k == (c + i s)**M holds per eigenvalue M of S.
+# Scaled by L * (a^2 + b^2)**2j, with L the common denominator of the
+# series coefficients, both sides are Gaussian integers.  Floats appear only
+# in the final comparison against exp, each one int/int division.
 # ---------------------------------------------------------------------------
+
+
+def _quarter_tan(theta: float) -> tuple[int, int]:
+    # t = tan(theta/4) as a/b in lowest terms, b > 0
+    return Fraction(math.tan(theta / 4.0)).limit_denominator(10**12).as_integer_ratio()
 
 
 def circle_point(theta: float) -> tuple[Fraction, Fraction]:
     """Rational (sin(theta/2), cos(theta/2)) exactly on the unit circle."""
-    t = Fraction(math.tan(theta / 4.0)).limit_denominator(10**12)
-    d = 1 + t * t
-    return 2 * t / d, (1 - t * t) / d
+    a, b = _quarter_tan(theta)
+    d = a * a + b * b
+    return Fraction(2 * a * b, d), Fraction(b * b - a * a, d)
 
 
-def a_coeff_exact(j: HalfInt, k: int, s: Fraction, c: Fraction) -> Fraction:
-    """A_k evaluated exactly at a rational circle point (s, c)."""
-    val = poly_eval(_series(j.two_j, k), s * s) * s**k
-    if epsilon(j, k):
-        val *= c
-    return val
+@lru_cache(maxsize=None)
+def _recon_weights(two_j: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(L, w): A_k/k! = sum_r w[k][r]/L * s**(k+2r) * c**eps, all integers.
 
-
-def _unit_cpow(re: Fraction, im: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    # (re + i*im)**n for a point on the unit circle; negative n conjugates
-    if n < 0:
-        re, im, n = re, -im, -n
-    out = (Fraction(1), Fraction(0))
-    base = (re, im)
-    while n:
-        if n & 1:
-            out = (out[0] * base[0] - out[1] * base[1], out[0] * base[1] + out[1] * base[0])
-        base = (base[0] ** 2 - base[1] ** 2, 2 * base[0] * base[1])
-        n >>= 1
-    return out
+    L is the least common denominator of the reduced coefficients
+    num/(den k!) over every _terms pair of the spin.
+    """
+    fracs = [
+        [Fraction(num, den * math.factorial(k)) for num, den in _terms(two_j, k)]
+        for k in range(two_j + 1)
+    ]
+    lcm = math.lcm(*(f.denominator for row in fracs for f in row))
+    return lcm, tuple(
+        tuple(f.numerator * (lcm // f.denominator) for f in row) for row in fracs
+    )
 
 
 @dataclass(frozen=True)
@@ -199,17 +212,37 @@ class ExpReconstruction:
 
 def exp_reconstruction(j: HalfInt, theta: float) -> ExpReconstruction:
     """Check sum_k (1/k!) A_k (2i m)**k == e^{i theta m} on the spectrum."""
-    s, c = circle_point(theta)
-    avals = [a_coeff_exact(j, k, s, c) for k in range(j.two_j + 1)]
+    two_j = j.two_j
+    lcm, weights = _recon_weights(two_j)
+    a, b = _quarter_tan(theta)
+    s, c, d = 2 * a * b, b * b - a * a, a * a + b * b  # (sin, cos)(theta/2) * d
+    s2_pow, d2_pow = [1], [1]
+    for _ in range(two_j // 2):
+        s2_pow.append(s2_pow[-1] * s * s)
+        d2_pow.append(d2_pow[-1] * d * d)
+    # X_k = L d**2j A_k/k! = c**eps s**k sum_r w_r s**2r d**(2j-k-eps-2r)
+    xs = []
+    s_pow = 1
+    for k, w in enumerate(weights):
+        n = (two_j - k) // 2
+        x = s_pow * sum(wr * s2_pow[r] * d2_pow[n - r] for r, wr in enumerate(w))
+        xs.append(x * c if (two_j - k) % 2 else x)
+        s_pow *= s
+    even, odd = i_power_parts(xs)
+    den = lcm * d**two_j
     max_err = 0.0
     exact = True
-    for m2 in range(j.two_j, -j.two_j - 1, -2):  # M = 2m runs over eigvals of S
-        re, im = i_power_sum(
-            a * Fraction(m2) ** k / math.factorial(k) for k, a in enumerate(avals)
-        )
-        ere, eim = _unit_cpow(c, s, m2)
-        if (re, im) != (ere, eim):
+    # |M| = 2|m| runs up from 0 or 1; the target is L (c + i s)**|M| d**(2j-|M|)
+    ere, eim = (c, s) if two_j % 2 else (1, 0)
+    step = (c * c - s * s, 2 * c * s)
+    for m in range(two_j % 2, two_j + 1, 2):
+        re = poly_eval(even, m * m)
+        im = m * poly_eval(odd, m * m)
+        scale = lcm * d2_pow[(two_j - m) // 2]
+        if re != scale * ere or im != scale * eim:
             exact = False
-        err = abs(complex(float(re), float(im)) - cmath.exp(1j * theta * m2 / 2.0))
-        max_err = max(max_err, err)
+        for m2 in (m, -m) if m else (m,):  # M and -M share re and -im
+            got = complex(re / den, (im if m2 > 0 else -im) / den)
+            max_err = max(max_err, abs(got - cmath.exp(1j * theta * m2 / 2.0)))
+        ere, eim = ere * step[0] - eim * step[1], ere * step[1] + eim * step[0]
     return ExpReconstruction(j, theta, max_err, exact)

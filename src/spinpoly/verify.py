@@ -2,12 +2,16 @@
 
 Each check covers all spins up to a caller-chosen 2j and returns a dict
 with pass/fail plus enough context (operation, j, k, alpha/theta) to
-locate the first violation.  The CLI serializes the result as JSON.
+locate the first violation.  Every entry also reports its margins: the
+number of cases compared and the seconds taken, and for a check with a
+float bound the worst error seen next to that bound.  The CLI serializes
+the result as JSON.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 from . import bridge, cayley, expcoeffs
@@ -18,6 +22,24 @@ from .halfint import half_integers
 _THETAS = [(-2.0 + 4.0 * i / 24) * math.pi for i in range(25)]
 _ALPHAS = [Fraction(n, 7) for n in range(-10, 11, 3) if n] + [Fraction(1, 2), Fraction(3)]
 
+EXP_PATH_BOUND = 1e-12       # relative, truncated series against the other paths
+EXP_RECON_BOUND = 1e-9       # absolute, per eigenvalue against exp
+CAYLEY_RECON_BOUND = 1e-10   # absolute, per eigenvalue against the Cayley form
+RESOLVENT_BOUND = 1e-11      # relative to max(1, |B_k|)
+DET_BOUND = 1e-10            # relative, polynomial against gamma form
+
+
+class _Tally:
+    """Cases compared by one check, and the worst float error among them."""
+
+    def __init__(self) -> None:
+        self.cases = 0
+        self.worst = 0.0
+
+    def add(self, err: float = 0.0) -> None:
+        self.cases += 1
+        self.worst = max(self.worst, err)
+
 
 def _rel_close(a: float, b: float, tol: float) -> bool:
     if a == b:
@@ -25,19 +47,20 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(abs(a), abs(b))
 
 
-def _check_fundamental_identity(max_two_j: int) -> dict:
+def _rel_diff(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def _check_fundamental_identity(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         rep = verify_fundamental_identity(j)
+        tally.add()
         if not rep.passed:
-            return {
-                "name": "fundamental-identity",
-                "passed": False,
-                "detail": f"op=verify_fundamental_identity j={j} eigenvalue={rep.failing_eigenvalue}",
-            }
-    return {"name": "fundamental-identity", "passed": True, "detail": f"2j <= {max_two_j}, exact"}
+            return f"op=verify_fundamental_identity j={j} eigenvalue={rep.failing_eigenvalue}"
+    return None
 
 
-def _check_exp_paths(max_two_j: int) -> dict:
+def _check_exp_paths(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         for k in range(j.two_j + 1):
             even = expcoeffs.epsilon(j, k) == 0
@@ -49,45 +72,40 @@ def _check_exp_paths(max_two_j: int) -> dict:
                 else:
                     b = expcoeffs.a_coeff_derivative_path(j, k + 1, [theta])[0]
                     op = "a_coeff_derivative_path"
-                if not _rel_close(a, b, 1e-12):
-                    return {
-                        "name": "exp-path-equality",
-                        "passed": False,
-                        "detail": f"op={op} j={j} k={k} theta={theta} trunc={a} other={b}",
-                    }
-    return {"name": "exp-path-equality", "passed": True, "detail": f"2j <= {max_two_j}, rel 1e-12"}
+                tally.add(_rel_diff(a, b))
+                if not _rel_close(a, b, EXP_PATH_BOUND):
+                    return f"op={op} j={j} k={k} theta={theta} trunc={a} other={b}"
+    return None
 
 
-def _check_exp_reconstruction(max_two_j: int) -> dict:
+def _check_exp_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
     thetas = [-3.5 * math.pi, -math.pi, 0.4, 1.7, math.pi, 2 * math.pi, 3 * math.pi, 11.0]
     for j in half_integers(max_two_j):
         for theta in thetas:
             rep = expcoeffs.exp_reconstruction(j, theta)
-            if not rep.exact or rep.max_error >= 1e-9:
-                return {
-                    "name": "exp-reconstruction",
-                    "passed": False,
-                    "detail": f"op=exp_reconstruction j={j} theta={theta} "
-                    f"max_error={rep.max_error} exact={rep.exact}",
-                }
-    return {"name": "exp-reconstruction", "passed": True, "detail": f"2j <= {max_two_j}, < 1e-9"}
+            tally.add(rep.max_error)
+            if not rep.exact or rep.max_error >= EXP_RECON_BOUND:
+                return (
+                    f"op=exp_reconstruction j={j} theta={theta} "
+                    f"max_error={rep.max_error} exact={rep.exact}"
+                )
+    return None
 
 
-def _check_cayley_reconstruction(max_two_j: int) -> dict:
+def _check_cayley_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         for alpha in _ALPHAS[:8]:
             rep = cayley.cayley_reconstruction(j, alpha)
-            if not rep.exact or rep.max_error >= 1e-10:
-                return {
-                    "name": "cayley-reconstruction",
-                    "passed": False,
-                    "detail": f"op=cayley_reconstruction j={j} alpha={alpha} "
-                    f"max_error={rep.max_error} exact={rep.exact}",
-                }
-    return {"name": "cayley-reconstruction", "passed": True, "detail": f"2j <= {max_two_j}, < 1e-10"}
+            tally.add(rep.max_error)
+            if not rep.exact or rep.max_error >= CAYLEY_RECON_BOUND:
+                return (
+                    f"op=cayley_reconstruction j={j} alpha={alpha} "
+                    f"max_error={rep.max_error} exact={rep.exact}"
+                )
+    return None
 
 
-def _check_cayley_paths(max_two_j: int) -> dict:
+def _check_cayley_paths(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         direct = cayley.b_coeffs(j)
         for other, op in (
@@ -95,105 +113,113 @@ def _check_cayley_paths(max_two_j: int) -> dict:
             (cayley.b_coeffs_cfn(j), "b_coeffs_cfn"),
         ):
             for k in range(j.two_j + 1):
+                tally.add()
                 if not direct.B[k].equivalent(other.B[k]):
-                    return {
-                        "name": "cayley-path-equality",
-                        "passed": False,
-                        "detail": f"op={op} j={j} k={k}",
-                    }
+                    return f"op={op} j={j} k={k}"
         eigs = [1j * m2 for m2 in range(j.two_j, -j.two_j - 1, -2)]
         for alpha in (0.35, -1.25):
             res = cayley.resolvent_coeffs(eigs, alpha)
             for k, (r, want) in enumerate(zip(res, cayley.eval_coeffs(j, alpha)[0])):
-                if abs(r - want) > 1e-11 * max(1.0, abs(want)):
-                    return {
-                        "name": "cayley-path-equality",
-                        "passed": False,
-                        "detail": f"op=resolvent_coeffs j={j} k={k} alpha={alpha} "
-                        f"resolvent={r} direct={want}",
-                    }
-    return {"name": "cayley-path-equality", "passed": True, "detail": f"2j <= {max_two_j}"}
+                scale = max(1.0, abs(want))
+                tally.add(abs(r - want) / scale)
+                if abs(r - want) > RESOLVENT_BOUND * scale:
+                    return (
+                        f"op=resolvent_coeffs j={j} k={k} alpha={alpha} "
+                        f"resolvent={r} direct={want}"
+                    )
+    return None
 
 
-def _check_laplace_bridge(max_two_j: int) -> dict:
+def _check_laplace_bridge(max_two_j: int, tally: _Tally) -> str | None:
+    alphas = _ALPHAS[:6]
     for j in half_integers(max_two_j):
-        table = cayley.b_coeffs(j)
+        # B_k(alpha) = nums[k]/den from the integer determinant, per alpha
+        tables = [cayley.scaled_b(j.two_j, *alpha.as_integer_ratio()) for alpha in alphas]
         for k in range(j.two_j + 1):
-            for alpha in _ALPHAS[:6]:
+            for alpha, (nums, den) in zip(alphas, tables):
                 via = bridge.b_from_a_laplace(j, k, alpha)
-                want = table.B[k](alpha)
-                if via != want:
-                    return {
-                        "name": "laplace-bridge",
-                        "passed": False,
-                        "detail": f"op=b_from_a_laplace j={j} k={k} alpha={alpha} "
-                        f"laplace={via} direct={want}",
-                    }
-    return {"name": "laplace-bridge", "passed": True, "detail": f"2j <= {max_two_j}, exact"}
+                tally.add()
+                if via.numerator * den != nums[k] * via.denominator:
+                    return (
+                        f"op=b_from_a_laplace j={j} k={k} alpha={alpha} "
+                        f"laplace={via} direct={Fraction(nums[k], den)}"
+                    )
+    return None
 
 
-def _check_pairing_parity(max_two_j: int) -> dict:
+def _check_pairing_parity(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         table = cayley.b_coeffs(j)
         for k, rf in enumerate(table.B):
             flipped = RationalFunction(poly_negate_arg(rf.num), poly_negate_arg(rf.den))
             signed = rf if k % 2 == 0 else RationalFunction(poly_scale(rf.num, -1), rf.den)
+            tally.add()
             if not flipped.equivalent(signed):
-                return {
-                    "name": "pairing-parity",
-                    "passed": False,
-                    "detail": f"op=parity j={j} k={k}",
-                }
+                return f"op=parity j={j} k={k}"
         if j.is_integer:
+            tally.add()
             if not table.B[0].equivalent(RationalFunction((1,), (1,))):
-                return {"name": "pairing-parity", "passed": False, "detail": f"op=B0 j={j}"}
+                return f"op=B0 j={j}"
             pairs = [(2 * k + 2, 2 * k + 1) for k in range(j.two_j // 2)]
         else:
             pairs = [(2 * k + 1, 2 * k) for k in range((j.two_j + 1) // 2)]
         for hi, lo in pairs:
             shifted = RationalFunction(poly_shift(table.B[lo].num, 1), table.B[lo].den)
+            tally.add()
             if not table.B[hi].equivalent(shifted):
-                return {
-                    "name": "pairing-parity",
-                    "passed": False,
-                    "detail": f"op=pairing j={j} B_{hi} != alpha*B_{lo}",
-                }
-    return {"name": "pairing-parity", "passed": True, "detail": f"2j <= {max_two_j}, exact"}
+                return f"op=pairing j={j} B_{hi} != alpha*B_{lo}"
+    return None
 
 
-def _check_det_forms(max_two_j: int) -> dict:
+def _check_det_forms(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         forms = cayley.det_forms(j)
+        tally.add()
         if forms.poly != forms.cfn_poly:
-            return {
-                "name": "determinant-forms",
-                "passed": False,
-                "detail": f"op=det_cfn_poly j={j}",
-            }
+            return f"op=det_cfn_poly j={j}"
         for alpha in (-2.0, -0.5, 0.5, 1.0, 2.0):
             poly_val = float(sum(float(c) * alpha**i for i, c in enumerate(forms.poly)))
             gamma_val = forms.gamma(alpha)
-            if not _rel_close(poly_val, gamma_val, 1e-10):
-                return {
-                    "name": "determinant-forms",
-                    "passed": False,
-                    "detail": f"op=det_gamma j={j} alpha={alpha} poly={poly_val} gamma={gamma_val}",
-                }
-    return {"name": "determinant-forms", "passed": True, "detail": f"2j <= {max_two_j}"}
+            tally.add(_rel_diff(poly_val, gamma_val))
+            if not _rel_close(poly_val, gamma_val, DET_BOUND):
+                return f"op=det_gamma j={j} alpha={alpha} poly={poly_val} gamma={gamma_val}"
+    return None
+
+
+# name -> (check, float bound or None, note after "2j <= N" in a passing detail)
+_CHECKS = {
+    "fundamental-identity": (_check_fundamental_identity, None, ", exact"),
+    "exp-path-equality": (_check_exp_paths, EXP_PATH_BOUND, ", rel 1e-12"),
+    "exp-reconstruction": (_check_exp_reconstruction, EXP_RECON_BOUND, ", < 1e-9"),
+    "cayley-reconstruction": (_check_cayley_reconstruction, CAYLEY_RECON_BOUND, ", < 1e-10"),
+    "cayley-path-equality": (_check_cayley_paths, RESOLVENT_BOUND, ""),
+    "laplace-bridge": (_check_laplace_bridge, None, ", exact"),
+    "pairing-parity": (_check_pairing_parity, None, ", exact"),
+    "determinant-forms": (_check_det_forms, DET_BOUND, ""),
+}
+
+
+def _run_check(name: str, max_two_j: int) -> dict:
+    check, bound, note = _CHECKS[name]
+    tally = _Tally()
+    start = time.perf_counter()
+    failure = check(max_two_j, tally)
+    entry = {
+        "name": name,
+        "passed": failure is None,
+        "detail": failure or f"2j <= {max_two_j}{note}",
+        "cases": tally.cases,
+        "seconds": round(time.perf_counter() - start, 6),
+    }
+    if bound is not None:
+        entry["worst"] = tally.worst
+        entry["bound"] = bound
+    return entry
 
 
 def run_verify(max_two_j: int) -> dict:
     """Run the whole invariant suite up to the given 2j."""
-    checks = [
-        _check_fundamental_identity(max_two_j),
-        _check_exp_paths(max_two_j),
-        _check_exp_reconstruction(max_two_j),
-        _check_cayley_reconstruction(max_two_j),
-        _check_cayley_paths(max_two_j),
-        _check_laplace_bridge(max_two_j),
-        _check_pairing_parity(max_two_j),
-        _check_det_forms(max_two_j),
-    ]
+    checks = [_run_check(name, max_two_j) for name in _CHECKS]
     return {
         "max_two_j": max_two_j,
         "passed": all(c["passed"] for c in checks),
@@ -203,5 +229,5 @@ def run_verify(max_two_j: int) -> dict:
 
 def run_verify_fi(max_two_j: int) -> dict:
     """Fundamental-identity suite only."""
-    check = _check_fundamental_identity(max_two_j)
+    check = _run_check("fundamental-identity", max_two_j)
     return {"max_two_j": max_two_j, "passed": check["passed"], "checks": [check]}

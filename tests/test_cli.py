@@ -88,6 +88,19 @@ def test_verify_command_json(capsys):
     assert report["passed"] is True
     names = {c["name"] for c in report["checks"]}
     assert "fundamental-identity" in names and "laplace-bridge" in names
+    bounds = {c["name"]: c["bound"] for c in report["checks"] if "bound" in c}
+    assert bounds == {
+        "exp-path-equality": 1e-12,
+        "exp-reconstruction": 1e-9,
+        "cayley-reconstruction": 1e-10,
+        "cayley-path-equality": 1e-11,
+        "determinant-forms": 1e-10,
+    }
+    for check in report["checks"]:
+        assert check["cases"] > 0, check
+        assert check["seconds"] >= 0, check
+        if "bound" in check:
+            assert 0 <= check["worst"] < check["bound"], check
     code, out = run(capsys, "verify", "--fi", "--max-two-j", "20")
     assert code == 0
     assert json.loads(out)["passed"] is True

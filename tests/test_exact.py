@@ -98,3 +98,22 @@ def test_gcd_of_known_factors():
     b = poly_mul(shared, poly([-1, 1]))
     g = poly_gcd(a, b)
     assert g == poly([F(1, 2), 1])  # monic multiple of (1 + 2x)
+
+
+@given(small_polys, small_polys, small_polys, small_polys)
+def test_equivalent_is_the_fraction_cross_product(p, q, r, s):
+    # the integer cross-multiplication decides as poly_mul over Fractions does
+    if not q or not s:
+        return
+    left, right = RationalFunction(p, q), RationalFunction(r, s)
+    assert left.equivalent(right) == (poly_mul(p, s) == poly_mul(r, q))
+    assert left.equivalent(RationalFunction(poly_mul(p, s), poly_mul(q, s)))
+
+
+def test_equivalent_examples():
+    half = RationalFunction(poly([F(1, 2), F(1, 3)]), poly([1, 0, F(2, 5)]))
+    assert half.equivalent(RationalFunction(poly([15, 10]), poly([30, 0, 12])))
+    assert not half.equivalent(RationalFunction(poly([15, 10]), poly([30, 0, 13])))
+    assert not half.equivalent(RationalFunction(poly([15, 10, 1]), poly([30, 0, 12])))
+    assert RationalFunction((), (3,)).equivalent(RationalFunction((), poly([1, 1])))
+    assert not RationalFunction((), (3,)).equivalent(RationalFunction((1,), (3,)))

@@ -149,6 +149,16 @@ def test_two_pi_rotation_signs():
         assert rep.max_error < 1e-12
 
 
+def test_table_is_the_single_coefficient_path_bit_for_bit():
+    # exp_poly takes sin and cos once per angle; every entry must still be
+    # exactly what a_coeff_trunc returns, so grid CSVs do not depend on --k
+    for two_j in (0, 1, 6, 9, 40, 137):
+        j = HalfInt(two_j)
+        for theta in THETAS[::7] + [0.0, 2 * math.pi, 11.0]:
+            want = tuple(a_coeff_trunc(j, k, theta) for k in range(two_j + 1))
+            assert exp_poly(j, theta).A == want, (two_j, theta)
+
+
 def test_periodicity_4pi():
     for j in half_integers(9):
         for theta in (0.4, 2.0, -1.3):

@@ -1,0 +1,222 @@
+"""The integer identity checks against the Fraction routes they replaced.
+
+exp_reconstruction, cayley_reconstruction and b_from_a_laplace evaluate
+the paper's exact identities over Python ints with one common
+denominator.  The Fraction versions below are the straightforward
+routes: A_k evaluated at the rational circle point and summed with
+i-powers, the exact Cayley table evaluated at alpha, and the
+term-by-term Laplace sum.  The integer routes must return the same
+dataclasses and values, and a perturbed table must make them fail.
+"""
+
+import cmath
+import json
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from spinpoly import bridge, cayley, cli, expcoeffs
+from spinpoly.cfn import cfn
+from spinpoly.exact import poly_eval
+from spinpoly.expcoeffs import circle_point, epsilon
+from spinpoly.halfint import HalfInt, half_integers
+
+THETAS = [0.0, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3.5 * math.pi, 11.0, 1e-9]
+VERIFY_ALPHAS = [F(n, 7) for n in range(-10, 11, 3) if n] + [F(1, 2), F(3)]
+ALPHAS = VERIFY_ALPHAS + [F(0), F(-5, 3)]
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def i_power_sum(terms):
+    """(re, im) of sum_k terms[k] * i**k, for real terms."""
+    by_power = [F(0)] * 4
+    for k, term in enumerate(terms):
+        by_power[k % 4] += term
+    return by_power[0] - by_power[2], by_power[1] - by_power[3]
+
+
+def a_coeff_exact(j, k, s, c):
+    """A_k evaluated exactly at a rational circle point (s, c)."""
+    val = poly_eval(expcoeffs._series(j.two_j, k), s * s) * s**k
+    if epsilon(j, k):
+        val *= c
+    return val
+
+
+def _unit_cpow(re, im, n):
+    # (re + i*im)**n for a point on the unit circle; negative n conjugates
+    if n < 0:
+        re, im, n = re, -im, -n
+    out = (F(1), F(0))
+    base = (re, im)
+    while n:
+        if n & 1:
+            out = (out[0] * base[0] - out[1] * base[1], out[0] * base[1] + out[1] * base[0])
+        base = (base[0] ** 2 - base[1] ** 2, 2 * base[0] * base[1])
+        n >>= 1
+    return out
+
+
+def exp_reconstruction_fraction(j, theta):
+    s, c = circle_point(theta)
+    avals = [a_coeff_exact(j, k, s, c) for k in range(j.two_j + 1)]
+    max_err = 0.0
+    exact = True
+    for m2 in range(j.two_j, -j.two_j - 1, -2):
+        re, im = i_power_sum(a * F(m2) ** k / math.factorial(k) for k, a in enumerate(avals))
+        if (re, im) != _unit_cpow(c, s, m2):
+            exact = False
+        err = abs(complex(float(re), float(im)) - cmath.exp(1j * theta * m2 / 2.0))
+        max_err = max(max_err, err)
+    return expcoeffs.ExpReconstruction(j, theta, max_err, exact)
+
+
+def cayley_reconstruction_fraction(j, alpha):
+    a = F(alpha)
+    avals = [rf(a) for rf in cayley.b_coeffs(j).A]
+    max_err = 0.0
+    exact = True
+    for m2 in range(j.two_j, -j.two_j - 1, -2):
+        re, im = i_power_sum(av * F(m2) ** k for k, av in enumerate(avals))
+        am = a * m2
+        ere = (1 - am * am) / (1 + am * am)
+        eim = 2 * am / (1 + am * am)
+        if (re, im) != (ere, eim):
+            exact = False
+        max_err = max(max_err, abs(complex(float(re - ere), float(im - eim))))
+    return cayley.CayleyReconstruction(j, a, max_err, exact)
+
+
+def b_from_a_laplace_fraction(j, k, alpha):
+    two_j = j.two_j
+    total = 0 * alpha
+    if (two_j - k) % 2 == 0:
+        for m in range(k, two_j + 1, 2):
+            total += F(2**m, 2**k) * abs(cfn(m, k)) * bridge.laplace_sin_power(m, alpha)
+        return total
+    for m in range(k + 1, two_j + 1, 2):
+        total += F(2**m, 2 ** (k + 1)) * abs(cfn(m, k + 1)) * bridge.laplace_sin_cos_power(
+            m - 1, alpha
+        )
+    return total
+
+
+# ---------------------------------------------------------------------------
+# equality with the oracles
+# ---------------------------------------------------------------------------
+
+
+def test_exp_reconstruction_equals_fraction_oracle():
+    for j in half_integers(30):
+        for theta in THETAS:
+            want = exp_reconstruction_fraction(j, theta)
+            assert want.exact
+            assert expcoeffs.exp_reconstruction(j, theta) == want, (j, theta)
+
+
+def test_cayley_reconstruction_equals_fraction_oracle():
+    for j in half_integers(30):
+        for alpha in ALPHAS:
+            want = cayley_reconstruction_fraction(j, alpha)
+            assert want.exact
+            assert cayley.cayley_reconstruction(j, alpha) == want, (j, alpha)
+
+
+def test_laplace_bridge_equals_fraction_sum():
+    for j in half_integers(30):
+        for k in range(j.two_j + 1):
+            for alpha in ALPHAS:
+                got = bridge.b_from_a_laplace(j, k, alpha)
+                assert type(got) is F
+                assert got == b_from_a_laplace_fraction(j, k, alpha), (j, k, alpha)
+
+
+def test_laplace_bridge_takes_a_float_at_its_exact_value():
+    for alpha in (0.45, -1e-3, 12.5):
+        assert bridge.b_from_a_laplace(HalfInt(7), 3, alpha) == b_from_a_laplace_fraction(
+            HalfInt(7), 3, F(alpha)
+        )
+
+
+def test_scaled_b_matches_the_exact_table():
+    for j in half_integers(20):
+        table = cayley.b_coeffs(j)
+        for alpha in ALPHAS:
+            nums, den = cayley.scaled_b(j.two_j, *alpha.as_integer_ratio())
+            assert den > 0
+            assert [F(n, den) for n in nums] == [rf(alpha) for rf in table.B], (j, alpha)
+
+
+# ---------------------------------------------------------------------------
+# a perturbed table must fail the integer checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_caches():
+    # the tables a patched _coef or _det_ints feeds are cached; start and end clean
+    caches = (
+        expcoeffs._recon_weights,
+        expcoeffs._series,
+        expcoeffs._series_float,
+        cayley._b_coeffs,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _verify_detail(capsys, name):
+    code = cli.main(["verify", "--max-two-j", "8"])
+    report = json.loads(capsys.readouterr().out)
+    (check,) = [c for c in report["checks"] if c["name"] == name]
+    return code, check
+
+
+def test_perturbed_series_pair_fails_exp_reconstruction(monkeypatch, capsys, fresh_caches):
+    real = expcoeffs._coef
+
+    def perturbed(k, col, r):
+        num, den = real(k, col, r)
+        return (num + 1, den) if (k, col, r) == (1, 1, 1) else (num, den)
+
+    monkeypatch.setattr(expcoeffs, "_coef", perturbed)
+    assert expcoeffs.exp_reconstruction(HalfInt(3), 0.4).exact is False
+    code, check = _verify_detail(capsys, "exp-reconstruction")
+    assert code == 1
+    assert check["passed"] is False
+    assert "op=exp_reconstruction" in check["detail"]
+
+
+def test_perturbed_determinant_fails_cayley_reconstruction(monkeypatch, capsys, fresh_caches):
+    real = cayley._det_ints
+
+    def perturbed(two_j):
+        det = real(two_j)
+        return det[:-1] + (det[-1] + 1,) if len(det) > 1 else det
+
+    monkeypatch.setattr(cayley, "_det_ints", perturbed)
+    assert cayley.cayley_reconstruction(HalfInt(3), F(1, 2)).exact is False
+    code, check = _verify_detail(capsys, "cayley-reconstruction")
+    assert code == 1
+    assert check["passed"] is False
+    assert "op=cayley_reconstruction" in check["detail"]
+
+
+def test_perturbed_odd_coefficient_fails_cayley_reconstruction(monkeypatch):
+    # B_1 enters only the imaginary part of the reconstruction sum
+    real = cayley.scaled_b
+
+    def perturbed(two_j, p, q):
+        nums, den = real(two_j, p, q)
+        return [n + (k == 1) for k, n in enumerate(nums)], den
+
+    monkeypatch.setattr(cayley, "scaled_b", perturbed)
+    assert cayley.cayley_reconstruction(HalfInt(3), F(1, 2)).exact is False
