@@ -23,7 +23,6 @@ from .bridge import (
     alpha_from_theta,
     b_from_a_laplace,
     laplace_pair,
-    laplace_sin_power,
     quadrature_check,
     shear_map,
     theta_from_alpha,
@@ -40,12 +39,13 @@ from .cayley import (
     det_forms,
     det_gamma,
     det_poly,
+    reduce_over_det,
     relative_error,
     resolvent_coeffs,
     trigamma_int,
 )
-from .cfn import cfn, cfn_asymptotic_ratio, cfn_even, cfn_odd, cfn_t2, cfn_t4, det_cfn_row
-from .exact import RationalFunction, poly, poly_eval, poly_mul, poly_truncate, ratfunc_reduce
+from .cfn import cfn_asymptotic_ratio, cfn_even, cfn_odd, cfn_t2, cfn_t4, det_cfn_row
+from .exact import RationalFunction, poly, poly_eval, poly_mul
 from .expcoeffs import (
     ExpCoeffTable,
     a_coeff_cfn_series,

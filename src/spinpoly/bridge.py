@@ -21,37 +21,6 @@ from .expcoeffs import a_coeff_trunc
 from .halfint import HalfInt
 
 
-def laplace_sin_power(m: int, alpha):
-    """(1/m!) * integral_0^inf e^{-t} sin(alpha*t)**m dt, in closed form.
-
-    alpha**m * prod 1/(1 + 4 l^2 alpha^2) over l = 1..m/2 for even m;
-    alpha**m * prod 1/(1 + (2l-1)^2 alpha^2) over l = 1..(m+1)/2 for odd m.
-    Exact for exact alpha.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _over_sin_factors(alpha**m, m, alpha)
-
-
-def laplace_sin_cos_power(n: int, alpha):
-    """(1/n!) * integral_0^inf e^{-t} sin(alpha*t)**n cos(alpha*t) dt.
-
-    Integration by parts against d(sin**(n+1))/dt shifts this into the pure
-    sine family: the value is laplace_sin_power(n+1, alpha)/alpha, written
-    without the division so alpha = 0 stays regular.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _over_sin_factors(alpha**n, n + 1, alpha)
-
-
-def _over_sin_factors(out, m: int, alpha):
-    # out / prod (1 + r^2 alpha^2) over r = m, m-2, ... > 0, smallest r first
-    for r in range(2 - m % 2, m + 1, 2):
-        out /= 1 + r * r * alpha * alpha
-    return out
-
-
 def b_from_a_laplace(j: HalfInt, k: int, alpha) -> Fraction:
     """B_k(alpha) by transforming the exponential coefficient analytically.
 

@@ -7,8 +7,10 @@ is the characteristic determinant det(1 - 2i*alpha*n.J).  Several
 independent generation paths are implemented: the truncation formula,
 the difference-equation recursion, the general resolvent formula, and
 (in the bridge module) a Laplace transform of the exponential
-coefficients.  All exact tables are cached immutably; eval_coeffs is the
-one float evaluator.
+coefficients.  Each exact table holds integer numerators over one integer
+denominator, and reduce_over_det takes an entry to lowest terms through
+the determinant's product form.  All exact tables are cached immutably;
+eval_coeffs is the one float evaluator.
 """
 
 from __future__ import annotations
@@ -17,31 +19,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence, Tuple
 
 from .cfn import cfn, det_cfn_row
-from .exact import (
-    Poly,
-    RationalFunction,
-    i_power_parts,
-    poly,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_shift,
-    poly_sub,
-    poly_truncate,
-)
+from .exact import Poly, RationalFunction, i_power_parts, poly, poly_eval
 from .halfint import HalfInt
 
 
 def det_poly(j: HalfInt) -> Poly:
     """det(1 - 2i*alpha*n.J) expanded exactly in alpha.
 
-    Product of 1 + 4*alpha^2*(j+1-n)^2 over n = 1..floor(j+1/2); only even
-    powers appear and every coefficient is a positive integer, so the
-    product is built in integers (_det_ints) and converted once.
+    Product of 1 + 4*alpha^2*(j+1-n)^2 over n = 1..floor(j+1/2), that is
+    of 1 + M^2 alpha^2 over the positive eigenvalues M of 2 n.J; only even
+    powers appear and every coefficient is a positive integer.
     """
     return poly(_det_ints(j.two_j))
 
@@ -55,11 +46,18 @@ def _det_ints(two_j: int) -> Tuple[int, ...]:
     return out
 
 
+def _integer(c: Fraction) -> int:
+    # the paper's identities make c an integer; if they break, raise, never truncate
+    if c.denominator != 1:
+        raise ArithmeticError(f"expected an integer, got {c}")
+    return c.numerator
+
+
 def det_cfn_poly(j: HalfInt) -> Poly:
     """The same determinant assembled from central factorial magnitudes."""
-    out = [Fraction(0)] * (2 * ((j.two_j + 1) // 2) + 1)
+    out = [0] * (2 * ((j.two_j + 1) // 2) + 1)
     for k, mag in enumerate(det_cfn_row(j)):
-        out[2 * k] = Fraction(4) ** k * mag
+        out[2 * k] = _integer(4**k * mag)
     return poly(out)
 
 
@@ -122,9 +120,10 @@ def det_gamma(j: HalfInt, alpha: float) -> float:
 class CayleyCoeffs:
     """Resolvent coefficients B_k and Cayley coefficients A_k for one spin.
 
-    Stored unreduced (numerator = alpha^k * truncated determinant,
-    denominator = determinant) so that exact structural comparisons stay
-    cheap; canonical reduced forms are a method call away.
+    Every entry is an integer numerator over the table's one integer
+    denominator (the determinant), unreduced: B_k = alpha^k times the
+    truncated determinant over the determinant.  reduce_over_det gives the
+    lowest terms of any entry.
     """
 
     j: HalfInt
@@ -132,23 +131,27 @@ class CayleyCoeffs:
     A: Tuple[RationalFunction, ...]
 
 
+def _table(j: HalfInt, b_nums: Sequence[Sequence[int]], den: Sequence[int]) -> CayleyCoeffs:
+    # A_k = 2 B_k over the same denominator, except A_0 = 2 B_0 - 1
+    a_nums = [[2 * c for c in num] for num in b_nums]
+    a_nums[0] = [c - d for c, d in zip_longest(a_nums[0], den, fillvalue=0)]
+    den = poly(den)
+    return CayleyCoeffs(
+        j,
+        tuple(RationalFunction(num, den) for num in b_nums),
+        tuple(RationalFunction(num, den) for num in a_nums),
+    )
+
+
 def _coeffs_from_det(j: HalfInt, det: Poly) -> CayleyCoeffs:
-    b = []
-    a = []
-    for k in range(j.two_j + 1):
-        num = poly_shift(poly_truncate(det, j.two_j - k), k)
-        b.append(RationalFunction(num, det))
-        if k == 0:
-            a.append(RationalFunction(poly_sub(poly_scale(num, 2), det), det))
-        else:
-            a.append(RationalFunction(poly_scale(num, 2), det))
-    return CayleyCoeffs(j, tuple(b), tuple(a))
+    # B_k = alpha**k Trunc_{2j-k}[det] / det
+    return _table(j, [(0,) * k + det[: j.two_j - k + 1] for k in range(j.two_j + 1)], det)
 
 
 @lru_cache(maxsize=None)
 def _b_coeffs(two_j: int) -> CayleyCoeffs:
     j = HalfInt(two_j)
-    return _coeffs_from_det(j, det_poly(j))
+    return _coeffs_from_det(j, _det_ints(two_j))
 
 
 def b_coeffs(j: HalfInt) -> CayleyCoeffs:
@@ -201,51 +204,54 @@ def b_coeffs_cfn(j: HalfInt) -> CayleyCoeffs:
 def b_coeffs_recursion(j: HalfInt) -> CayleyCoeffs:
     """Independent path: solve the first-order difference equations.
 
-    The unknowns b_m are linear in c = alpha*b_2j, so each is carried as a
-    polynomial pair (p_m, q_m) with b_m = p_m + q_m*c; the pairing and
-    difference relations fill the table upward from b_0 and the consistency
-    condition c = alpha*b_2j then fixes c as a rational function.
+    The unknowns b_m are linear in c = alpha*b_2j, b_m = alpha**m + q_m c:
+    each step multiplies by alpha (the pairing relations), and a difference
+    equation also subtracts kappa_m = 2**(2j+1-m) |t(2j+2, m+1)|, an
+    integer that vanishes exactly at the pairing steps.  So q_m is the list
+    -kappa_m, ..., -kappa_0 by power, and the consistency condition
+    c = alpha*b_2j gives c = alpha**(2j+1) / (1 - alpha q_2j), whence
+    B_m = (alpha**m (1 - alpha q_2j) + alpha**(2j+1) q_m) / (1 - alpha q_2j).
     """
     two_j = j.two_j
-    n = two_j + 2
-    one: Poly = poly([1])
-    if j.is_integer:
-        p = [one]
-        q: list[Poly] = [()]
-        for m in range(1, two_j + 1):
-            if m % 2:  # difference equation, k = (m-1)/2
-                k = (m - 1) // 2
-                kappa = Fraction(4) ** (two_j // 2 - k) * abs(cfn(n, 2 + 2 * k))
-                p.append(poly_shift(p[m - 1], 1))
-                q.append(poly_sub(poly_shift(q[m - 1], 1), poly([kappa])))
-            else:  # pairing b_2k = alpha*b_{2k-1}
-                p.append(poly_shift(p[m - 1], 1))
-                q.append(poly_shift(q[m - 1], 1))
-    else:
-        kappa0 = Fraction(2) ** (two_j + 1) * abs(cfn(n, 1))
-        p = [one]
-        q = [poly([-kappa0])]
-        for m in range(1, two_j + 1):
-            if m % 2:  # pairing b_{2k+1} = alpha*b_{2k}
-                p.append(poly_shift(p[m - 1], 1))
-                q.append(poly_shift(q[m - 1], 1))
-            else:  # difference equation, k = m/2
-                kappa = Fraction(2) ** (two_j + 1 - m) * abs(cfn(n, 1 + m))
-                p.append(poly_shift(p[m - 1], 1))
-                q.append(poly_sub(poly_shift(q[m - 1], 1), poly([kappa])))
-    # consistency: c = alpha*(p_2j + q_2j*c)
-    c_den = poly_sub(one, poly_shift(q[two_j], 1))
-    c_num = poly_shift(p[two_j], 1)
-    b = []
-    a = []
-    for m in range(two_j + 1):
-        num = poly_add(poly_mul(p[m], c_den), poly_mul(q[m], c_num))
-        b.append(RationalFunction(num, c_den))
-        if m == 0:
-            a.append(RationalFunction(poly_sub(poly_scale(num, 2), c_den), c_den))
-        else:
-            a.append(RationalFunction(poly_scale(num, 2), c_den))
-    return CayleyCoeffs(j, tuple(b), tuple(a))
+    neg_kappa = [
+        -_integer(2 ** (two_j + 1 - m) * abs(cfn(two_j + 2, m + 1))) for m in range(two_j + 1)
+    ]
+    den = [1] + [-x for x in reversed(neg_kappa)]  # 1 - alpha q_2j
+    b_nums = [
+        [x + y for x, y in zip([0] * m + den, [0] * (two_j + 1) + neg_kappa[m::-1])]
+        for m in range(two_j + 1)
+    ]
+    return _table(j, b_nums, den)
+
+
+def reduce_over_det(j: HalfInt, num: Sequence[int]) -> RationalFunction:
+    """num / det(1 - 2i*alpha*n.J) in lowest terms, for an integer num.
+
+    det is the product of 1 + M^2 alpha^2 over the positive eigenvalues M
+    of 2 n.J: distinct factors, each irreducible over Q.  So gcd(num, det)
+    is the product of the factors that divide num, and a factor divides
+    num exactly when num(i/M) = 0, i.e. its even and odd parts both
+    vanish.  Each such factor leaves num and det by exact synthetic
+    division from the low end, q_i = n_i - M^2 q_{i-2}.  What is left of
+    det keeps the constant term 1 and positive coefficients, so it is the
+    unique primitive, positive-leading denominator of the reduced form.
+    """
+    num, den = poly(num), _det_ints(j.two_j)
+    for m in range(j.two_j, 0, -2):
+        re = im = 0
+        for c in num:  # Horner at -iM over the reversed list: (-i)**deg M**deg num(i/M)
+            re, im = m * im + c, -m * re
+        if not (re or im):
+            num, den = _divide_out(num, m * m), _divide_out(den, m * m)
+    return RationalFunction(num, den)
+
+
+def _divide_out(p: Sequence[int], m2: int) -> Tuple[int, ...]:
+    # p / (1 + m2 alpha^2), which divides p
+    q: list[int] = []
+    for i in range(len(p) - 2):
+        q.append(p[i] - m2 * q[i - 2] if i >= 2 else p[i])
+    return tuple(q)
 
 
 def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:

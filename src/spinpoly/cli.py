@@ -134,7 +134,7 @@ def _cmd_coeffs_cayley(args) -> int:
             b = table.B[k]
             print(f"B_{k}: num = [{', '.join(map(str, b.num))}], den = [{', '.join(map(str, b.den))}]")
         for k in range(j.two_j + 1):
-            a = table.A[k].canonical()
+            a = cayley.reduce_over_det(j, table.A[k].num)
             print(f"A_{k}: num = [{', '.join(map(str, a.num))}], den = [{', '.join(map(str, a.den))}]")
         return 0
     if args.alpha_grid is not None:

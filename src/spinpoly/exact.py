@@ -1,8 +1,9 @@
-"""Exact rational scalars and dense univariate polynomial algebra.
+"""Exact scalars and dense univariate polynomial algebra.
 
-Scalars are ``fractions.Fraction``.  A polynomial is a tuple of Fractions
-indexed by power, with no trailing zeros; the zero polynomial is the empty
-tuple.  Everything here is immutable and safe to share between threads.
+Scalars are exact: ints or ``fractions.Fraction``.  A polynomial is a tuple
+of them indexed by power, with no trailing zeros; the zero polynomial is
+the empty tuple.  Integer polynomials stay integer through every helper
+here.  Everything is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -12,44 +13,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
-Poly = Tuple[Fraction, ...]
+Poly = Tuple[Union[int, Fraction], ...]
 Scalar = Union[Fraction, int, float, complex]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def poly(coeffs: Iterable) -> Poly:
-    """Normalize a coefficient sequence: Fraction-ify, strip trailing zeros."""
-    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    """Normalize a coefficient sequence: ints and Fractions are kept, any
+    other scalar becomes a Fraction, and trailing zeros are stripped."""
+    out = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
-def poly_degree(p: Sequence[Fraction]) -> int:
-    """Degree of p, with deg(0) = -1."""
-    return len(p) - 1
-
-
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-
-
-def poly_sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n))
-
-
-def poly_scale(p: Sequence[Fraction], c) -> Poly:
+def poly_scale(p: Sequence, c) -> Poly:
     return poly(ci * c for ci in p)
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+def poly_mul(p: Sequence, q: Sequence) -> Poly:
     if not p or not q:
         return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
         if pi:
             for j, qj in enumerate(q):
@@ -57,21 +41,14 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     return poly(out)
 
 
-def poly_shift(p: Sequence[Fraction], k: int) -> Poly:
+def poly_shift(p: Sequence, k: int) -> Poly:
     """Multiply by x**k."""
     if not p:
         return ()
-    return poly([ZERO] * k + list(p))
+    return poly([0] * k + list(p))
 
 
-def poly_truncate(p: Sequence[Fraction], n: int) -> Poly:
-    """Taylor truncation: keep powers 0..n, drop everything above."""
-    if n < 0:
-        return ()
-    return poly(p[: n + 1])
-
-
-def poly_eval(p: Sequence[Fraction], x: Scalar):
+def poly_eval(p: Sequence, x: Scalar):
     """Horner evaluation; exact for exact x, float/complex otherwise."""
     acc = 0 * x
     for c in reversed(p):
@@ -87,63 +64,9 @@ def i_power_parts(coeffs: Iterable) -> tuple[list, list]:
     return even, odd
 
 
-def poly_negate_arg(p: Sequence[Fraction]) -> Poly:
+def poly_negate_arg(p: Sequence) -> Poly:
     """p(-x)."""
     return poly(-c if i % 2 else c for i, c in enumerate(p))
-
-
-def poly_divmod(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    p = poly(p)
-    q = poly(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by the zero polynomial")
-    if len(p) < len(q):
-        return (), p
-    rem = list(p)
-    lead = q[-1]
-    dq = len(q) - 1
-    quot = [ZERO] * (len(p) - dq)
-    for i in range(len(p) - 1, dq - 1, -1):
-        c = rem[i] / lead
-        if c:
-            quot[i - dq] = c
-            for k, qk in enumerate(q):
-                rem[i - dq + k] -= c * qk
-    return poly(quot), poly(rem[:dq])
-
-
-def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    """Monic Euclidean GCD; degrees here are tiny, simplicity wins."""
-    a, b = poly(p), poly(q)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_scale(a, 1 / a[-1])
-
-
-def poly_series_div(num: Sequence[Fraction], den: Sequence[Fraction], order: int) -> Poly:
-    """Power-series quotient num/den through x**order; needs den(0) != 0."""
-    den = poly(den)
-    if not den or den[0] == 0:
-        raise ZeroDivisionError("series division needs a unit constant term")
-    out = []
-    for m in range(order + 1):
-        c = num[m] if m < len(num) else ZERO
-        for i, oi in enumerate(out):
-            k = m - i
-            if 1 <= k < len(den):
-                c -= oi * den[k]
-        out.append(c / den[0])
-    return poly(out)
-
-
-def _primitive_scale(p: Poly) -> Fraction:
-    # scalar s with s*p having coprime integer coefficients, positive leading
-    lcm = math.lcm(*(c.denominator for c in p))
-    gcd = math.gcd(*(abs(int(c * lcm)) for c in p))
-    s = Fraction(lcm, gcd)
-    return -s if p[-1] < 0 else s
 
 
 def _cleared(rf: "RationalFunction") -> tuple[list[int], list[int]]:
@@ -155,23 +78,12 @@ def _cleared(rf: "RationalFunction") -> tuple[list[int], list[int]]:
     )
 
 
-def _int_poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
 @dataclass(frozen=True)
 class RationalFunction:
-    """A quotient of two exact polynomials, stored as given.
+    """A quotient of two exact polynomials, stored as given, not reduced.
 
-    ``canonical()`` returns the unique reduced representative whose
-    denominator has coprime integer coefficients and a positive leading
-    coefficient.  Two RationalFunctions are equal *as functions* iff
-    ``equivalent`` holds; dataclass equality is structural.
+    Two RationalFunctions are equal *as functions* iff ``equivalent``
+    holds; dataclass equality is structural.
     """
 
     num: Poly
@@ -184,27 +96,11 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
 
     def __call__(self, x: Scalar):
+        if isinstance(x, int):  # int/int would be a float; the value is exact
+            x = Fraction(x)
         return poly_eval(self.num, x) / poly_eval(self.den, x)
 
     def equivalent(self, other: "RationalFunction") -> bool:
         n1, d1 = _cleared(self)
         n2, d2 = _cleared(other)
-        return _int_poly_mul(n1, d2) == _int_poly_mul(n2, d1)
-
-    def canonical(self) -> "RationalFunction":
-        if not self.num:
-            return RationalFunction((), (ONE,))
-        g = poly_gcd(self.num, self.den)
-        num = poly_divmod(self.num, g)[0]
-        den = poly_divmod(self.den, g)[0]
-        s = _primitive_scale(den)
-        return RationalFunction(poly_scale(num, s), poly_scale(den, s))
-
-    def series(self, order: int) -> Poly:
-        """Taylor coefficients through x**order (den(0) must be nonzero)."""
-        return poly_series_div(self.num, self.den, order)
-
-
-def ratfunc_reduce(rf: RationalFunction) -> RationalFunction:
-    """Canonical form of a rational function (idempotent)."""
-    return rf.canonical()
+        return poly_mul(n1, d2) == poly_mul(n2, d1)

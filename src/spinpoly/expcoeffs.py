@@ -84,7 +84,7 @@ def _trunc_at(two_j: int, k: int, s: float, s2: float, c: float) -> float:
 
 
 def a_coeff_trunc(j: HalfInt, k: int, theta: float) -> float:
-    """A_k(theta) from the truncated-series formula (the canonical path)."""
+    """A_k(theta) from the truncated-series formula (the production path)."""
     s = math.sin(theta / 2.0)
     c = math.cos(theta / 2.0) if epsilon(j, k) else 0.0  # enters odd 2j - k only
     return _trunc_at(j.two_j, k, s, s * s, c)
@@ -176,13 +176,6 @@ def exp_poly(j: HalfInt, theta: float) -> ExpCoeffTable:
 def _quarter_tan(theta: float) -> tuple[int, int]:
     # t = tan(theta/4) as a/b in lowest terms, b > 0
     return Fraction(math.tan(theta / 4.0)).limit_denominator(10**12).as_integer_ratio()
-
-
-def circle_point(theta: float) -> tuple[Fraction, Fraction]:
-    """Rational (sin(theta/2), cos(theta/2)) exactly on the unit circle."""
-    a, b = _quarter_tan(theta)
-    d = a * a + b * b
-    return Fraction(2 * a * b, d), Fraction(b * b - a * a, d)
 
 
 @lru_cache(maxsize=None)

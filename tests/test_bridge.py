@@ -10,8 +10,6 @@ from spinpoly.bridge import (
     b_from_a_laplace,
     gauss_legendre,
     laplace_pair,
-    laplace_sin_cos_power,
-    laplace_sin_power,
     quadrature_check,
     shear_map,
     theta_from_alpha,
@@ -19,6 +17,8 @@ from spinpoly.bridge import (
 )
 from spinpoly.cayley import b_coeffs
 from spinpoly.halfint import HalfInt, half_integers
+
+from test_integer_identities import laplace_sin_cos_power, laplace_sin_power
 
 
 def test_sin_power_basic_values():

@@ -16,6 +16,7 @@ from spinpoly.cayley import (
     det_gamma,
     det_poly,
     eval_coeffs,
+    reduce_over_det,
     relative_error,
     resolvent_coeffs,
     trigamma_int,
@@ -80,26 +81,29 @@ def test_det_gamma_matches_poly_on_grid():
 
 
 def test_b_fixture_spin_half():
-    table = b_coeffs(HalfInt(1))
+    j = HalfInt(1)
+    table = b_coeffs(j)
     one_plus = poly([1, 0, 1])
-    assert table.B[0].canonical() == RationalFunction(poly([1]), one_plus)
-    assert table.B[1].canonical() == RationalFunction(poly([0, 1]), one_plus)
-    assert table.A[0].canonical() == RationalFunction(poly([1, 0, -1]), one_plus)
+    assert reduce_over_det(j, table.B[0].num) == RationalFunction(poly([1]), one_plus)
+    assert reduce_over_det(j, table.B[1].num) == RationalFunction(poly([0, 1]), one_plus)
+    assert reduce_over_det(j, table.A[0].num) == RationalFunction(poly([1, 0, -1]), one_plus)
 
 
 def test_b_fixture_spin_one():
-    table = b_coeffs(HalfInt(2))
+    j = HalfInt(2)
+    table = b_coeffs(j)
     den = poly([1, 0, 4])
-    assert table.B[0].canonical() == RationalFunction(poly([1]), poly([1]))
-    assert table.B[1].canonical() == RationalFunction(poly([0, 1]), den)
-    assert table.B[2].canonical() == RationalFunction(poly([0, 0, 1]), den)
+    assert reduce_over_det(j, table.B[0].num) == RationalFunction(poly([1]), poly([1]))
+    assert reduce_over_det(j, table.B[1].num) == RationalFunction(poly([0, 1]), den)
+    assert reduce_over_det(j, table.B[2].num) == RationalFunction(poly([0, 0, 1]), den)
 
 
 def test_a_fixture_spin_three_half():
-    table = b_coeffs(HalfInt(3))
+    j = HalfInt(3)
+    table = b_coeffs(j)
     den = even_poly([1, 10, 9])
-    assert table.A[0].canonical() == RationalFunction(even_poly([1, 10, -9]), den)
-    assert table.A[1].canonical() == RationalFunction(poly([0, 2, 0, 20]), den)
+    assert reduce_over_det(j, table.A[0].num) == RationalFunction(even_poly([1, 10, -9]), den)
+    assert reduce_over_det(j, table.A[1].num) == RationalFunction(poly([0, 2, 0, 20]), den)
 
 
 def test_recursion_matches_truncation_formula():
@@ -113,13 +117,24 @@ def test_recursion_matches_truncation_formula():
             assert direct.B[k].equivalent(cfn_form.B[k]), (j, k)
 
 
+def test_every_table_is_integers_over_the_determinant():
+    for j in half_integers(40):
+        det = det_poly(j)
+        for table in (b_coeffs(j), b_coeffs_cfn(j), b_coeffs_recursion(j)):
+            for rf in table.B + table.A:
+                assert rf.den == det, j
+                assert all(type(c) is int for c in rf.num + rf.den), j
+
+
 def test_recursion_derivative_normalization():
-    # the m-th Taylor coefficient of B_m at alpha = 0 is exactly 1
-    for j in half_integers(6):
+    # B_m = alpha**m + O(alpha**(m+1)) at alpha = 0: the numerator vanishes
+    # below alpha**m and its alpha**m coefficient is den(0)
+    for j in half_integers(16):
         rec = b_coeffs_recursion(j)
         for m in range(j.two_j + 1):
-            series = rec.B[m].series(m)
-            assert series == tuple([F(0)] * m + [F(1)]), (j, m)
+            num, den = rec.B[m].num, rec.B[m].den
+            assert den[0] != 0, (j, m)
+            assert num[:m] == (0,) * m and num[m] == den[0], (j, m)
 
 
 def test_resolvent_reproduces_spin_half():

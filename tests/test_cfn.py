@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -149,3 +150,10 @@ def test_asymptotic_ratio_limit():
 def test_asymptotic_ratio_rejects_zero_alpha():
     with pytest.raises(ValueError):
         cfn_asymptotic_ratio(2, 5, 0.0)
+
+
+def test_submodule_is_not_shadowed_by_the_function():
+    import spinpoly.cfn as m
+
+    assert m is sys.modules["spinpoly.cfn"]
+    assert m.cfn(4, 2) == -1  # x^2 (x^2 - 1)

@@ -1,20 +1,80 @@
+"""Polynomial helpers, RationalFunction, and the Euclidean oracle.
+
+The Euclidean reduction below (poly_divmod, poly_gcd, canonical) is the
+general route to lowest terms over Q.  The library reduces its Cayley
+tables through the determinant's known factors instead
+(cayley.reduce_over_det); this oracle must agree with it on every entry.
+"""
+
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spinpoly.exact import (
-    RationalFunction,
-    poly,
-    poly_add,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
-    poly_mul,
-    poly_series_div,
-    poly_truncate,
-    ratfunc_reduce,
-)
+from spinpoly.cayley import b_coeffs, det_poly, reduce_over_det
+from spinpoly.exact import RationalFunction, poly, poly_eval, poly_mul, poly_scale
+from spinpoly.halfint import HalfInt, half_integers
+
+
+# ---------------------------------------------------------------------------
+# Euclidean oracle over Fractions
+# ---------------------------------------------------------------------------
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
+
+
+def poly_divmod(p, q):
+    p = poly(map(F, p))
+    q = poly(map(F, q))
+    if not q:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    if len(p) < len(q):
+        return (), p
+    rem = list(p)
+    lead = q[-1]
+    dq = len(q) - 1
+    quot = [F(0)] * (len(p) - dq)
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = rem[i] / lead
+        if c:
+            quot[i - dq] = c
+            for k, qk in enumerate(q):
+                rem[i - dq + k] -= c * qk
+    return poly(quot), poly(rem[:dq])
+
+
+def poly_gcd(p, q):
+    """Monic Euclidean GCD."""
+    a, b = poly(map(F, p)), poly(map(F, q))
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    if not a:
+        return ()
+    return poly_scale(a, 1 / a[-1])
+
+
+def _primitive_scale(p):
+    # scalar s with s*p having coprime integer coefficients, positive leading
+    lcm = math.lcm(*(c.denominator for c in p))
+    gcd = math.gcd(*(abs(int(c * lcm)) for c in p))
+    s = F(lcm, gcd)
+    return -s if p[-1] < 0 else s
+
+
+def canonical(rf):
+    """The reduced form whose denominator is primitive integer, positive leading."""
+    if not rf.num:
+        return RationalFunction((), (1,))
+    g = poly_gcd(rf.num, rf.den)
+    num = poly_divmod(rf.num, g)[0]
+    den = poly_divmod(rf.den, g)[0]
+    s = _primitive_scale(den)
+    return RationalFunction(poly_scale(num, s), poly_scale(den, s))
+
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
@@ -22,18 +82,14 @@ rationals = st.fractions(
 small_polys = st.lists(rationals, max_size=6).map(poly)
 
 
-def test_truncate_examples():
-    assert poly_truncate(poly([1, 10, 9]), 1) == poly([1, 10])
-    assert poly_truncate(poly([3, 2, 7]), 0) == poly([3])
-    assert poly_truncate(poly([0, 0, 0, 1]), 5) == poly([0, 0, 0, 1])
-    assert poly_truncate(poly([1, 2]), -1) == ()
-
-
 def test_eval_examples():
     assert poly_eval(poly([1, 0, 4]), F(1)) == 5
     assert poly_eval((), 7) == 0
     assert poly_eval(poly([1, 0, 10, 0, 9]), F(1)) == 20
     assert poly_eval(poly([1, 0, 10, 0, 9]), 1.0) == pytest.approx(20.0)
+    # integer coefficients at an int argument: the exact value, not a float
+    value = RationalFunction((0, 1), (1, 0, 1))(2)
+    assert value == F(2, 5) and type(value) is F
 
 
 def test_mul_add_examples():
@@ -45,7 +101,7 @@ def test_mul_add_examples():
 
 def test_ratfunc_reduce_common_factor():
     rf = RationalFunction(poly([0, 1, 1]), poly([0, 1]))  # (x^2 + x)/x
-    assert ratfunc_reduce(rf) == RationalFunction(poly([1, 1]), poly([1]))
+    assert canonical(rf) == RationalFunction(poly([1, 1]), poly([1]))
 
 
 def test_ratfunc_zero_denominator_rejected():
@@ -55,23 +111,13 @@ def test_ratfunc_zero_denominator_rejected():
 
 def test_ratfunc_canonical_makes_den_primitive_integer():
     rf = RationalFunction(poly([F(1, 3), F(2, 3)]), poly([F(2, 3), F(4, 3)]))
-    canon = rf.canonical()
+    canon = canonical(rf)
     assert canon == RationalFunction(poly([F(1, 2)]), poly([1]))
-
-
-def test_series_div_geometric():
-    # 1/(1-x) = 1 + x + x^2 + ...
-    assert poly_series_div(poly([1]), poly([1, -1]), 4) == poly([1, 1, 1, 1, 1])
 
 
 @given(small_polys, small_polys, small_polys)
 def test_ring_distributivity(p, q, r):
     assert poly_mul(poly_add(p, q), r) == poly_add(poly_mul(p, r), poly_mul(q, r))
-
-
-@given(small_polys)
-def test_truncate_at_degree_is_identity(p):
-    assert poly_truncate(p, len(p)) == p
 
 
 @given(small_polys, small_polys)
@@ -87,8 +133,8 @@ def test_divmod_roundtrip(p, q):
 def test_reduce_idempotent(p, q):
     if not q:
         return
-    once = ratfunc_reduce(RationalFunction(p, q))
-    assert ratfunc_reduce(once) == once
+    once = canonical(RationalFunction(p, q))
+    assert canonical(once) == once
     assert once.equivalent(RationalFunction(p, q))
 
 
@@ -117,3 +163,31 @@ def test_equivalent_examples():
     assert not half.equivalent(RationalFunction(poly([15, 10, 1]), poly([30, 0, 12])))
     assert RationalFunction((), (3,)).equivalent(RationalFunction((), poly([1, 1])))
     assert not RationalFunction((), (3,)).equivalent(RationalFunction((1,), (3,)))
+
+
+def test_reduction_over_det_equals_euclidean_oracle():
+    # every A_k for 2j <= 30, and B_0, which is 1/1 for integer spin
+    for j in half_integers(30):
+        table = b_coeffs(j)
+        for k, rf in enumerate(table.A):
+            assert reduce_over_det(j, rf.num) == canonical(rf), (j, k)
+        b0 = reduce_over_det(j, table.B[0].num)
+        assert b0 == canonical(table.B[0]), j
+        if j.is_integer:
+            assert b0 == RationalFunction((1,), (1,)), j
+
+
+@given(
+    st.integers(min_value=0, max_value=9),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=5),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_reduction_over_det_equals_oracle_on_any_numerator(two_j, rest, keep):
+    # rest times a chosen subset of det's factors 1 + M^2 alpha^2 over det
+    j = HalfInt(two_j)
+    num = tuple(rest)
+    for m, chosen in zip(range(two_j, 0, -2), keep):
+        if chosen:
+            num = poly_mul(num, (1, 0, m * m))
+    rf = RationalFunction(num, det_poly(j))
+    assert reduce_over_det(j, num) == canonical(rf)

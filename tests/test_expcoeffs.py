@@ -7,17 +7,18 @@ import pytest
 from spinpoly import expcoeffs
 from spinpoly.basis import project_coefficients, spectrum
 from spinpoly.cfn import cfn
-from spinpoly.exact import poly, poly_mul, poly_truncate
+from spinpoly.exact import poly, poly_mul
 from spinpoly.expcoeffs import (
     a_coeff_cfn_series,
     a_coeff_derivative_path,
     a_coeff_trunc,
-    circle_point,
     epsilon,
     exp_poly,
     exp_reconstruction,
 )
 from spinpoly.halfint import HalfInt, half_integers
+
+from test_integer_identities import circle_point
 
 THETAS = [(-2.0 + 4.0 * i / 99) * math.pi for i in range(100)]
 
@@ -48,7 +49,7 @@ def _series_by_product(two_j, k):
     if (two_j - k) % 2 == 0:
         return poly(arcsin_power)
     half = [Fraction(math.comb(2 * m, m), 4**m) for m in range(order + 1)]
-    return poly_truncate(poly_mul(arcsin_power, half), order)
+    return poly(poly_mul(arcsin_power, half)[: order + 1])
 
 
 def test_series_equals_arcsin_power_times_binomial_product():

@@ -5,8 +5,10 @@ the paper's exact identities over Python ints with one common
 denominator.  The Fraction versions below are the straightforward
 routes: A_k evaluated at the rational circle point and summed with
 i-powers, the exact Cayley table evaluated at alpha, and the
-term-by-term Laplace sum.  The integer routes must return the same
-dataclasses and values, and a perturbed table must make them fail.
+term-by-term Laplace sum over the closed-form sin-power transforms.  The
+integer routes must return the same dataclasses and values, and a
+perturbed table must make them fail.  test_bridge and test_expcoeffs
+check the closed forms and the circle point themselves.
 """
 
 import cmath
@@ -19,7 +21,7 @@ import pytest
 from spinpoly import bridge, cayley, cli, expcoeffs
 from spinpoly.cfn import cfn
 from spinpoly.exact import poly_eval
-from spinpoly.expcoeffs import circle_point, epsilon
+from spinpoly.expcoeffs import epsilon
 from spinpoly.halfint import HalfInt, half_integers
 
 THETAS = [0.0, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3.5 * math.pi, 11.0, 1e-9]
@@ -30,6 +32,44 @@ ALPHAS = VERIFY_ALPHAS + [F(0), F(-5, 3)]
 # ---------------------------------------------------------------------------
 # Fraction oracles
 # ---------------------------------------------------------------------------
+
+
+def circle_point(theta):
+    """Rational (sin(theta/2), cos(theta/2)) exactly on the unit circle."""
+    a, b = expcoeffs._quarter_tan(theta)
+    d = a * a + b * b
+    return F(2 * a * b, d), F(b * b - a * a, d)
+
+
+def laplace_sin_power(m, alpha):
+    """(1/m!) * integral_0^inf e^{-t} sin(alpha*t)**m dt, in closed form.
+
+    alpha**m * prod 1/(1 + 4 l^2 alpha^2) over l = 1..m/2 for even m;
+    alpha**m * prod 1/(1 + (2l-1)^2 alpha^2) over l = 1..(m+1)/2 for odd m.
+    Exact for exact alpha.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return _over_sin_factors(alpha**m, m, alpha)
+
+
+def laplace_sin_cos_power(n, alpha):
+    """(1/n!) * integral_0^inf e^{-t} sin(alpha*t)**n cos(alpha*t) dt.
+
+    Integration by parts against d(sin**(n+1))/dt shifts this into the pure
+    sine family: the value is laplace_sin_power(n+1, alpha)/alpha, written
+    without the division so alpha = 0 stays regular.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _over_sin_factors(alpha**n, n + 1, alpha)
+
+
+def _over_sin_factors(out, m, alpha):
+    # out / prod (1 + r^2 alpha^2) over r = m, m-2, ... > 0, smallest r first
+    for r in range(2 - m % 2, m + 1, 2):
+        out /= 1 + r * r * alpha * alpha
+    return out
 
 
 def i_power_sum(terms):
@@ -97,10 +137,10 @@ def b_from_a_laplace_fraction(j, k, alpha):
     total = 0 * alpha
     if (two_j - k) % 2 == 0:
         for m in range(k, two_j + 1, 2):
-            total += F(2**m, 2**k) * abs(cfn(m, k)) * bridge.laplace_sin_power(m, alpha)
+            total += F(2**m, 2**k) * abs(cfn(m, k)) * laplace_sin_power(m, alpha)
         return total
     for m in range(k + 1, two_j + 1, 2):
-        total += F(2**m, 2 ** (k + 1)) * abs(cfn(m, k + 1)) * bridge.laplace_sin_cos_power(
+        total += F(2**m, 2 ** (k + 1)) * abs(cfn(m, k + 1)) * laplace_sin_cos_power(
             m - 1, alpha
         )
     return total
