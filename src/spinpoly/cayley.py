@@ -120,27 +120,24 @@ def det_gamma(j: HalfInt, alpha: float) -> float:
 class CayleyCoeffs:
     """Resolvent coefficients B_k and Cayley coefficients A_k for one spin.
 
-    Every entry is an integer numerator over the table's one integer
-    denominator (the determinant), unreduced: B_k = alpha^k times the
-    truncated determinant over the determinant.  reduce_over_det gives the
-    lowest terms of any entry.
+    den is the spin's integer determinant, stored once; B[k] and A[k] are
+    integer numerator tuples over it, normalized but unreduced: B_k is
+    alpha^k times the truncated determinant over den, A_k = 2 B_k, and
+    A_0 = 2 B_0 - 1.  reduce_over_det gives the lowest terms of any entry.
     """
 
     j: HalfInt
-    B: Tuple[RationalFunction, ...]
-    A: Tuple[RationalFunction, ...]
+    den: Poly
+    B: Tuple[Poly, ...]
+    A: Tuple[Poly, ...]
 
 
 def _table(j: HalfInt, b_nums: Sequence[Sequence[int]], den: Sequence[int]) -> CayleyCoeffs:
-    # A_k = 2 B_k over the same denominator, except A_0 = 2 B_0 - 1
-    a_nums = [[2 * c for c in num] for num in b_nums]
-    a_nums[0] = [c - d for c, d in zip_longest(a_nums[0], den, fillvalue=0)]
     den = poly(den)
-    return CayleyCoeffs(
-        j,
-        tuple(RationalFunction(num, den) for num in b_nums),
-        tuple(RationalFunction(num, den) for num in a_nums),
-    )
+    b = tuple(poly(num) for num in b_nums)
+    a = [tuple(2 * c for c in num) for num in b]
+    a[0] = poly(c - d for c, d in zip_longest(a[0], den, fillvalue=0))
+    return CayleyCoeffs(j, den, b, tuple(a))
 
 
 def _coeffs_from_det(j: HalfInt, det: Poly) -> CayleyCoeffs:

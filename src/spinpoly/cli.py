@@ -130,11 +130,11 @@ def _cmd_coeffs_cayley(args) -> int:
     j = args.j
     if args.exact:
         table = cayley.b_coeffs(j)
-        for k in range(j.two_j + 1):
-            b = table.B[k]
-            print(f"B_{k}: num = [{', '.join(map(str, b.num))}], den = [{', '.join(map(str, b.den))}]")
-        for k in range(j.two_j + 1):
-            a = cayley.reduce_over_det(j, table.A[k].num)
+        den = ", ".join(map(str, table.den))
+        for k, num in enumerate(table.B):
+            print(f"B_{k}: num = [{', '.join(map(str, num))}], den = [{den}]")
+        for k, num in enumerate(table.A):
+            a = cayley.reduce_over_det(j, num)
             print(f"A_{k}: num = [{', '.join(map(str, a.num))}], den = [{', '.join(map(str, a.den))}]")
         return 0
     if args.alpha_grid is not None:
@@ -316,6 +316,8 @@ def _range_error(args) -> str | None:
     """Why the parsed arguments fall outside a command's range, if they do."""
     if args.command == "cfn" and min(args.n, args.k or 0) < 0:
         return f"cfn needs n >= 0 and k >= 0, got n = {args.n}, k = {args.k}"
+    if args.command == "verify" and args.max_two_j < 0:
+        return f"verify needs --max-two-j >= 0, got {args.max_two_j}"
     for name in ("alpha", "theta", "alpha_grid", "theta_grid"):
         value = getattr(args, name, None)
         flag = "--" + name.replace("_", "-")
@@ -333,12 +335,21 @@ def _range_error(args) -> str | None:
     elif args.command == "asymp":
         if not args.j_list:
             return "--j-list names no spin"
+        if len({j.is_integer for j in args.j_list}) > 1:
+            return "--j-list mixes integer and semi-integer spins, whose limits differ"
         spins, ks, grid = args.j_list, [args.k], args.alpha_grid
-    elif args.command == "plotdata" and args.figure != "inv-det":
-        spins = args.j or plots.DEFAULT_SPINS[args.figure]
-        ks = args.k or plots.DEFAULT_KS[args.figure]
-        if args.figure == "cayley-B12":
-            grid = args.theta_grid or args.alpha_grid
+    elif args.command == "plotdata":
+        axis, other = ("theta", "alpha") if args.figure == "exp-A" else ("alpha", "theta")
+        if getattr(args, f"{other}_grid") is not None:
+            return f"--figure {args.figure} takes --{axis}-grid, not --{other}-grid"
+        if args.figure == "inv-det":
+            if args.k:
+                return "--figure inv-det draws no k; drop --k"
+        else:
+            spins = args.j or plots.DEFAULT_SPINS[args.figure]
+            ks = args.k or plots.DEFAULT_KS[args.figure]
+            if args.figure == "cayley-B12":
+                grid = args.alpha_grid
     for j in spins:
         for k in ks:
             if not 0 <= k <= j.two_j:

@@ -1,14 +1,14 @@
-"""Exact scalars and dense univariate polynomial algebra.
+"""Exact scalars and the few dense polynomial helpers the library uses.
 
 Scalars are exact: ints or ``fractions.Fraction``.  A polynomial is a tuple
 of them indexed by power, with no trailing zeros; the zero polynomial is
-the empty tuple.  Integer polynomials stay integer through every helper
-here.  Everything is immutable and safe to share between threads.
+the empty tuple.  The helpers normalize, multiply and evaluate such
+tuples, and integer polynomials stay integer through each of them.
+Everything is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
@@ -26,10 +26,6 @@ def poly(coeffs: Iterable) -> Poly:
     return tuple(out)
 
 
-def poly_scale(p: Sequence, c) -> Poly:
-    return poly(ci * c for ci in p)
-
-
 def poly_mul(p: Sequence, q: Sequence) -> Poly:
     if not p or not q:
         return ()
@@ -39,13 +35,6 @@ def poly_mul(p: Sequence, q: Sequence) -> Poly:
             for j, qj in enumerate(q):
                 out[i + j] += pi * qj
     return poly(out)
-
-
-def poly_shift(p: Sequence, k: int) -> Poly:
-    """Multiply by x**k."""
-    if not p:
-        return ()
-    return poly([0] * k + list(p))
 
 
 def poly_eval(p: Sequence, x: Scalar):
@@ -64,26 +53,13 @@ def i_power_parts(coeffs: Iterable) -> tuple[list, list]:
     return even, odd
 
 
-def poly_negate_arg(p: Sequence) -> Poly:
-    """p(-x)."""
-    return poly(-c if i % 2 else c for i, c in enumerate(p))
-
-
-def _cleared(rf: "RationalFunction") -> tuple[list[int], list[int]]:
-    # num and den times the lcm of all their denominators: the same function
-    lcm = math.lcm(*(c.denominator for c in rf.num + rf.den))
-    return (
-        [c.numerator * (lcm // c.denominator) for c in rf.num],
-        [c.numerator * (lcm // c.denominator) for c in rf.den],
-    )
-
-
 @dataclass(frozen=True)
 class RationalFunction:
-    """A quotient of two exact polynomials, stored as given, not reduced.
+    """A quotient of two exact polynomials, normalized but not reduced.
 
-    Two RationalFunctions are equal *as functions* iff ``equivalent``
-    holds; dataclass equality is structural.
+    cayley.reduce_over_det returns one in lowest terms; calling it
+    evaluates the quotient.  Equality is structural, so two of them are
+    equal exactly when their coefficient tuples are.
     """
 
     num: Poly
@@ -99,8 +75,3 @@ class RationalFunction:
         if isinstance(x, int):  # int/int would be a float; the value is exact
             x = Fraction(x)
         return poly_eval(self.num, x) / poly_eval(self.den, x)
-
-    def equivalent(self, other: "RationalFunction") -> bool:
-        n1, d1 = _cleared(self)
-        n2, d2 = _cleared(other)
-        return poly_mul(n1, d2) == poly_mul(n2, d1)

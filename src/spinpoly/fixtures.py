@@ -159,7 +159,7 @@ def _check_cayley(two_j: int) -> FixtureResult:
     table = cayley.b_coeffs(j)
     for k, (num, den) in enumerate(CAYLEY_GOLDEN[two_j]):
         want = RationalFunction(poly(num), poly(den))
-        got = cayley.reduce_over_det(j, table.A[k].num)
+        got = cayley.reduce_over_det(j, table.A[k])
         if got != want:
             return FixtureResult(
                 name, False, f"A_{k}: computed {got} != golden {want}"

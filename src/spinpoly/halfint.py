@@ -35,15 +35,8 @@ class HalfInt:
         return cls(int(2 * value))
 
     @property
-    def dim(self) -> int:
-        return self.two_j + 1
-
-    @property
     def is_integer(self) -> bool:
         return self.two_j % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.two_j, 2)
 
     def __str__(self) -> str:
         if self.is_integer:

@@ -21,14 +21,7 @@ from spinpoly.cayley import (
     resolvent_coeffs,
     trigamma_int,
 )
-from spinpoly.exact import (
-    RationalFunction,
-    poly,
-    poly_mul,
-    poly_negate_arg,
-    poly_scale,
-    poly_shift,
-)
+from spinpoly.exact import RationalFunction, poly, poly_mul
 from spinpoly.halfint import HalfInt, half_integers
 
 
@@ -84,46 +77,45 @@ def test_b_fixture_spin_half():
     j = HalfInt(1)
     table = b_coeffs(j)
     one_plus = poly([1, 0, 1])
-    assert reduce_over_det(j, table.B[0].num) == RationalFunction(poly([1]), one_plus)
-    assert reduce_over_det(j, table.B[1].num) == RationalFunction(poly([0, 1]), one_plus)
-    assert reduce_over_det(j, table.A[0].num) == RationalFunction(poly([1, 0, -1]), one_plus)
+    assert reduce_over_det(j, table.B[0]) == RationalFunction(poly([1]), one_plus)
+    assert reduce_over_det(j, table.B[1]) == RationalFunction(poly([0, 1]), one_plus)
+    assert reduce_over_det(j, table.A[0]) == RationalFunction(poly([1, 0, -1]), one_plus)
 
 
 def test_b_fixture_spin_one():
     j = HalfInt(2)
     table = b_coeffs(j)
     den = poly([1, 0, 4])
-    assert reduce_over_det(j, table.B[0].num) == RationalFunction(poly([1]), poly([1]))
-    assert reduce_over_det(j, table.B[1].num) == RationalFunction(poly([0, 1]), den)
-    assert reduce_over_det(j, table.B[2].num) == RationalFunction(poly([0, 0, 1]), den)
+    assert reduce_over_det(j, table.B[0]) == RationalFunction(poly([1]), poly([1]))
+    assert reduce_over_det(j, table.B[1]) == RationalFunction(poly([0, 1]), den)
+    assert reduce_over_det(j, table.B[2]) == RationalFunction(poly([0, 0, 1]), den)
 
 
 def test_a_fixture_spin_three_half():
     j = HalfInt(3)
     table = b_coeffs(j)
     den = even_poly([1, 10, 9])
-    assert reduce_over_det(j, table.A[0].num) == RationalFunction(even_poly([1, 10, -9]), den)
-    assert reduce_over_det(j, table.A[1].num) == RationalFunction(poly([0, 2, 0, 20]), den)
+    assert reduce_over_det(j, table.A[0]) == RationalFunction(even_poly([1, 10, -9]), den)
+    assert reduce_over_det(j, table.A[1]) == RationalFunction(poly([0, 2, 0, 20]), den)
 
 
 def test_recursion_matches_truncation_formula():
+    # the three builders agree as integer tables: one den, equal numerators
     for j in half_integers(16):
         direct = b_coeffs(j)
-        rec = b_coeffs_recursion(j)
-        cfn_form = b_coeffs_cfn(j)
-        for k in range(j.two_j + 1):
-            assert direct.B[k].equivalent(rec.B[k]), (j, k)
-            assert direct.A[k].equivalent(rec.A[k]), (j, k)
-            assert direct.B[k].equivalent(cfn_form.B[k]), (j, k)
+        for other in (b_coeffs_recursion(j), b_coeffs_cfn(j)):
+            assert other.den == direct.den, j
+            assert other.B == direct.B and other.A == direct.A, j
 
 
 def test_every_table_is_integers_over_the_determinant():
     for j in half_integers(40):
         det = det_poly(j)
         for table in (b_coeffs(j), b_coeffs_cfn(j), b_coeffs_recursion(j)):
-            for rf in table.B + table.A:
-                assert rf.den == det, j
-                assert all(type(c) is int for c in rf.num + rf.den), j
+            assert table.den == det, j
+            assert len(table.B) == len(table.A) == j.two_j + 1, j
+            for num in table.B + table.A + (table.den,):
+                assert num == poly(num) and all(type(c) is int for c in num), j
 
 
 def test_recursion_derivative_normalization():
@@ -132,7 +124,7 @@ def test_recursion_derivative_normalization():
     for j in half_integers(16):
         rec = b_coeffs_recursion(j)
         for m in range(j.two_j + 1):
-            num, den = rec.B[m].num, rec.B[m].den
+            num, den = rec.B[m], rec.den
             assert den[0] != 0, (j, m)
             assert num[:m] == (0,) * m and num[m] == den[0], (j, m)
 
@@ -142,7 +134,7 @@ def test_resolvent_reproduces_spin_half():
         got = resolvent_coeffs([1j, -1j], alpha)
         table = b_coeffs(HalfInt(1))
         for k in (0, 1):
-            want = float(table.B[k](F(alpha)))
+            want = float(RationalFunction(table.B[k], table.den)(F(alpha)))
             assert abs(got[k] - want) < 1e-14
 
 
@@ -196,7 +188,7 @@ def test_b_exact_gamma_matches_table():
             if k > 2 * jj:
                 continue
             for alpha in (0.3, 1.0, 2.7, -1.1):
-                direct = float(table.B[k](F(alpha))) / alpha**k
+                direct = float(RationalFunction(table.B[k], table.den)(F(alpha))) / alpha**k
                 assert abs(direct - b_exact_gamma(jj, k, alpha)) <= 1e-9 * max(1.0, abs(direct))
 
 
@@ -235,31 +227,27 @@ def test_relative_error_zero_denominator():
 def test_pairing_parity_exact():
     for j in half_integers(16):
         table = b_coeffs(j)
-        for k, rf in enumerate(table.B):
-            flipped = RationalFunction(poly_negate_arg(rf.num), poly_negate_arg(rf.den))
-            signed = rf if k % 2 == 0 else RationalFunction(poly_scale(rf.num, -1), rf.den)
-            assert flipped.equivalent(signed), (j, k)
+        assert not any(table.den[1::2]), j
+        for k, num in enumerate(table.B):
+            assert not any(num[1 - k % 2 :: 2]), (j, k)
         if j.is_integer:
-            assert table.B[0].equivalent(RationalFunction(poly([1]), poly([1])))
+            assert table.B[0] == table.den, j
             pairs = [(2 * k + 2, 2 * k + 1) for k in range(j.two_j // 2)]
         else:
             pairs = [(2 * k + 1, 2 * k) for k in range((j.two_j + 1) // 2)]
         for hi, lo in pairs:
-            assert table.B[hi].equivalent(
-                RationalFunction(poly_shift(table.B[lo].num, 1), table.B[lo].den)
-            ), (j, hi, lo)
+            assert table.B[hi] == (0,) + table.B[lo], (j, hi, lo)
 
 
 def test_highest_coefficients_are_inverse_determinant():
+    # B_2j = alpha^2j / det, and B_2j-1 = alpha^(2j-1) / det as det has no alpha term
     for j in half_integers(16):
         if j.two_j < 1:
             continue
         table = b_coeffs(j)
-        det = det_poly(j)
-        top = table.B[j.two_j]
-        assert top.equivalent(RationalFunction(poly_shift(poly([1]), j.two_j), det))
-        nxt = table.B[j.two_j - 1]
-        assert nxt.equivalent(RationalFunction(poly_shift(poly([1]), j.two_j - 1), det))
+        assert table.den == det_poly(j)
+        assert table.B[j.two_j] == (0,) * j.two_j + (1,), j
+        assert table.B[j.two_j - 1] == (0,) * (j.two_j - 1) + (1,), j
 
 
 def test_reconstruction_small_spins():
@@ -284,7 +272,7 @@ def test_eval_coeffs_rounds_the_exact_table(two_j):
     table = b_coeffs(j)
     for alpha in EVAL_ALPHAS:
         bs, as_ = eval_coeffs(j, alpha)
-        exact_b = [rf(F(alpha)) for rf in table.B]
+        exact_b = [RationalFunction(num, table.den)(F(alpha)) for num in table.B]
         # the table's A_k shares B_k's denominator: A_k = 2B_k, A_0 = 2B_0 - 1
         exact_a = [2 * exact_b[0] - 1] + [2 * b for b in exact_b[1:]]
         assert bs == tuple(map(float, exact_b)), alpha
@@ -297,6 +285,7 @@ def test_eval_coeffs_a0_is_rounded_once():
     assert eval_coeffs(HalfInt(1), 0.5)[1] == (0.6, 0.8)
     # 2*B_0 - 1 in floats would be off by an ulp here (2j = 3, alpha = 1)
     for two_j in (1, 3, 5):
-        a0 = b_coeffs(HalfInt(two_j)).A[0]
+        table = b_coeffs(HalfInt(two_j))
+        a0 = RationalFunction(table.A[0], table.den)
         for alpha in (1.0, math.nextafter(1.0, 2.0), 0.9999999):
             assert eval_coeffs(HalfInt(two_j), alpha)[1][0] == float(a0(F(alpha)))

@@ -209,6 +209,14 @@ def test_plotdata_command_and_determinism(capsys):
         ["coeffs", "exp", "--j", "3", "--theta-grid=nan:1:3"],
         ["cfn", "--n", "4", "--k", "-1"],
         ["cfn", "--n", "-1"],
+        ["verify", "--max-two-j", "-1"],
+        ["verify", "--fi", "--max-two-j", "-3"],
+        ["asymp", "--j-list", "1,3/2", "--k", "1", "--alpha-grid", "1:1:1"],
+        ["plotdata", "--figure", "exp-A", "--alpha-grid", "0:1:2"],
+        ["plotdata", "--figure", "exp-A", "--theta-grid", "0:1:2", "--alpha-grid", "0:1:2"],
+        ["plotdata", "--figure", "inv-det", "--theta-grid", "0:1:2"],
+        ["plotdata", "--figure", "cayley-B12", "--theta-grid", "0.5:1:2"],
+        ["plotdata", "--figure", "inv-det", "--k", "3"],
     ],
 )
 def test_out_of_range_arguments_exit_2_with_one_line(capsys, argv):

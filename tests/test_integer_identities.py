@@ -14,13 +14,14 @@ check the closed forms and the circle point themselves.
 import cmath
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from spinpoly import bridge, cayley, cli, expcoeffs
 from spinpoly.cfn import cfn
-from spinpoly.exact import poly_eval
+from spinpoly.exact import RationalFunction, poly_eval
 from spinpoly.expcoeffs import epsilon
 from spinpoly.halfint import HalfInt, half_integers
 
@@ -118,7 +119,8 @@ def exp_reconstruction_fraction(j, theta):
 
 def cayley_reconstruction_fraction(j, alpha):
     a = F(alpha)
-    avals = [rf(a) for rf in cayley.b_coeffs(j).A]
+    table = cayley.b_coeffs(j)
+    avals = [RationalFunction(num, table.den)(a) for num in table.A]
     max_err = 0.0
     exact = True
     for m2 in range(j.two_j, -j.two_j - 1, -2):
@@ -189,7 +191,8 @@ def test_scaled_b_matches_the_exact_table():
         for alpha in ALPHAS:
             nums, den = cayley.scaled_b(j.two_j, *alpha.as_integer_ratio())
             assert den > 0
-            assert [F(n, den) for n in nums] == [rf(alpha) for rf in table.B], (j, alpha)
+            want = [RationalFunction(num, table.den)(alpha) for num in table.B]
+            assert [F(n, den) for n in nums] == want, (j, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +263,59 @@ def test_perturbed_odd_coefficient_fails_cayley_reconstruction(monkeypatch):
 
     monkeypatch.setattr(cayley, "scaled_b", perturbed)
     assert cayley.cayley_reconstruction(HalfInt(3), F(1, 2)).exact is False
+
+
+def _patch_table(monkeypatch, two_j, k, num):
+    # b_coeffs(j) reads B[k] = num at this spin; every other table is real
+    real = cayley._b_coeffs
+
+    def perturbed(tj):
+        table = real(tj)
+        if tj != two_j:
+            return table
+        return replace(table, B=table.B[:k] + (num,) + table.B[k + 1 :])
+
+    monkeypatch.setattr(cayley, "_b_coeffs", perturbed)
+
+
+def test_wrong_parity_coefficient_fails_pairing_parity(monkeypatch, capsys, fresh_caches):
+    # B_1 at spin 3/2 is alpha + 10 alpha^3; an alpha^4 term breaks B_1(-alpha) = -B_1(alpha)
+    assert cayley.b_coeffs(HalfInt(3)).B[1] == (0, 1, 0, 10)
+    _patch_table(monkeypatch, 3, 1, (0, 1, 0, 10, 1))
+    code, check = _verify_detail(capsys, "pairing-parity")
+    assert code == 1
+    assert check["passed"] is False
+    assert check["detail"] == "op=parity j=3/2 k=1"
+
+
+def test_broken_pair_fails_pairing_parity(monkeypatch, capsys, fresh_caches):
+    # B_2 at spin 1 is alpha^2 + 20 alpha^4 = alpha B_1; one more alpha^4 keeps the parity
+    assert cayley.b_coeffs(HalfInt(4)).B[2] == (0, 0, 1, 0, 20)
+    _patch_table(monkeypatch, 4, 2, (0, 0, 1, 0, 21))
+    code, check = _verify_detail(capsys, "pairing-parity")
+    assert code == 1
+    assert check["passed"] is False
+    assert check["detail"] == "op=pairing j=2 B_2 != alpha*B_1"
+
+
+def test_rescaled_recursion_table_fails_path_equality(monkeypatch, capsys, fresh_caches):
+    # twice the den and every numerator: the same functions, but not the same table
+    real = cayley.b_coeffs_recursion
+
+    def twice(num):
+        return tuple(2 * c for c in num)
+
+    def doubled(j):
+        table = real(j)
+        return replace(
+            table,
+            den=twice(table.den),
+            B=tuple(map(twice, table.B)),
+            A=tuple(map(twice, table.A)),
+        )
+
+    monkeypatch.setattr(cayley, "b_coeffs_recursion", doubled)
+    code, check = _verify_detail(capsys, "cayley-path-equality")
+    assert code == 1
+    assert check["passed"] is False
+    assert check["detail"] == "op=b_coeffs_recursion j=0 k=0"
