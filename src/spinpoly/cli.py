@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import bridge, cayley, expcoeffs, fixtures, plots, verify
@@ -60,22 +62,16 @@ def _parse_j_list(text: str) -> list[HalfInt]:
 
 
 def _emit_csv(header, rows, path: str | None) -> None:
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
-    try:
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)  # floats as repr, everything else as str
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _cmd_cfn(args) -> int:
     if args.table:
-        rows = []
-        for k in range(args.n + 1):
-            t = cfn(args.n, k)
-            rows.append((args.n, k, t.numerator, t.denominator))
+        values = [cfn(args.n, k) for k in range(args.n + 1)]
+        rows = [(args.n, k, t.numerator, t.denominator) for k, t in enumerate(values)]
         _emit_csv(("n", "k", "numerator", "denominator"), rows, args.csv)
         return 0
     if args.k is not None:
@@ -93,28 +89,19 @@ def _cmd_basis(args) -> int:
         rows = vandermonde_inverse(args.j)
     else:
         rows = vandermonde(args.j)
-    _emit_csv(
-        tuple(f"c{i}" for i in range(args.j.two_j + 1)),
-        rows,
-        args.csv,
-    )
+    _emit_csv(tuple(f"c{i}" for i in range(args.j.two_j + 1)), rows, args.csv)
     return 0
 
 
 def _cmd_coeffs_exp(args) -> int:
     j = args.j
     if args.theta_grid is not None:
+        thetas = args.theta_grid.values()
         if args.k is not None:
-            rows = [
-                (theta, args.k, expcoeffs.a_coeff_trunc(j, args.k, theta))
-                for theta in args.theta_grid.values()
-            ]
+            rows = [(theta, args.k, expcoeffs.a_coeff_trunc(j, args.k, theta)) for theta in thetas]
         else:
-            rows = [
-                (theta, k, a)
-                for theta in args.theta_grid.values()
-                for k, a in enumerate(expcoeffs.exp_poly(j, theta).A)
-            ]
+            tables = ((theta, expcoeffs.exp_poly(j, theta)) for theta in thetas)
+            rows = [(theta, k, a) for theta, table in tables for k, a in enumerate(table.A)]
         _emit_csv(("theta", "k", "A_k"), rows, args.csv)
         return 0
     table = expcoeffs.exp_poly(j, args.theta)
@@ -152,10 +139,7 @@ def _cmd_coeffs_cayley(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.fi:
-        report = verify.run_verify_fi(args.max_two_j)
-    else:
-        report = verify.run_verify(args.max_two_j)
+    report = (verify.run_verify_fi if args.fi else verify.run_verify)(args.max_two_j)
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1
 
@@ -164,9 +148,7 @@ def _cmd_fixtures(_args) -> int:
     results = fixtures.run_fixtures()
     failures = [r for r in results if not r.passed]
     if failures:
-        first = failures[0]
-        print(f"FIXTURE FAILURE: {first.name}")
-        print(f"  {first.detail}")
+        print(f"FIXTURE FAILURE: {failures[0].name}\n  {failures[0].detail}")
         print(f"{len(results) - len(failures)}/{len(results)} fixtures passed")
         return 1
     print(f"{len(results)} fixtures passed")
@@ -200,17 +182,14 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_shear(args) -> int:
-    magnitudes = sorted(
-        {abs(Fraction(m2, 2)) for m2 in range(args.j.two_j, -args.j.two_j - 1, -2)} - {0}
-    )
+    magnitudes = sorted(Fraction(m2, 2) for m2 in range(args.j.two_j, 0, -2))
     values = {}
     for m in magnitudes:
         try:
             values[m] = bridge.alpha_from_theta(float(m), args.theta)
         except ValueError:
             values[m] = math.nan
-    for m, alpha in values.items():
-        print(f"|M|={m}: alpha(theta={args.theta!r}) = {alpha!r}")
+        print(f"|M|={m}: alpha(theta={args.theta!r}) = {values[m]!r}")
     if len(magnitudes) <= 1:
         print("only one |M| in the spectrum: a single alpha <-> theta map works")
         return 0
@@ -223,92 +202,119 @@ def _cmd_shear(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    js = args.j if args.j else None
-    ks = args.k if args.k else None
     grid = args.theta_grid or args.alpha_grid
-    header, rows = plots.figure_rows(args.figure, js=js, ks=ks, grid=grid)
+    header, rows = plots.figure_rows(args.figure, args.j or None, args.k or None, grid)
     _emit_csv(header, rows, args.csv)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# option specs that several commands share
+_J = {"type": _parse_j, "required": True}
+_CSV = {"nargs": "?", "const": "-", "default": None, "metavar": "PATH"}
+_GRID = {"type": _parse_grid, "default": None, "metavar": "A:B:N"}
+_FLAG = {"action": "store_true"}
+
+
+def _options(fn, options):
+    """A command's add_arguments: each (flag, keywords) option in turn, fn as its handler."""
+    def add_arguments(parser):
+        for flag, keywords in options.items():
+            parser.add_argument(flag, **keywords)
+        parser.set_defaults(fn=fn)
+    return add_arguments
+
+
+def _basis_arguments(parser):
+    parser.add_argument("--j", **_J)
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--inverse", **_FLAG)
+    group.add_argument("--duals", **_FLAG)
+    parser.add_argument("--csv", **_CSV)
+    parser.set_defaults(fn=_cmd_basis)
+
+
+def _commands() -> dict:
+    """name -> (help, add_arguments); coeffs -> its families. Built per call: no shared lists."""
+    return {
+        "cfn": ("central factorial numbers, exact p/q values", _options(_cmd_cfn, {
+            "--n": {"type": int, "required": True},
+            "--k": {"type": int, "default": None},
+            "--table": dict(_FLAG, help="CSV rows (n, k, numerator, denominator)"),
+            "--csv": _CSV,
+        })),
+        "basis": ("Vandermonde matrix, exact inverse, dual diagonals", _basis_arguments),
+        "coeffs": ("coefficient tables", {
+            "exp": ("exponential rotation coefficients A_k(theta)", _options(_cmd_coeffs_exp, {
+                "--j": _J,
+                "--theta": {"type": _parse_float_token, "default": 0.0},
+                "--k": {"type": int, "default": None},
+                "--theta-grid": _GRID,
+                "--csv": _CSV,
+            })),
+            "cayley": ("Cayley coefficients B_k, A_k", _options(_cmd_coeffs_cayley, {
+                "--j": _J,
+                "--exact": dict(_FLAG, help="print exact numerator/denominator lists"),
+                "--alpha": {"type": _parse_float_token, "default": None},
+                "--alpha-grid": _GRID,
+                "--csv": _CSV,
+            })),
+        }),
+        "verify": ("cross-module invariant suite (JSON report)", _options(_cmd_verify, {
+            "--fi": dict(_FLAG, help="fundamental identity only"),
+            "--max-two-j": {"type": int, "default": 10},
+        })),
+        "fixtures": ("compare against embedded golden values", _options(_cmd_fixtures, {})),
+        "asymp": ("B_k/alpha^k curves against the large-j limit", _options(_cmd_asymp, {
+            "--j-list": {"type": _parse_j_list, "required": True},
+            "--k": {"type": int, "default": 1},
+            "--alpha-grid": dict(_GRID, required=True),
+            "--csv": _CSV,
+        })),
+        "bridge": ("Laplace-transform consistency at one (j, k, alpha)", _options(_cmd_bridge, {
+            "--j": _J,
+            "--k": {"type": int, "required": True},
+            "--alpha": {"type": _parse_float_token, "required": True},
+            "--quadrature": _FLAG,
+        })),
+        "shear": ("per-|M| alpha(theta) values for one spin", _options(_cmd_shear, {
+            "--j": _J,
+            "--theta": {"type": _parse_float_token, "required": True},
+        })),
+        "plotdata": ("figure data as long-format CSV", _options(_cmd_plotdata, {
+            "--figure": {"required": True, "choices": plots.FIGURES},
+            "--j": {"type": _parse_j, "action": "append", "default": []},
+            "--k": {"type": int, "action": "append", "default": []},
+            "--theta-grid": _GRID,
+            "--alpha-grid": _GRID,
+            "--csv": _CSV,
+        })),
+    }
+
+
+def _add_commands(parser, dest, table, path) -> None:
+    """Add the table's commands to parser, only path[0]'s branch when it names one."""
+    chosen = path[0] if path and path[0] in table else None
+    # a one-branch tree's usage still lists every command; a full tree keeps argparse's
+    # own metavar, so its errors name the argument "command" or "family" as before
+    metavar = None if chosen is None else "{%s}" % ",".join(table)
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (text, add_arguments) in table.items():
+        if chosen in (None, name):
+            p = sub.add_parser(name, help=text)
+            if isinstance(add_arguments, dict):
+                _add_commands(p, "family", add_arguments, path[1:])
+            else:
+                add_arguments(p)
+
+
+def build_parser(*path: str) -> argparse.ArgumentParser:
+    """The argparse tree: only the (command, family) branch path names, else every branch."""
     parser = argparse.ArgumentParser(
         prog="spinpoly",
         description="Spin matrix polynomials: exact rotation-coefficient tables, "
         "verification suites, and figure data as CSV.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cfn", help="central factorial numbers, exact p/q values")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--table", action="store_true", help="CSV rows (n, k, numerator, denominator)")
-    p.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH")
-    p.set_defaults(fn=_cmd_cfn)
-
-    p = sub.add_parser("basis", help="Vandermonde matrix, exact inverse, dual diagonals")
-    p.add_argument("--j", type=_parse_j, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--inverse", action="store_true")
-    group.add_argument("--duals", action="store_true")
-    p.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH")
-    p.set_defaults(fn=_cmd_basis)
-
-    p = sub.add_parser("coeffs", help="coefficient tables")
-    csub = p.add_subparsers(dest="family", required=True)
-
-    pe = csub.add_parser("exp", help="exponential rotation coefficients A_k(theta)")
-    pe.add_argument("--j", type=_parse_j, required=True)
-    pe.add_argument("--theta", type=_parse_float_token, default=0.0)
-    pe.add_argument("--k", type=int, default=None)
-    pe.add_argument("--theta-grid", type=_parse_grid, default=None, metavar="A:B:N")
-    pe.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH")
-    pe.set_defaults(fn=_cmd_coeffs_exp)
-
-    pc = csub.add_parser("cayley", help="Cayley coefficients B_k, A_k")
-    pc.add_argument("--j", type=_parse_j, required=True)
-    pc.add_argument("--exact", action="store_true", help="print exact numerator/denominator lists")
-    pc.add_argument("--alpha", type=_parse_float_token, default=None)
-    pc.add_argument("--alpha-grid", type=_parse_grid, default=None, metavar="A:B:N")
-    pc.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH")
-    pc.set_defaults(fn=_cmd_coeffs_cayley)
-
-    p = sub.add_parser("verify", help="cross-module invariant suite (JSON report)")
-    p.add_argument("--fi", action="store_true", help="fundamental identity only")
-    p.add_argument("--max-two-j", type=int, default=10)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("fixtures", help="compare against embedded golden values")
-    p.set_defaults(fn=_cmd_fixtures)
-
-    p = sub.add_parser("asymp", help="B_k/alpha^k curves against the large-j limit")
-    p.add_argument("--j-list", type=_parse_j_list, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--alpha-grid", type=_parse_grid, required=True, metavar="A:B:N")
-    p.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH")
-    p.set_defaults(fn=_cmd_asymp)
-
-    p = sub.add_parser("bridge", help="Laplace-transform consistency at one (j, k, alpha)")
-    p.add_argument("--j", type=_parse_j, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=_parse_float_token, required=True)
-    p.add_argument("--quadrature", action="store_true")
-    p.set_defaults(fn=_cmd_bridge)
-
-    p = sub.add_parser("shear", help="per-|M| alpha(theta) values for one spin")
-    p.add_argument("--j", type=_parse_j, required=True)
-    p.add_argument("--theta", type=_parse_float_token, required=True)
-    p.set_defaults(fn=_cmd_shear)
-
-    p = sub.add_parser("plotdata", help="figure data as long-format CSV")
-    p.add_argument("--figure", required=True, choices=plots.FIGURES)
-    p.add_argument("--j", type=_parse_j, action="append", default=[])
-    p.add_argument("--k", type=int, action="append", default=[])
-    p.add_argument("--theta-grid", type=_parse_grid, default=None, metavar="A:B:N")
-    p.add_argument("--alpha-grid", type=_parse_grid, default=None, metavar="A:B:N")
-    p.add_argument("--csv", nargs="?", const="-", default=None, metavar="PATH")
-    p.set_defaults(fn=_cmd_plotdata)
-
+    _add_commands(parser, "command", _commands(), path)
     return parser
 
 
@@ -342,42 +348,35 @@ def _range_error(args) -> str | None:
         axis, other = ("theta", "alpha") if args.figure == "exp-A" else ("alpha", "theta")
         if getattr(args, f"{other}_grid") is not None:
             return f"--figure {args.figure} takes --{axis}-grid, not --{other}-grid"
-        if args.figure == "inv-det":
-            if args.k:
-                return "--figure inv-det draws no k; drop --k"
-        else:
-            spins = args.j or plots.DEFAULT_SPINS[args.figure]
-            ks = args.k or plots.DEFAULT_KS[args.figure]
-            if args.figure == "cayley-B12":
-                grid = args.alpha_grid
-    for j in spins:
-        for k in ks:
-            if not 0 <= k <= j.two_j:
-                return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"
+        if args.figure == "inv-det" and args.k:
+            return "--figure inv-det draws no k; drop --k"
+        spins = args.j or plots.DEFAULT_SPINS[args.figure]
+        ks = args.k or plots.DEFAULT_KS[args.figure]
+        if args.figure == "cayley-B12":
+            grid = args.alpha_grid
+    for j, k in itertools.product(spins, ks):
+        if not 0 <= k <= j.two_j:
+            return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"
     if grid is None or not any(ks):
         return None
     alphas = grid.values()
     if 0.0 in alphas:
         return "B_k/alpha^k needs alpha != 0, but the alpha grid contains 0"
-    for k in ks:
-        for alpha in alphas:
-            try:
-                in_range = 0.0 < abs(alpha**k) < math.inf
-            except OverflowError:
-                in_range = False
-            if not in_range:
-                return f"alpha^k leaves the float range at alpha = {alpha!r}, k = {k}"
+    for k, alpha in itertools.product(ks, alphas):
+        try:
+            in_range = 0.0 < abs(alpha**k) < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            return f"alpha^k leaves the float range at alpha = {alpha!r}, k = {k}"
     return None
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(*argv[:2]).parse_args(argv)
     error = _range_error(args)
     if error:
         print(f"spinpoly: error: {error}", file=sys.stderr)
         return 2
     return args.fn(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

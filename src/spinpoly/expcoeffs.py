@@ -37,6 +37,10 @@ def epsilon(j: HalfInt, k: int) -> int:
     return (j.two_j - k) % 2
 
 
+# a spin's series needs k! and (k + 2r)! for every (k, r): compute each n! once
+_factorial = lru_cache(maxsize=None)(math.factorial)
+
+
 @lru_cache(maxsize=None)
 def _coef(k: int, col: int, r: int) -> Tuple[int, int]:
     """Coefficient r of the series for A_k read off column col, as (num, den).
@@ -49,7 +53,7 @@ def _coef(k: int, col: int, r: int) -> Tuple[int, int]:
     division and Fraction both accept it, and a gcd would cost more.
     """
     num, den = cfn_pair(col + 2 * r, col)
-    return math.factorial(k) * abs(num) << 2 * r, math.factorial(k + 2 * r) * den
+    return _factorial(k) * abs(num) << 2 * r, _factorial(k + 2 * r) * den
 
 
 def _terms(two_j: int, k: int) -> list[Tuple[int, int]]:

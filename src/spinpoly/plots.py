@@ -53,11 +53,21 @@ def figure_rows(
     ks: Sequence[int] | None = None,
     grid: GridSpec | None = None,
 ) -> tuple[tuple[str, str, str], list[tuple[float, str, float]]]:
-    """Rows for one named figure; raises ValueError on an unknown name."""
+    """Rows for one named figure.
+
+    Raises ValueError on an unknown name, on ks for inv-det (which draws
+    none) and on a k outside 0..2j of a drawn spin.
+    """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
     js = js or DEFAULT_SPINS[figure]
     ks = ks if ks is not None else DEFAULT_KS[figure]
+    if figure == "inv-det" and ks:
+        raise ValueError(f"figure inv-det draws no k, got ks = {list(ks)}")
+    for j in js:
+        for k in ks:
+            if not 0 <= k <= j.two_j:
+                raise ValueError(f"k = {k} is outside 0..2j = 0..{j.two_j} for j = {j}")
     if figure == "exp-A":
         grid = grid or GridSpec(0.0, 4 * math.pi, 800)
         header = ("theta", "series", "value")

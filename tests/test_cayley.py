@@ -99,23 +99,15 @@ def test_a_fixture_spin_three_half():
     assert reduce_over_det(j, table.A[1]) == RationalFunction(poly([0, 2, 0, 20]), den)
 
 
-def test_recursion_matches_truncation_formula():
-    # the three builders agree as integer tables: one den, equal numerators
-    for j in half_integers(16):
-        direct = b_coeffs(j)
-        for other in (b_coeffs_recursion(j), b_coeffs_cfn(j)):
-            assert other.den == direct.den, j
-            assert other.B == direct.B and other.A == direct.A, j
-
-
 def test_every_table_is_integers_over_the_determinant():
+    # the three builders give one table: integer numerators over the determinant
     for j in half_integers(40):
-        det = det_poly(j)
-        for table in (b_coeffs(j), b_coeffs_cfn(j), b_coeffs_recursion(j)):
-            assert table.den == det, j
-            assert len(table.B) == len(table.A) == j.two_j + 1, j
-            for num in table.B + table.A + (table.den,):
-                assert num == poly(num) and all(type(c) is int for c in num), j
+        table = b_coeffs(j)
+        assert b_coeffs_cfn(j) == table == b_coeffs_recursion(j), j
+        assert table.den == det_poly(j), j
+        assert len(table.B) == len(table.A) == j.two_j + 1, j
+        for num in table.B + table.A + (table.den,):
+            assert num == poly(num) and all(type(c) is int for c in num), j
 
 
 def test_recursion_derivative_normalization():
@@ -222,21 +214,6 @@ def test_relative_error_j50_frozen():
 def test_relative_error_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         relative_error(HalfInt(2), 1, 0.0)
-
-
-def test_pairing_parity_exact():
-    for j in half_integers(16):
-        table = b_coeffs(j)
-        assert not any(table.den[1::2]), j
-        for k, num in enumerate(table.B):
-            assert not any(num[1 - k % 2 :: 2]), (j, k)
-        if j.is_integer:
-            assert table.B[0] == table.den, j
-            pairs = [(2 * k + 2, 2 * k + 1) for k in range(j.two_j // 2)]
-        else:
-            pairs = [(2 * k + 1, 2 * k) for k in range((j.two_j + 1) // 2)]
-        for hi, lo in pairs:
-            assert table.B[hi] == (0,) + table.B[lo], (j, hi, lo)
 
 
 def test_highest_coefficients_are_inverse_determinant():

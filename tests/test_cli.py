@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 import spinpoly
 from spinpoly import cli, fixtures
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -240,3 +243,70 @@ def test_grid_parsing_rejects_bad_spec():
     assert cli._parse_float_token("2pi") == pytest.approx(6.283185307179586)
     assert cli._parse_float_token("pi/2") == pytest.approx(1.5707963267948966)
     assert cli._parse_float_token("-pi") == pytest.approx(-3.141592653589793)
+
+
+def _parse(parser, argv, capsys):
+    """The namespace parser makes of argv, or its exit code and printed text."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def _command_paths():
+    table = cli._commands()
+    for name, (_, entry) in table.items():
+        yield [name]
+        if isinstance(entry, dict):
+            yield from ([name, family] for family in entry)
+
+
+def test_chosen_branch_parses_like_the_full_tree(capsys, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    ops = [op for w in workloads.WORKLOADS for op in workloads.generate(w, 1, tmp_path)]
+    argvs = [list(op.argv) for op in ops]
+    argvs += [
+        [], ["--help"], ["coeffs"], ["coeffs", "--help"], ["coeffs", "nope"], ["nope"],
+        ["verify", "--bogus"], ["cfn"], ["basis"], ["coeffs", "exp"], ["coeffs", "cayley"],
+        ["bridge", "--k", "1", "--alpha", "1"], ["shear", "--theta", "1"],
+        ["asymp", "--alpha-grid", "1:1:1"], ["plotdata"], ["cfn", "--n", "1", "extra"],
+    ]
+    for argv in argvs:
+        chosen = _parse(cli.build_parser(*argv[:2]), argv, capsys)
+        full = _parse(cli.build_parser(), argv, capsys)
+        assert chosen == full, argv
+    # the top-level usage of a one-branch tree still lists every command
+    code, _, err = _parse(cli.build_parser("verify"), ["verify", "--bogus"], capsys)
+    assert code == 2 and "{%s}" % ",".join(cli._commands()) in err
+
+
+@pytest.mark.parametrize("path", list(_command_paths()), ids="-".join)
+def test_help_is_the_same_from_both_trees(capsys, path):
+    argv = path + ["--help"]
+    chosen = _parse(cli.build_parser(*path), argv, capsys)
+    full = _parse(cli.build_parser(), argv, capsys)
+    assert chosen == full
+    code, out, err = chosen
+    assert code == 0 and out.startswith(f"usage: spinpoly {' '.join(path)} [-h]") and not err
+
+
+def test_main_builds_only_the_chosen_command(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run(capsys, "fixtures")[0] == 0
+    assert built == ["fixtures"]
+    built.clear()
+    assert run(capsys, "coeffs", "cayley", "--j", "1/2")[0] == 0
+    assert built == ["coeffs", "cayley"]
+    built.clear()
+    cli.build_parser()
+    assert len(built) == len(list(_command_paths()))
