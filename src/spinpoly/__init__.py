@@ -8,11 +8,8 @@ table through independent generation paths.
 """
 
 from .basis import (
-    DiagSpectrum,
-    DualMatrixSet,
     dual_matrices,
     findumonde_entry,
-    lagrange_sylvester,
     project_coefficients,
     spectrum,
     vandermonde,

@@ -4,7 +4,8 @@ Everything is built in the basis where the doubled spin component
 S = 2*J3 is diagonal with integer eigenvalues [2j, 2j-2, ..., -2j].
 Rows/columns of the Vandermonde matrix follow the 1-based convention
 (k, l = 1..2j+1) in the public closed-form entry; internal storage is
-0-based tuples of Fractions.
+0-based tuples.  The nodes, V and every Lagrange factor are integers; only
+the entries of V^-1 are Fractions, one integer ratio each.
 """
 
 from __future__ import annotations
@@ -16,34 +17,27 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .cfn import cfn
-from .exact import Poly, poly, poly_eval
+from .cfn import cfn_pair
+from .exact import poly_eval
 from .halfint import HalfInt
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
+IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class DiagSpectrum:
+def spectrum(j: HalfInt) -> Tuple[int, ...]:
     """Eigenvalues of S = 2*J3 for spin j, strictly decreasing by 2."""
-
-    j: HalfInt
-    eigs: Tuple[int, ...]
-
-
-def spectrum(j: HalfInt) -> DiagSpectrum:
-    return DiagSpectrum(j, tuple(range(j.two_j, -j.two_j - 1, -2)))
+    return tuple(range(j.two_j, -j.two_j - 1, -2))
 
 
 @lru_cache(maxsize=None)
-def _vandermonde(two_j: int) -> Matrix:
-    eigs = spectrum(HalfInt(two_j)).eigs
+def _vandermonde(two_j: int) -> IntMatrix:
     return tuple(
-        tuple(Fraction(e) ** p for p in range(two_j + 1)) for e in eigs
+        tuple(e**p for p in range(two_j + 1)) for e in spectrum(HalfInt(two_j))
     )
 
 
-def vandermonde(j: HalfInt) -> Matrix:
+def vandermonde(j: HalfInt) -> IntMatrix:
     """Row k holds the powers 0..2j of the k-th eigenvalue of S."""
     return _vandermonde(j.two_j)
 
@@ -51,10 +45,10 @@ def vandermonde(j: HalfInt) -> Matrix:
 @lru_cache(maxsize=None)
 def _vandermonde_inverse(two_j: int) -> Matrix:
     # column m holds the Lagrange basis polynomial of the m-th node, the
-    # deflated characteristic polynomial over its value at that node
+    # deflated node polynomial over its value at that node
     columns = [
-        tuple(c / denom for c in quotient)
-        for quotient, denom in _lagrange_factors(spectrum(HalfInt(two_j)).eigs)
+        tuple(Fraction(c, denom) for c in quotient)
+        for quotient, denom in _lagrange_factors(spectrum(HalfInt(two_j)))
     ]
     return tuple(zip(*columns))
 
@@ -94,23 +88,14 @@ def findumonde_entry(j: HalfInt, k: int, l: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class DualMatrixSet:
+def dual_matrices(j: HalfInt) -> Matrix:
     """Diagonals of the trace-orthonormal dual matrices T_0 .. T_2j.
 
     The diagonal of T_n is row n+1 (1-based) of the inverse Vandermonde
-    matrix; Trace(T_n S^m) = delta_{nm} holds exactly.
+    matrix, so these are its rows; Trace(T_n S^m) = delta_{nm} holds
+    exactly.
     """
-
-    j: HalfInt
-    diags: Tuple[Tuple[Fraction, ...], ...]
-
-    def row(self, n: int) -> Tuple[Fraction, ...]:
-        return self.diags[n]
-
-
-def dual_matrices(j: HalfInt) -> DualMatrixSet:
-    return DualMatrixSet(j, vandermonde_inverse(j))
+    return vandermonde_inverse(j)
 
 
 def project_coefficients(j: HalfInt, fvals: Sequence) -> list:
@@ -127,53 +112,31 @@ def project_coefficients(j: HalfInt, fvals: Sequence) -> list:
     return [sum(row[i] * fvals[i] for i in range(n)) for row in vinv]
 
 
-def lagrange_sylvester(j: HalfInt, fvals: Sequence) -> list:
-    """Same coefficients via eigenprojector (Frobenius covariant) expansion.
-
-    Each projector prod_{i != m} (S - lambda_i)/(lambda_m - lambda_i) is
-    expanded to monomial coefficients exactly and weighted by f(lambda_m).
-    The columns of vandermonde_inverse are these same projectors, so the
-    independent oracles for both are findumonde_entry and V @ V^-1 = I.
-    """
-    n = j.two_j + 1
-    if len(fvals) != n:
-        raise ValueError(f"expected {n} sample values, got {len(fvals)}")
-    coeffs: list = [Fraction(0)] * n
-    for m, (quotient, denom) in enumerate(_lagrange_factors(spectrum(j).eigs)):
-        weight = fvals[m] / denom
-        for power, c in enumerate(quotient):
-            coeffs[power] = coeffs[power] + c * weight
-    return coeffs
-
-
 def _lagrange_factors(eigs: Sequence[int]):
-    """(q_m, q_m(lambda_m)) per node, q_m = prod_{i != m} (x - lambda_i)."""
-    full: Poly = poly([1])
+    """(q_m, q_m(lambda_m)) per node, q_m = prod_{i != m} (x - lambda_i).
+
+    Both are integers: q_m as its coefficient tuple by power.  The columns
+    of V^-1 are these Lagrange-Sylvester projectors over their values, so
+    the independent oracles for both are findumonde_entry and V @ V^-1 = I.
+    """
+    full: Tuple[int, ...] = (1,)
     for lam in eigs:
-        full = _mul_linear(full, lam)
+        # full(x) * (x - lam)
+        full = tuple(lo - lam * hi for lo, hi in zip((0,) + full, full + (0,)))
     for lam in eigs:
         quotient = _deflate(full, lam)
         yield quotient, poly_eval(quotient, lam)
 
 
-def _mul_linear(p: Poly, root: int) -> Poly:
-    # p(x) * (x - root)
-    out = [Fraction(0)] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i + 1] += c
-        out[i] -= c * root
-    return poly(out)
-
-
-def _deflate(p: Poly, root: int) -> Poly:
+def _deflate(p: Tuple[int, ...], root: int) -> Tuple[int, ...]:
     # synthetic division of p by (x - root); the remainder vanishes because
     # root is one of the nodes used to build p
     d = len(p) - 1
-    q = [Fraction(0)] * d
+    q = [0] * d
     q[d - 1] = p[d]
     for i in range(d - 1, 0, -1):
         q[i - 1] = p[i] + root * q[i]
-    return poly(q)
+    return tuple(q)
 
 
 @dataclass(frozen=True)
@@ -191,16 +154,16 @@ def verify_fundamental_identity(j: HalfInt) -> FundamentalIdentityReport:
     Row form: for every eigenvalue lam of S,
     lam**(2j+1) == -sum_{k=0}^{2j} 2**(1+2j-k) t(2j+2, 1+k) lam**k.
     A failure points at a bug in the central-factorial table or spectrum.
+    The row's entries share one denominator, t(2j+2, 1+k) = num_k / den
+    (cfn_pair), so each eigenvalue is checked in integers:
+    lam**(2j+1) * den == -sum_k 2**(1+2j-k) num_k lam**k.
     """
     two_j = j.two_j
-    n = two_j + 2
-    for lam in spectrum(j).eigs:
-        lhs = Fraction(lam) ** (two_j + 1)
-        rhs = Fraction(0)
-        for k in range(two_j + 1):
-            t = cfn(n, 1 + k)
-            if t:
-                rhs -= Fraction(2) ** (1 + two_j - k) * t * Fraction(lam) ** k
-        if lhs != rhs:
-            return FundamentalIdentityReport(j, False, lam, lhs, rhs)
+    row = [cfn_pair(two_j + 2, 1 + k) for k in range(two_j + 1)]
+    den = row[0][1]
+    coeffs = [-(2 ** (1 + two_j - k)) * num for k, (num, _) in enumerate(row)]
+    for lam in spectrum(j):
+        lhs, rhs = lam ** (two_j + 1), poly_eval(coeffs, lam)
+        if lhs * den != rhs:
+            return FundamentalIdentityReport(j, False, lam, Fraction(lhs), Fraction(rhs, den))
     return FundamentalIdentityReport(j, True)

@@ -84,7 +84,7 @@ def _cmd_cfn(args) -> int:
 
 def _cmd_basis(args) -> int:
     if args.duals:
-        rows = dual_matrices(args.j).diags
+        rows = dual_matrices(args.j)
     elif args.inverse:
         rows = vandermonde_inverse(args.j)
     else:
@@ -190,7 +190,10 @@ def _cmd_shear(args) -> int:
         except ValueError:
             values[m] = math.nan
         print(f"|M|={m}: alpha(theta={args.theta!r}) = {values[m]!r}")
-    if len(magnitudes) <= 1:
+    if not magnitudes:
+        print("no nonzero |M| in the spectrum: no alpha <-> theta map is fixed")
+        return 0
+    if len(magnitudes) == 1:
         print("only one |M| in the spectrum: a single alpha <-> theta map works")
         return 0
     finite = [v for v in values.values() if not math.isnan(v)]
@@ -357,19 +360,7 @@ def _range_error(args) -> str | None:
     for j, k in itertools.product(spins, ks):
         if not 0 <= k <= j.two_j:
             return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"
-    if grid is None or not any(ks):
-        return None
-    alphas = grid.values()
-    if 0.0 in alphas:
-        return "B_k/alpha^k needs alpha != 0, but the alpha grid contains 0"
-    for k, alpha in itertools.product(ks, alphas):
-        try:
-            in_range = 0.0 < abs(alpha**k) < math.inf
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            return f"alpha^k leaves the float range at alpha = {alpha!r}, k = {k}"
-    return None
+    return None if grid is None else plots.alpha_power_error(ks, grid.values())
 
 
 def main(argv=None) -> int:

@@ -134,7 +134,7 @@ def _check_vinv(two_j: int) -> FixtureResult:
 
 def _check_duals(two_j: int) -> FixtureResult:
     name = f"dual-diagonals j={HalfInt(two_j)}"
-    got = basis.dual_matrices(HalfInt(two_j)).diags
+    got = basis.dual_matrices(HalfInt(two_j))
     want = DUALS_GOLDEN[two_j]
     if got == want:
         return FixtureResult(name, True)

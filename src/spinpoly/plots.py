@@ -9,12 +9,12 @@ output is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import cayley, expcoeffs
-from .exact import poly_eval
 from .halfint import HalfInt
 
 FIGURES = ("exp-A", "cayley-B12", "inv-det")
@@ -47,6 +47,26 @@ class GridSpec:
         return [self.start + i * step for i in range(self.count)]
 
 
+def alpha_power_error(ks: Sequence[int], alphas: Sequence[float]) -> str | None:
+    """Why B_k/alpha^k cannot be drawn over these alphas, if it cannot.
+
+    It can whenever every k is 0, and otherwise when alpha^k is a nonzero
+    finite float for every drawn k and alpha.
+    """
+    if not any(ks):
+        return None
+    if 0.0 in alphas:
+        return "B_k/alpha^k needs alpha != 0, but the alpha grid contains 0"
+    for k, alpha in itertools.product(ks, alphas):
+        try:
+            in_range = 0.0 < abs(alpha**k) < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            return f"alpha^k leaves the float range at alpha = {alpha!r}, k = {k}"
+    return None
+
+
 def figure_rows(
     figure: str,
     js: Sequence[HalfInt] | None = None,
@@ -56,7 +76,8 @@ def figure_rows(
     """Rows for one named figure.
 
     Raises ValueError on an unknown name, on ks for inv-det (which draws
-    none) and on a k outside 0..2j of a drawn spin.
+    none), on a k outside 0..2j of a drawn spin and, for cayley-B12, on an
+    alpha grid where alpha^k is 0 or leaves the float range.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
@@ -81,6 +102,9 @@ def figure_rows(
         return header, rows
     if figure == "cayley-B12":
         grid = grid or GridSpec(0.05, 5.0, 200)
+        error = alpha_power_error(ks, grid.values())
+        if error:
+            raise ValueError(error)
         header = ("alpha", "series", "value")
         rows = []
         for j in js:
@@ -102,9 +126,15 @@ def figure_rows(
     header = ("alpha", "series", "value")
     rows = []
     for j in js:
-        # the determinant holds zeros at odd powers; evaluate in alpha^2
-        fdet = [float(c) for c in cayley.det_poly(j)[::2]]
-        rows += [(a, f"j={j}", 1.0 / poly_eval(fdet, a * a)) for a in grid.values()]
+        ms = range(j.two_j, 0, -2)  # the positive eigenvalues M of 2 n.J
+        for a in grid.values():
+            # det(a) = prod (1 + M^2 a^2), so at a = p/q the integer
+            # prod (q^2 + M^2 p^2) is q**(2 * len(ms)) * det(a): one int/int
+            # division rounds 1/det(a) correctly, and no coefficient becomes
+            # a float
+            p, q = a.as_integer_ratio()
+            det_num = math.prod(q * q + m * m * p * p for m in ms)
+            rows.append((a, f"j={j}", q ** (2 * len(ms)) / det_num))
     return header, rows
 
 

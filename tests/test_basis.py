@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from spinpoly import basis
 from spinpoly.basis import (
     dual_matrices,
     findumonde_entry,
-    lagrange_sylvester,
     project_coefficients,
     spectrum,
     vandermonde,
@@ -19,11 +19,11 @@ from spinpoly.halfint import HalfInt, half_integers
 
 
 def test_spectrum():
-    assert spectrum(HalfInt(1)).eigs == (1, -1)
-    assert spectrum(HalfInt(0)).eigs == (0,)
-    assert spectrum(HalfInt(4)).eigs == (4, 2, 0, -2, -4)
+    assert spectrum(HalfInt(1)) == (1, -1)
+    assert spectrum(HalfInt(0)) == (0,)
+    assert spectrum(HalfInt(4)) == (4, 2, 0, -2, -4)
     for j in half_integers(12):
-        eigs = spectrum(j).eigs
+        eigs = spectrum(j)
         assert eigs == tuple(-e for e in reversed(eigs))
         assert all(a - b == 2 for a, b in zip(eigs, eigs[1:]))
 
@@ -32,8 +32,10 @@ def test_vandermonde_entries():
     assert vandermonde(HalfInt(1)) == ((F(1), F(1)), (F(1), F(-1)))
     v1 = vandermonde(HalfInt(2))
     assert [row[2] for row in v1] == [4, 0, 4]
-    for j in half_integers(8):
-        assert all(row[0] == 1 for row in vandermonde(j))
+    for j in half_integers(12):
+        v = vandermonde(j)
+        assert all(row[0] == 1 for row in v)
+        assert all(type(x) is int for row in v for x in row)
 
 
 def test_inverse_fixtures():
@@ -123,15 +125,18 @@ def test_findumonde_range_errors():
 
 
 def test_dual_fixtures():
-    assert dual_matrices(HalfInt(3)).row(0) == tuple(F(x, 16) for x in (-1, 9, 9, -1))
-    assert dual_matrices(HalfInt(2)).row(0) == (F(0), F(1), F(0))
-    assert dual_matrices(HalfInt(1)).row(1) == (F(1, 2), F(-1, 2))
+    assert dual_matrices(HalfInt(3))[0] == tuple(F(x, 16) for x in (-1, 9, 9, -1))
+    assert dual_matrices(HalfInt(2))[0] == (F(0), F(1), F(0))
+    assert dual_matrices(HalfInt(1))[1] == (F(1, 2), F(-1, 2))
+    # the diagonal of T_n is row n of V^-1
+    for j in half_integers(12):
+        assert dual_matrices(j) == vandermonde_inverse(j)
 
 
 def test_projection_rotation_spin_half():
     theta = 1.234
     j = HalfInt(1)
-    fvals = [cmath.exp(1j * theta * m / 2) for m in spectrum(j).eigs]
+    fvals = [cmath.exp(1j * theta * m / 2) for m in spectrum(j)]
     f0, f1 = project_coefficients(j, fvals)
     assert abs(f0 - math.cos(theta / 2)) < 1e-15
     assert abs(f1 - 1j * math.sin(theta / 2)) < 1e-15
@@ -142,41 +147,30 @@ def test_projection_constant_and_monomial():
     const = project_coefficients(j, [F(7)] * 5)
     assert const == [7, 0, 0, 0, 0]
     j1 = HalfInt(2)
-    fvals = [F(m) ** 2 for m in spectrum(j1).eigs]
+    fvals = [F(m) ** 2 for m in spectrum(j1)]
     assert project_coefficients(j1, fvals) == [0, 0, 1]
 
 
 def test_projection_length_mismatch():
     with pytest.raises(ValueError):
         project_coefficients(HalfInt(2), [1, 2])
-    with pytest.raises(ValueError):
-        lagrange_sylvester(HalfInt(2), [1, 2])
 
 
 def test_lagrange_covariants_sum_to_identity():
     for j in half_integers(8):
-        coeffs = lagrange_sylvester(j, [F(1)] * (j.two_j + 1))
+        coeffs = project_coefficients(j, [F(1)] * (j.two_j + 1))
         assert coeffs == [1] + [0] * j.two_j
 
 
 def test_lagrange_indicator_gives_projector():
     j = HalfInt(3)
-    eigs = spectrum(j).eigs
+    eigs = spectrum(j)
     fvals = [F(1), F(0), F(0), F(0)]
-    proj = lagrange_sylvester(j, fvals)
+    proj = project_coefficients(j, fvals)
     # the projector takes value 1 on its own eigenvalue, 0 on the others
     for i, lam in enumerate(eigs):
         value = sum(c * lam**p for p, c in enumerate(proj))
         assert value == (1 if i == 0 else 0)
-
-
-def test_lagrange_equals_projection_random_rational():
-    rng = random.Random(20240817)
-    for _ in range(100):
-        two_j = rng.randrange(0, 11)
-        j = HalfInt(two_j)
-        fvals = [F(rng.randrange(-40, 41), rng.randrange(1, 12)) for _ in range(two_j + 1)]
-        assert lagrange_sylvester(j, fvals) == project_coefficients(j, fvals)
 
 
 def test_polynomial_reconstruction_property():
@@ -186,15 +180,15 @@ def test_polynomial_reconstruction_property():
         j = HalfInt(two_j)
         fvals = [F(rng.randrange(-9, 10)) for _ in range(two_j + 1)]
         coeffs = project_coefficients(j, fvals)
-        for lam, want in zip(spectrum(j).eigs, fvals):
+        for lam, want in zip(spectrum(j), fvals):
             assert sum(c * lam**p for p, c in enumerate(coeffs)) == want
 
 
 def test_euler_rodrigues_match():
     theta = 0.71
     j = HalfInt(2)
-    fvals = [cmath.exp(1j * theta * m / 2) for m in spectrum(j).eigs]
-    got = lagrange_sylvester(j, fvals)
+    fvals = [cmath.exp(1j * theta * m / 2) for m in spectrum(j)]
+    got = project_coefficients(j, fvals)
     # f(S) = I + (i sin theta)/2 S + (cos theta - 1)/4 S^2 in powers of S = 2 n.J
     assert abs(got[0] - 1) < 1e-15
     assert abs(got[1] - 1j * math.sin(theta) / 2) < 1e-15
@@ -208,3 +202,21 @@ def test_fundamental_identity_small_and_sweep():
     for j in half_integers(16):
         report = verify_fundamental_identity(j)
         assert report.passed, (j, report)
+
+
+def test_fundamental_identity_reports_a_wrong_row_entry(monkeypatch):
+    # one wrong t(2j+2, 1+k) for one spin must fail that spin, and only it
+    real = basis.cfn_pair
+
+    def wrong_at_spin_two(n, k):
+        num, den = real(n, k)
+        return (num + 1, den) if (n, k) == (6, 3) else (num, den)
+
+    monkeypatch.setattr(basis, "cfn_pair", wrong_at_spin_two)
+    assert verify_fundamental_identity(HalfInt(3)).passed
+    report = verify_fundamental_identity(HalfInt(4))
+    assert not report.passed
+    assert report.failing_eigenvalue in spectrum(HalfInt(4))
+    assert isinstance(report.lhs, F) and isinstance(report.rhs, F)
+    assert report.lhs != report.rhs
+    assert report.lhs == F(report.failing_eigenvalue) ** 5

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import spinpoly
-from spinpoly import cli, fixtures
+from spinpoly import cayley, cli, fixtures
+from spinpoly.halfint import HalfInt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -171,6 +173,10 @@ def test_shear_command(capsys):
     code, out = run(capsys, "shear", "--j", "1/2", "--theta", "1")
     assert code == 0
     assert "a single alpha <-> theta map works" in out
+    # spin 0 has no nonzero |M|, so no map is fixed and none is claimed
+    code, out = run(capsys, "shear", "--j", "0", "--theta", "1")
+    assert code == 0
+    assert out == "no nonzero |M| in the spectrum: no alpha <-> theta map is fixed\n"
 
 
 def test_plotdata_command_and_determinism(capsys):
@@ -186,6 +192,18 @@ def test_plotdata_command_and_determinism(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["plotdata", "--figure", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("j", ["171/2", "90", "100"])
+def test_plotdata_inv_det_past_the_float_range_of_det(capsys, j):
+    # from 2j = 171 on, the largest determinant coefficient exceeds a float
+    code, out = run(capsys, "plotdata", "--figure", "inv-det", "--j", j, "--alpha-grid", "0:2:9")
+    assert code == 0
+    det = cayley.det_poly(HalfInt.parse(j))
+    for line in out.splitlines()[1:]:
+        alpha, _, value = line.split(",")
+        a = F(float(alpha))
+        assert float(value) == float(1 / sum(c * a**i for i, c in enumerate(det)))
 
 
 @pytest.mark.parametrize(

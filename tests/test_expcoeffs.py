@@ -125,7 +125,7 @@ def test_float_reconstruction_small_spins():
     for j in half_integers(10):
         for theta in thetas:
             table = exp_poly(j, theta)
-            for m2 in spectrum(j).eigs:
+            for m2 in spectrum(j):
                 got = sum(
                     a * (1j * m2) ** k / math.factorial(k) for k, a in enumerate(table.A)
                 )
@@ -173,7 +173,7 @@ def test_matches_basis_projection():
     for two_j in (3, 6, 9):
         j = HalfInt(two_j)
         for theta in (0.8, 2.4):
-            fvals = [cmath.exp(1j * theta * m2 / 2) for m2 in spectrum(j).eigs]
+            fvals = [cmath.exp(1j * theta * m2 / 2) for m2 in spectrum(j)]
             projected = project_coefficients(j, fvals)
             table = exp_poly(j, theta)
             for k, (fk, ak) in enumerate(zip(projected, table.A)):
