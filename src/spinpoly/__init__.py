@@ -49,6 +49,7 @@ from .expcoeffs import (
     a_coeff_derivative_path,
     a_coeff_trunc,
     epsilon,
+    exp_grid,
     exp_poly,
     exp_reconstruction,
 )

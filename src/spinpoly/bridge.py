@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .cayley import eval_coeffs
 from .cfn import cfn_pair
-from .expcoeffs import a_coeff_trunc
+from .expcoeffs import exp_grid
 from .halfint import HalfInt
 
 
@@ -113,12 +113,15 @@ def quadrature_check(
     nodes, weights = gauss_legendre(8)
     kfact = math.factorial(k)
     h = T / panels
+    points = [
+        ((p + 0.5) * h + 0.5 * h * x, w)
+        for p in range(panels)
+        for x, w in zip(nodes, weights)
+    ]
+    values = exp_grid(j, [2.0 * alpha * t for t, _ in points], (k,))
     total = 0.0
-    for p in range(panels):
-        mid = (p + 0.5) * h
-        for x, w in zip(nodes, weights):
-            t = mid + 0.5 * h * x
-            total += w * math.exp(-t) * a_coeff_trunc(j, k, 2.0 * alpha * t)
+    for (t, w), (a,) in zip(points, values):
+        total += w * math.exp(-t) * a
     return total * 0.5 * h / kfact
 
 

@@ -9,10 +9,11 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import itertools
 import json
 import math
+import shutil
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -62,10 +63,19 @@ def _parse_j_list(text: str) -> list[HalfInt]:
 
 
 def _emit_csv(header, rows, path: str | None) -> None:
+    """Header and a sequence of row tuples as CSV: comma-separated, CRLF-terminated.
+
+    Each field prints as str, which is repr for a float and p/q for a
+    Fraction.  No field ever holds a comma, a quote or a line break, so no
+    field is quoted and the bytes are those of csv.writer's default dialect.
+    """
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)  # floats as repr, everything else as str
+        out.write(line % tuple(header))
+        # one write per 256 rows is as fast as one join of all of them, and
+        # never holds the whole text in memory beside the rows
+        for i in range(0, len(rows), 256):
+            out.write("".join([line % row for row in rows[i : i + 256]]))
 
 
 def _cmd_cfn(args) -> int:
@@ -97,11 +107,11 @@ def _cmd_coeffs_exp(args) -> int:
     j = args.j
     if args.theta_grid is not None:
         thetas = args.theta_grid.values()
-        if args.k is not None:
-            rows = [(theta, args.k, expcoeffs.a_coeff_trunc(j, args.k, theta)) for theta in thetas]
-        else:
-            tables = ((theta, expcoeffs.exp_poly(j, theta)) for theta in thetas)
-            rows = [(theta, k, a) for theta, table in tables for k, a in enumerate(table.A)]
+        ks = range(j.two_j + 1) if args.k is None else (args.k,)
+        rows = []
+        for theta, values in zip(thetas, expcoeffs.exp_grid(j, thetas, ks)):
+            t = repr(theta)  # formatted once per grid point
+            rows += [(t, k, a) for k, a in zip(ks, values)]
         _emit_csv(("theta", "k", "A_k"), rows, args.csv)
         return 0
     table = expcoeffs.exp_poly(j, args.theta)
@@ -125,11 +135,10 @@ def _cmd_coeffs_cayley(args) -> int:
             print(f"A_{k}: num = [{', '.join(map(str, a.num))}], den = [{', '.join(map(str, a.den))}]")
         return 0
     if args.alpha_grid is not None:
-        rows = [
-            (alpha, k, b, a)
-            for alpha in args.alpha_grid.values()
-            for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha)))
-        ]
+        rows = []
+        for alpha in args.alpha_grid.values():
+            t = repr(alpha)  # formatted once per grid point
+            rows += [(t, k, b, a) for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha)))]
         _emit_csv(("alpha", "k", "B_k", "A_k"), rows, args.csv)
         return 0
     alpha = args.alpha if args.alpha is not None else 1.0
@@ -205,8 +214,13 @@ def _cmd_shear(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    grid = args.theta_grid or args.alpha_grid
-    header, rows = plots.figure_rows(args.figure, args.j or None, args.k or None, grid)
+    header, rows = plots.figure_rows(
+        args.figure,
+        args.j or None,
+        args.k or None,
+        theta_grid=args.theta_grid,
+        alpha_grid=args.alpha_grid,
+    )
     _emit_csv(header, rows, args.csv)
     return 0
 
@@ -303,7 +317,7 @@ def _add_commands(parser, dest, table, path) -> None:
     sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name, (text, add_arguments) in table.items():
         if chosen in (None, name):
-            p = sub.add_parser(name, help=text)
+            p = sub.add_parser(name, help=text, formatter_class=parser.formatter_class)
             if isinstance(add_arguments, dict):
                 _add_commands(p, "family", add_arguments, path[1:])
             else:
@@ -312,10 +326,14 @@ def _add_commands(parser, dest, table, path) -> None:
 
 def build_parser(*path: str) -> argparse.ArgumentParser:
     """The argparse tree: only the (command, family) branch path names, else every branch."""
+    # argparse's own formatter reads the terminal width each time it is made,
+    # once per add_argument; read it once per tree, less 2 as that formatter does
+    width = shutil.get_terminal_size().columns - 2
     parser = argparse.ArgumentParser(
         prog="spinpoly",
         description="Spin matrix polynomials: exact rotation-coefficient tables, "
         "verification suites, and figure data as CSV.",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
     )
     _add_commands(parser, "command", _commands(), path)
     return parser
@@ -348,9 +366,9 @@ def _range_error(args) -> str | None:
             return "--j-list mixes integer and semi-integer spins, whose limits differ"
         spins, ks, grid = args.j_list, [args.k], args.alpha_grid
     elif args.command == "plotdata":
-        axis, other = ("theta", "alpha") if args.figure == "exp-A" else ("alpha", "theta")
-        if getattr(args, f"{other}_grid") is not None:
-            return f"--figure {args.figure} takes --{axis}-grid, not --{other}-grid"
+        error = plots.grid_axis_error(args.figure, args.theta_grid, args.alpha_grid)
+        if error:
+            return error
         if args.figure == "inv-det" and args.k:
             return "--figure inv-det draws no k; drop --k"
         spins = args.j or plots.DEFAULT_SPINS[args.figure]

@@ -9,7 +9,9 @@ when 2j - k is even, column k + 1 when it is odd, through the identity
 (arcsin s)**k / sqrt(1 - s**2) = d/ds (arcsin s)**(k+1) / (k+1).  Three
 generation paths are provided (truncated series, direct central-factorial
 sum, derivative relation); they must agree and are tested against each
-other.
+other.  The truncated series is the production path: exp_grid evaluates
+it over a grid of angles, and a_coeff_trunc and exp_poly are exp_grid at
+one point.
 
 Each coefficient is cached once as an exact integer pair (num, den), shared
 by every spin whose series reaches it; the float series divides each pair
@@ -78,20 +80,42 @@ def _series_float(two_j: int, k: int) -> Tuple[float, ...]:
     return tuple(num / den for num, den in _terms(two_j, k))
 
 
-def _trunc_at(two_j: int, k: int, s: float, s2: float, c: float) -> float:
-    # A_k at (s, s*s, c), (s, c) = (sin, cos)(theta/2): the one series evaluator
-    val = poly_eval(_series_float(two_j, k), s2)
-    val *= s**k
-    if (two_j - k) % 2:
-        val *= c
-    return val
+def exp_grid(
+    j: HalfInt, thetas: Iterable[float], ks: Iterable[int] | None = None
+) -> list[Tuple[float, ...]]:
+    """A_k(theta) for each theta and each k in ks (default 0..2j): the one series evaluator.
+
+    Returns one tuple per theta, in the order of ks.  Each series is
+    fetched once per call; per point, the half-angle sine s and cosine c
+    are taken once, and each A_k is Horner in s*s from the top coefficient
+    down, times s**k, times c when 2j - k is odd.  a_coeff_trunc, exp_poly
+    and every grid of the truncated series come through here, so they
+    agree bit for bit.  Raises ValueError on a k outside 0..2j.
+    """
+    two_j = j.two_j
+    ks = range(two_j + 1) if ks is None else ks
+    # epsilon checks k before the series is read
+    plan = [(k, epsilon(j, k), _series_float(two_j, k)[::-1]) for k in ks]
+    out = []
+    for theta in thetas:
+        s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+        s2 = s * s
+        row = []
+        for k, odd, coeffs in plan:
+            acc = 0 * s2
+            for co in coeffs:
+                acc = acc * s2 + co
+            acc *= s**k
+            if odd:
+                acc *= c
+            row.append(acc)
+        out.append(tuple(row))
+    return out
 
 
 def a_coeff_trunc(j: HalfInt, k: int, theta: float) -> float:
-    """A_k(theta) from the truncated-series formula (the production path)."""
-    s = math.sin(theta / 2.0)
-    c = math.cos(theta / 2.0) if epsilon(j, k) else 0.0  # enters odd 2j - k only
-    return _trunc_at(j.two_j, k, s, s * s, c)
+    """A_k(theta) from the truncated-series formula: exp_grid at one point."""
+    return exp_grid(j, (theta,), (k,))[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -150,16 +174,8 @@ class ExpCoeffTable:
 
 
 def exp_poly(j: HalfInt, theta: float) -> ExpCoeffTable:
-    """Full coefficient table at one angle, via the truncated-series path.
-
-    The same values as a_coeff_trunc for each k, with the half-angle sine
-    and cosine taken once for the whole table.
-    """
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    s2 = s * s
-    return ExpCoeffTable(
-        j, theta, tuple(_trunc_at(j.two_j, k, s, s2, c) for k in range(j.two_j + 1))
-    )
+    """Full coefficient table at one angle: exp_grid at one point."""
+    return ExpCoeffTable(j, theta, exp_grid(j, (theta,))[0])
 
 
 # ---------------------------------------------------------------------------

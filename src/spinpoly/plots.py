@@ -67,20 +67,43 @@ def alpha_power_error(ks: Sequence[int], alphas: Sequence[float]) -> str | None:
     return None
 
 
+def grid_axis_error(
+    figure: str, theta_grid: GridSpec | None, alpha_grid: GridSpec | None
+) -> str | None:
+    """Why the figure cannot take these grids, if it cannot.
+
+    exp-A is drawn over theta, the other figures over alpha; a grid given
+    for the other axis is refused rather than read as the figure's own.
+    """
+    if figure == "exp-A":
+        axis, other, wrong = "theta", "alpha", alpha_grid
+    else:
+        axis, other, wrong = "alpha", "theta", theta_grid
+    if wrong is not None:
+        return f"--figure {figure} takes --{axis}-grid, not --{other}-grid"
+    return None
+
+
 def figure_rows(
     figure: str,
     js: Sequence[HalfInt] | None = None,
     ks: Sequence[int] | None = None,
-    grid: GridSpec | None = None,
+    *,
+    theta_grid: GridSpec | None = None,
+    alpha_grid: GridSpec | None = None,
 ) -> tuple[tuple[str, str, str], list[tuple[float, str, float]]]:
-    """Rows for one named figure.
+    """Rows for one named figure, over theta_grid for exp-A, else alpha_grid.
 
-    Raises ValueError on an unknown name, on ks for inv-det (which draws
-    none), on a k outside 0..2j of a drawn spin and, for cayley-B12, on an
-    alpha grid where alpha^k is 0 or leaves the float range.
+    Raises ValueError on an unknown name, on a grid for the other axis, on
+    ks for inv-det (which draws none), on a k outside 0..2j of a drawn
+    spin and, for cayley-B12, on an alpha grid where alpha^k is 0 or
+    leaves the float range.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
+    error = grid_axis_error(figure, theta_grid, alpha_grid)
+    if error:
+        raise ValueError(error)
     js = js or DEFAULT_SPINS[figure]
     ks = ks if ks is not None else DEFAULT_KS[figure]
     if figure == "inv-det" and ks:
@@ -90,18 +113,17 @@ def figure_rows(
             if not 0 <= k <= j.two_j:
                 raise ValueError(f"k = {k} is outside 0..2j = 0..{j.two_j} for j = {j}")
     if figure == "exp-A":
-        grid = grid or GridSpec(0.0, 4 * math.pi, 800)
+        thetas = (theta_grid or GridSpec(0.0, 4 * math.pi, 800)).values()
         header = ("theta", "series", "value")
         rows = []
         for j in js:
-            for k in ks:
-                rows += [
-                    (th, f"j={j} k={k}", expcoeffs.a_coeff_trunc(j, k, th))
-                    for th in grid.values()
-                ]
+            values = expcoeffs.exp_grid(j, thetas, ks)
+            for i, k in enumerate(ks):
+                label = f"j={j} k={k}"
+                rows += [(th, label, row[i]) for th, row in zip(thetas, values)]
         return header, rows
     if figure == "cayley-B12":
-        grid = grid or GridSpec(0.05, 5.0, 200)
+        grid = alpha_grid or GridSpec(0.05, 5.0, 200)
         error = alpha_power_error(ks, grid.values())
         if error:
             raise ValueError(error)
@@ -122,7 +144,7 @@ def figure_rows(
                     for a in grid.values()
                 ]
         return header, rows
-    grid = grid or GridSpec(0.0, 2.0, 400)
+    grid = alpha_grid or GridSpec(0.0, 2.0, 400)
     header = ("alpha", "series", "value")
     rows = []
     for j in js:

@@ -61,10 +61,11 @@ def _check_fundamental_identity(max_two_j: int, tally: _Tally) -> str | None:
 
 def _check_exp_paths(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
+        grid = expcoeffs.exp_grid(j, _THETAS)
         for k in range(j.two_j + 1):
             even = expcoeffs.epsilon(j, k) == 0
-            for theta in _THETAS:
-                a = expcoeffs.a_coeff_trunc(j, k, theta)
+            for theta, row in zip(_THETAS, grid):
+                a = row[k]
                 if even:
                     b = expcoeffs.a_coeff_cfn_series(j, k, theta)
                     op = "a_coeff_cfn_series"

@@ -1,4 +1,7 @@
 import argparse
+import csv
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -328,3 +331,90 @@ def test_main_builds_only_the_chosen_command(capsys, monkeypatch):
     built.clear()
     cli.build_parser()
     assert len(built) == len(list(_command_paths()))
+
+
+def _parsers(parser):
+    """parser and every parser below it in the tree."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_text_is_argparse_own_at_the_terminal_width(monkeypatch, columns):
+    # build_parser binds the width once; argparse's default formatter reads
+    # it anew for every help, so both must print the same text
+    monkeypatch.setenv("COLUMNS", columns)
+    for path in [[]] + list(_command_paths()):
+        for parser in _parsers(cli.build_parser(*path)):
+            bound = parser.format_help(), parser.format_usage()
+            parser.formatter_class = argparse.HelpFormatter
+            assert (parser.format_help(), parser.format_usage()) == bound, path
+
+
+def test_parser_reads_the_terminal_width_once_per_build(monkeypatch):
+    import shutil
+
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    cli.build_parser("coeffs", "exp")
+    assert len(calls) == 1
+    cli.build_parser()
+    assert len(calls) == 2
+
+
+def _csv_oracle(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cfn", "--n", "9", "--table", "--csv", "FILE"],
+        ["basis", "--j", "5/2", "--inverse"],
+        ["basis", "--j", "3", "--duals", "--csv", "-"],
+        ["basis", "--j", "2", "--csv", "FILE"],
+        ["coeffs", "exp", "--j", "7/2", "--theta-grid=-4pi:4pi:9"],
+        ["coeffs", "exp", "--j", "3", "--theta-grid=-0:1:3", "--csv", "FILE"],
+        ["coeffs", "exp", "--j", "3", "--k", "1", "--theta-grid=-0:0:1"],
+        ["coeffs", "exp", "--j", "12", "--k", "5", "--theta-grid=-2pi:8pi:7", "--csv", "-"],
+        ["coeffs", "cayley", "--j", "5/2", "--alpha-grid", "0:2:5", "--csv", "FILE"],
+        ["asymp", "--j-list", "2,4", "--k", "1", "--alpha-grid", "0.5:2:4"],
+        ["plotdata", "--figure", "exp-A", "--theta-grid", "0:4pi:5"],
+        ["plotdata", "--figure", "cayley-B12", "--alpha-grid", "0.5:2:3", "--csv", "-"],
+        ["plotdata", "--figure", "inv-det", "--csv", "FILE"],
+    ],
+)
+def test_emitted_csv_is_csv_writer_output_byte_for_byte(capsys, monkeypatch, tmp_path, argv):
+    target = tmp_path / "out.csv"
+    argv = [str(target) if a == "FILE" else a for a in argv]
+    emitted = []
+    emit = cli._emit_csv
+
+    def recording(header, rows, path):
+        emitted.append((header, rows))
+        emit(header, rows, path)
+
+    monkeypatch.setattr(cli, "_emit_csv", recording)
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(emitted) == 1
+    header, rows = emitted[0]
+    assert rows
+    written = target.read_bytes().decode() if str(target) in argv else out
+    assert written == _csv_oracle(header, rows)
+    # the template writer quotes nothing: no field may need quoting
+    for field in itertools.chain(header, *rows):
+        if isinstance(field, str):
+            assert not set(field) & set(',"\r\n'), field

@@ -7,12 +7,13 @@ import pytest
 from spinpoly import expcoeffs
 from spinpoly.basis import project_coefficients, spectrum
 from spinpoly.cfn import cfn
-from spinpoly.exact import poly, poly_mul
+from spinpoly.exact import poly, poly_eval, poly_mul
 from spinpoly.expcoeffs import (
     a_coeff_cfn_series,
     a_coeff_derivative_path,
     a_coeff_trunc,
     epsilon,
+    exp_grid,
     exp_poly,
     exp_reconstruction,
 )
@@ -205,3 +206,48 @@ def test_large_spin_tables_evaluate():
         for k in range(6):
             val = a_coeff_trunc(j, k, 2.2)
             assert math.isfinite(val)
+
+
+def _per_point(two_j, k, theta):
+    """A_k(theta) by the per-point route exp_grid replaced: Horner through poly_eval."""
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    val = poly_eval(expcoeffs._series_float(two_j, k), s * s) * s**k
+    return val * c if (two_j - k) % 2 else val
+
+
+# zeros of both signs, negative angles, multiples of 4pi and far multiples
+GRID_THETAS = [0.0, -0.0, 1e-300, -1e-300, -0.3, -math.pi, -7.5, 1.1, 2 * math.pi,
+               4 * math.pi, -4 * math.pi, 8 * math.pi, 100 * math.pi, 11.0]
+
+
+def test_exp_grid_is_the_per_point_series_bit_for_bit():
+    # repr tells -0.0 from 0.0, which == would not
+    for two_j in [*range(41), 137, 138, 200]:
+        j = HalfInt(two_j)
+        grid = exp_grid(j, GRID_THETAS)
+        assert len(grid) == len(GRID_THETAS)
+        for theta, row in zip(GRID_THETAS, grid):
+            want = [repr(_per_point(two_j, k, theta)) for k in range(two_j + 1)]
+            assert [repr(a) for a in row] == want, (two_j, theta)
+    # the sign of a zero angle survives into the odd powers of s
+    assert repr(exp_grid(HalfInt(3), [-0.0], [1])[0][0]) == "-0.0"
+
+
+def test_exp_grid_takes_a_k_subset_in_its_order():
+    j = HalfInt(21)
+    full = exp_grid(j, GRID_THETAS)
+    ks = [7, 0, 21, 3, 7]
+    assert exp_grid(j, GRID_THETAS, ks) == [tuple(row[k] for k in ks) for row in full]
+    assert exp_grid(j, GRID_THETAS, []) == [()] * len(GRID_THETAS)
+    assert exp_grid(j, [], ks) == []
+    for theta, row in zip(GRID_THETAS, full):
+        assert [repr(a_coeff_trunc(j, k, theta)) for k in ks] == [repr(row[k]) for k in ks]
+
+
+@pytest.mark.parametrize("two_j, k", [(0, 1), (4, 5), (4, -1), (7, 8), (7, -3)])
+def test_k_outside_the_spin_is_refused(two_j, k):
+    j = HalfInt(two_j)
+    with pytest.raises(ValueError, match=f"k must lie in 0..{two_j}, got {k}"):
+        a_coeff_trunc(j, k, 0.5)
+    with pytest.raises(ValueError, match=f"k must lie in 0..{two_j}, got {k}"):
+        exp_grid(j, [], [0, k])

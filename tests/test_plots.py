@@ -8,10 +8,10 @@ GRID = plots.GridSpec(0.5, 1.0, 2)
 
 def test_inv_det_refuses_ks():
     with pytest.raises(ValueError, match="inv-det draws no k"):
-        plots.figure_rows("inv-det", ks=[3], grid=GRID)
+        plots.figure_rows("inv-det", ks=[3], alpha_grid=GRID)
     # an empty ks is no k at all
-    rows = plots.figure_rows("inv-det", grid=GRID)
-    assert plots.figure_rows("inv-det", ks=[], grid=GRID) == rows
+    rows = plots.figure_rows("inv-det", alpha_grid=GRID)
+    assert plots.figure_rows("inv-det", ks=[], alpha_grid=GRID) == rows
 
 
 @pytest.mark.parametrize(
@@ -25,8 +25,9 @@ def test_inv_det_refuses_ks():
     ],
 )
 def test_k_outside_a_drawn_spin_is_refused(figure, js, ks):
+    axis = "theta_grid" if figure == "exp-A" else "alpha_grid"
     with pytest.raises(ValueError, match="is outside 0..2j"):
-        plots.figure_rows(figure, js=js, ks=ks, grid=GRID)
+        plots.figure_rows(figure, js=js, ks=ks, **{axis: GRID})
 
 
 @pytest.mark.parametrize(
@@ -40,4 +41,33 @@ def test_k_outside_a_drawn_spin_is_refused(figure, js, ks):
 def test_alpha_grid_outside_the_float_range_of_alpha_k_is_refused(grid, ks, message):
     js = [HalfInt(80)] if ks == [80] else None
     with pytest.raises(ValueError, match=message):
-        plots.figure_rows("cayley-B12", js=js, ks=ks, grid=grid)
+        plots.figure_rows("cayley-B12", js=js, ks=ks, alpha_grid=grid)
+
+
+@pytest.mark.parametrize(
+    "figure, grids",
+    [
+        ("exp-A", {"alpha_grid": GRID}),
+        ("exp-A", {"theta_grid": GRID, "alpha_grid": GRID}),
+        ("cayley-B12", {"theta_grid": GRID}),
+        ("inv-det", {"theta_grid": GRID}),
+        ("inv-det", {"theta_grid": GRID, "alpha_grid": GRID}),
+    ],
+)
+def test_a_grid_for_the_other_axis_is_refused(figure, grids):
+    # a GridSpec carries no axis: the keyword names it, and the wrong one is refused
+    message = plots.grid_axis_error(figure, grids.get("theta_grid"), grids.get("alpha_grid"))
+    assert message is not None
+    with pytest.raises(ValueError, match=message):
+        plots.figure_rows(figure, **grids)
+
+
+def test_grids_are_keyword_only_and_drawn_on_their_axis():
+    with pytest.raises(TypeError):
+        plots.figure_rows("exp-A", None, None, GRID)
+    for figure, axis in (("exp-A", "theta_grid"), ("cayley-B12", "alpha_grid"), ("inv-det", "alpha_grid")):
+        grids = {axis: GRID}
+        assert plots.grid_axis_error(figure, grids.get("theta_grid"), grids.get("alpha_grid")) is None
+        header, rows = plots.figure_rows(figure, **grids)
+        assert header[0] == axis.split("_")[0]
+        assert sorted({row[0] for row in rows}) == GRID.values()
