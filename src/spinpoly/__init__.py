@@ -4,12 +4,14 @@ Rotations of a spin-j system, written either as exponentials or as Cayley
 rational forms, reduce to polynomials in the spin matrix.  This package
 computes the polynomial coefficients exactly — rational arithmetic
 throughout, floats only at final evaluation — and cross-validates every
-table through independent generation paths.
+table through independent generation paths.  The names exported here are
+the ones the CLI, ``verify`` and the fixtures run, plus the general entry
+point project_coefficients; the closed-form references that only tests
+compare against live in tests/oracles.py.
 """
 
 from .basis import (
     dual_matrices,
-    findumonde_entry,
     project_coefficients,
     spectrum,
     vandermonde,
@@ -21,9 +23,6 @@ from .bridge import (
     b_from_a_laplace,
     laplace_pair,
     quadrature_check,
-    shear_map,
-    theta_from_alpha,
-    verify_exp_equal_cayley,
 )
 from .cayley import (
     CayleyCoeffs,
@@ -31,18 +30,15 @@ from .cayley import (
     asymp_fermionic,
     b_coeffs,
     b_coeffs_recursion,
-    b_exact_gamma,
     cayley_reconstruction,
     det_forms,
     det_gamma,
     det_poly,
     reduce_over_det,
-    relative_error,
     resolvent_coeffs,
-    trigamma_int,
 )
-from .cfn import cfn_asymptotic_ratio, cfn_even, cfn_odd, cfn_t2, cfn_t4, det_cfn_row
-from .exact import RationalFunction, poly, poly_eval, poly_mul
+from .cfn import det_cfn_row
+from .exact import RationalFunction, poly, poly_eval
 from .expcoeffs import (
     ExpCoeffTable,
     a_coeff_cfn_series,

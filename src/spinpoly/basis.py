@@ -2,16 +2,14 @@
 
 Everything is built in the basis where the doubled spin component
 S = 2*J3 is diagonal with integer eigenvalues [2j, 2j-2, ..., -2j].
-Rows/columns of the Vandermonde matrix follow the 1-based convention
-(k, l = 1..2j+1) in the public closed-form entry; internal storage is
-0-based tuples.  The nodes, V and every Lagrange factor are integers; only
-the entries of V^-1 are Fractions, one integer ratio each.
+Storage is 0-based tuples; the closed-form entry at 1-based (k, l), the
+independent check of V^-1, is findumonde_entry in tests/oracles.py.  The
+nodes, V and every Lagrange factor are integers; only the entries of V^-1
+are Fractions, one integer ratio each.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,36 +56,6 @@ def vandermonde_inverse(j: HalfInt) -> Matrix:
     return _vandermonde_inverse(j.two_j)
 
 
-def findumonde_entry(j: HalfInt, k: int, l: int) -> Fraction:
-    """Closed-form inverse-Vandermonde entry at 1-based (k, l).
-
-    Evaluates the nested-sum numerator directly; the subset enumeration is
-    exponential in 2j+1-k, so this is a cross-check for small spins, not
-    the production path.
-    """
-    n = j.two_j + 1
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError(f"indices must lie in 1..{n}, got ({k}, {l})")
-    size = n - k
-    if size == 0:
-        numerator = Fraction(1)
-    else:
-        others = [m for m in range(1, n + 1) if m != l]
-        total = Fraction(0)
-        for subset in itertools.combinations(others, size):
-            term = Fraction(1)
-            for m in subset:
-                term *= Fraction(j.two_j + 2 - 2 * m, 2)  # j + 1 - m
-            total += term
-        numerator = -total if (k - j.two_j - 1) % 2 else total
-    sign = -1 if (1 - l) % 2 else 1
-    return (
-        Fraction(sign, 2 ** (k - 1))
-        * numerator
-        / (math.factorial(n - l) * math.factorial(l - 1))
-    )
-
-
 def dual_matrices(j: HalfInt) -> Matrix:
     """Diagonals of the trace-orthonormal dual matrices T_0 .. T_2j.
 
@@ -117,7 +85,8 @@ def _lagrange_factors(eigs: Sequence[int]):
 
     Both are integers: q_m as its coefficient tuple by power.  The columns
     of V^-1 are these Lagrange-Sylvester projectors over their values, so
-    the independent oracles for both are findumonde_entry and V @ V^-1 = I.
+    the independent oracles for both are V @ V^-1 = I and the closed-form
+    findumonde_entry of tests/oracles.py.
     """
     full: Tuple[int, ...] = (1,)
     for lam in eigs:

@@ -1,5 +1,5 @@
 """Laplace-transform bridge between the exponential and Cayley coefficients,
-plus the eigenvalue-dependent variable-change ("parameter shear") maps.
+plus the eigenvalue-dependent parameter map alpha(theta) ("parameter shear").
 
 B_k(alpha) = (1/k!) * integral_0^inf e^{-t} A_k(2*alpha*t) dt.  The primary
 path is fully analytic: the central-factorial expansion of A_k turns the
@@ -9,7 +9,6 @@ quadrature of the defining integral is kept as an independent oracle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,30 +132,3 @@ def alpha_from_theta(m_eig: float, theta: float) -> float:
     if abs(c) < 1e-15:
         raise ValueError(f"tan pole: m*theta/2 = {m_eig * theta / 2} is an odd multiple of pi/2")
     return math.tan(m_eig * theta / 2.0) / (2.0 * m_eig)
-
-
-def theta_from_alpha(m_eig: float, alpha: float) -> float:
-    """theta(alpha) = (2/m) * arctan(2*m*alpha), the principal branch."""
-    if m_eig == 0:
-        raise ValueError("the m = 0 eigenstate fixes no relation between the parameters")
-    return 2.0 / m_eig * math.atan(2.0 * m_eig * alpha)
-
-
-def shear_map(m_eig: float, value: float, direction: str = "theta-to-alpha") -> float:
-    """Dispatch between the two eigenvalue-dependent parameter maps."""
-    if direction == "theta-to-alpha":
-        return alpha_from_theta(m_eig, value)
-    if direction == "alpha-to-theta":
-        return theta_from_alpha(m_eig, value)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def verify_exp_equal_cayley(m_eig: float, theta: float) -> bool:
-    """Per-eigenstate identity e^{i theta m} == (1+2i a m)/(1-2i a m)
-    with a = alpha(theta; m); trivially true at m = 0."""
-    if m_eig == 0:
-        return True
-    a = alpha_from_theta(m_eig, theta)
-    lhs = cmath.exp(1j * theta * m_eig)
-    rhs = (1 + 2j * a * m_eig) / (1 - 2j * a * m_eig)
-    return abs(lhs - rhs) <= 1e-12

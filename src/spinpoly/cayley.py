@@ -325,37 +325,6 @@ def asymp_fermionic(k: int, alpha: float) -> float:
     return 1.0 - math.exp(log_partial - _log_cosh(x))
 
 
-def trigamma_int(j: int) -> float:
-    """Trigamma at the positive integer 1 + j: pi^2/6 - sum_{k<=j} 1/k^2."""
-    if j < 0:
-        raise ValueError("j must be a nonnegative integer")
-    return math.pi * math.pi / 6.0 - math.fsum(1.0 / (k * k) for k in range(1, j + 1))
-
-
-def b_exact_gamma(j: int, k: int, alpha: float) -> float:
-    """B_k(alpha)/alpha**k for integer spin j, via the gamma closed forms.
-
-    k in {1, 2} uses 1 - prod_{n<=j} n^2/(n^2 + 1/(4 alpha^2)); k in
-    {3, 4} multiplies the product by the trigamma correction factor.
-    Each n^2/(n^2+y^2) factor sits in (0, 1], so no overflow handling is
-    needed here.
-    """
-    if j < 0:
-        raise ValueError("j must be a nonnegative integer")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    y2 = 1.0 / (4.0 * alpha * alpha)
-    factor = 1.0
-    for n in range(1, j + 1):
-        factor *= n * n / (n * n + y2)
-    if k in (1, 2):
-        return 1.0 - factor
-    if k in (3, 4):
-        correction = 1.0 + (math.pi**2 - 6.0 * trigamma_int(j)) / (24.0 * alpha * alpha)
-        return 1.0 - factor * correction
-    raise ValueError(f"closed forms cover k in 1..4, got {k}")
-
-
 def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
     """lim_{j->inf} B_k(alpha)/alpha**k at fixed k, per spin parity."""
     if k < 0:
@@ -363,26 +332,6 @@ def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
     if is_integer_spin:
         return 1.0 if k == 0 else asymp_bosonic((k + 1) // 2, alpha)
     return asymp_fermionic(k // 2, alpha)
-
-
-def relative_error(j: HalfInt, k: int, alpha: float) -> float:
-    """(A_k^inf - A_k^[j]) / A_k^[j] at the given alpha.
-
-    The limit coefficient is 2*alpha**k times the parity-matched asymptotic
-    ratio (and 2*ratio - 1 for k = 0).  Raises on a vanishing denominator,
-    which happens at alpha = 0 for every k >= 1.
-    """
-    if not 0 <= k <= j.two_j:
-        raise ValueError(f"k must lie in 0..{j.two_j}, got {k}")
-    a_j = eval_coeffs(j, alpha)[1][k]
-    if a_j == 0:
-        raise ZeroDivisionError(f"A_{k}[{j}]({alpha}) = 0")
-    ratio = b_limit_ratio(j.is_integer, k, alpha)
-    if k == 0:
-        a_inf = 2.0 * ratio - 1.0
-    else:
-        a_inf = 2.0 * alpha**k * ratio
-    return (a_inf - a_j) / a_j
 
 
 @dataclass(frozen=True)

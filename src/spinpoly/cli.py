@@ -32,7 +32,10 @@ def _parse_float_token(text: str) -> float:
         head, _, tail = t.partition("pi")
         value = math.pi * (float(head) if head and head not in "+-" else float(head + "1"))
         if tail.startswith("/"):
-            value /= float(tail[1:])
+            divisor = float(tail[1:])
+            if not divisor:
+                raise argparse.ArgumentTypeError(f"cannot parse {text!r}: division by zero")
+            value /= divisor
         elif tail:
             raise argparse.ArgumentTypeError(f"cannot parse {text!r}")
         return value
@@ -233,21 +236,20 @@ _FLAG = {"action": "store_true"}
 
 
 def _options(fn, options):
-    """A command's add_arguments: each (flag, keywords) option in turn, fn as its handler."""
+    """A command's add_arguments: each (flag, keywords) option in turn, fn as its handler.
+
+    A tuple of flags is a mutually exclusive group, its value the tuple of their keywords.
+    """
     def add_arguments(parser):
-        for flag, keywords in options.items():
-            parser.add_argument(flag, **keywords)
+        for flags, keywords in options.items():
+            if isinstance(flags, str):
+                parser.add_argument(flags, **keywords)
+                continue
+            group = parser.add_mutually_exclusive_group()
+            for flag, kw in zip(flags, keywords):
+                group.add_argument(flag, **kw)
         parser.set_defaults(fn=fn)
     return add_arguments
-
-
-def _basis_arguments(parser):
-    parser.add_argument("--j", **_J)
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--inverse", **_FLAG)
-    group.add_argument("--duals", **_FLAG)
-    parser.add_argument("--csv", **_CSV)
-    parser.set_defaults(fn=_cmd_basis)
 
 
 def _commands() -> dict:
@@ -259,20 +261,25 @@ def _commands() -> dict:
             "--table": dict(_FLAG, help="CSV rows (n, k, numerator, denominator)"),
             "--csv": _CSV,
         })),
-        "basis": ("Vandermonde matrix, exact inverse, dual diagonals", _basis_arguments),
+        "basis": ("Vandermonde matrix, exact inverse, dual diagonals", _options(_cmd_basis, {
+            "--j": _J,
+            ("--inverse", "--duals"): (_FLAG, _FLAG),
+            "--csv": _CSV,
+        })),
         "coeffs": ("coefficient tables", {
             "exp": ("exponential rotation coefficients A_k(theta)", _options(_cmd_coeffs_exp, {
                 "--j": _J,
-                "--theta": {"type": _parse_float_token, "default": 0.0},
+                ("--theta", "--theta-grid"): ({"type": _parse_float_token, "default": 0.0}, _GRID),
                 "--k": {"type": int, "default": None},
-                "--theta-grid": _GRID,
                 "--csv": _CSV,
             })),
             "cayley": ("Cayley coefficients B_k, A_k", _options(_cmd_coeffs_cayley, {
                 "--j": _J,
-                "--exact": dict(_FLAG, help="print exact numerator/denominator lists"),
-                "--alpha": {"type": _parse_float_token, "default": None},
-                "--alpha-grid": _GRID,
+                ("--exact", "--alpha", "--alpha-grid"): (
+                    dict(_FLAG, help="print exact numerator/denominator lists"),
+                    {"type": _parse_float_token, "default": None},
+                    _GRID,
+                ),
                 "--csv": _CSV,
             })),
         }),
@@ -366,15 +373,9 @@ def _range_error(args) -> str | None:
             return "--j-list mixes integer and semi-integer spins, whose limits differ"
         spins, ks, grid = args.j_list, [args.k], args.alpha_grid
     elif args.command == "plotdata":
-        error = plots.grid_axis_error(args.figure, args.theta_grid, args.alpha_grid)
-        if error:
-            return error
-        if args.figure == "inv-det" and args.k:
-            return "--figure inv-det draws no k; drop --k"
-        spins = args.j or plots.DEFAULT_SPINS[args.figure]
-        ks = args.k or plots.DEFAULT_KS[args.figure]
-        if args.figure == "cayley-B12":
-            grid = args.alpha_grid
+        return plots.figure_error(
+            args.figure, args.j, args.k or None, args.theta_grid, args.alpha_grid
+        )
     for j, k in itertools.product(spins, ks):
         if not 0 <= k <= j.two_j:
             return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"

@@ -160,17 +160,11 @@ def a_coeff_derivative_path(j: HalfInt, k: int, thetas: Iterable[float]) -> list
 
 @dataclass(frozen=True)
 class ExpCoeffTable:
-    """A_0..A_2j at a fixed angle, plus the matrix-power normalization."""
+    """A_0..A_2j at a fixed angle."""
 
     j: HalfInt
     theta: float
     A: Tuple[float, ...]
-
-    def matrix_coefficients(self) -> Tuple[complex, ...]:
-        """Coefficients of (n.J)**k, i.e. (1/k!) A_k (2i)**k."""
-        return tuple(
-            a * (2j) ** k / math.factorial(k) for k, a in enumerate(self.A)
-        )
 
 
 def exp_poly(j: HalfInt, theta: float) -> ExpCoeffTable:

@@ -47,6 +47,14 @@ class GridSpec:
         return [self.start + i * step for i in range(self.count)]
 
 
+# the grid a figure is drawn over when none is given: theta for exp-A, else alpha
+DEFAULT_GRIDS = {
+    "exp-A": GridSpec(0.0, 4 * math.pi, 800),
+    "cayley-B12": GridSpec(0.05, 5.0, 200),
+    "inv-det": GridSpec(0.0, 2.0, 400),
+}
+
+
 def alpha_power_error(ks: Sequence[int], alphas: Sequence[float]) -> str | None:
     """Why B_k/alpha^k cannot be drawn over these alphas, if it cannot.
 
@@ -84,6 +92,34 @@ def grid_axis_error(
     return None
 
 
+def figure_error(
+    figure: str,
+    js: Sequence[HalfInt] | None,
+    ks: Sequence[int] | None,
+    theta_grid: GridSpec | None,
+    alpha_grid: GridSpec | None,
+) -> str | None:
+    """Why the figure cannot be drawn from these arguments, if it cannot.
+
+    Empty js, ks of None and a missing grid take the figure's defaults.
+    A grid must be for the figure's own axis, inv-det draws no k, each k
+    must lie in 0..2j of every drawn spin, and for cayley-B12 alpha^k must
+    be a nonzero finite float over the alpha grid.
+    """
+    error = grid_axis_error(figure, theta_grid, alpha_grid)
+    if error:
+        return error
+    if figure == "inv-det" and ks:
+        return "--figure inv-det draws no k; drop --k"
+    ks = DEFAULT_KS[figure] if ks is None else ks
+    for j, k in itertools.product(js or DEFAULT_SPINS[figure], ks):
+        if not 0 <= k <= j.two_j:
+            return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"
+    if figure == "cayley-B12":
+        return alpha_power_error(ks, (alpha_grid or DEFAULT_GRIDS[figure]).values())
+    return None
+
+
 def figure_rows(
     figure: str,
     js: Sequence[HalfInt] | None = None,
@@ -94,45 +130,32 @@ def figure_rows(
 ) -> tuple[tuple[str, str, str], list[tuple[float, str, float]]]:
     """Rows for one named figure, over theta_grid for exp-A, else alpha_grid.
 
-    Raises ValueError on an unknown name, on a grid for the other axis, on
-    ks for inv-det (which draws none), on a k outside 0..2j of a drawn
-    spin and, for cayley-B12, on an alpha grid where alpha^k is 0 or
-    leaves the float range.
+    Raises ValueError on an unknown name and on the arguments figure_error
+    refuses.
     """
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
-    error = grid_axis_error(figure, theta_grid, alpha_grid)
+    error = figure_error(figure, js, ks, theta_grid, alpha_grid)
     if error:
         raise ValueError(error)
     js = js or DEFAULT_SPINS[figure]
     ks = ks if ks is not None else DEFAULT_KS[figure]
-    if figure == "inv-det" and ks:
-        raise ValueError(f"figure inv-det draws no k, got ks = {list(ks)}")
-    for j in js:
-        for k in ks:
-            if not 0 <= k <= j.two_j:
-                raise ValueError(f"k = {k} is outside 0..2j = 0..{j.two_j} for j = {j}")
+    own_grid = theta_grid if figure == "exp-A" else alpha_grid
+    xs = (own_grid or DEFAULT_GRIDS[figure]).values()
+    header = ("theta" if figure == "exp-A" else "alpha", "series", "value")
+    rows = []
     if figure == "exp-A":
-        thetas = (theta_grid or GridSpec(0.0, 4 * math.pi, 800)).values()
-        header = ("theta", "series", "value")
-        rows = []
         for j in js:
-            values = expcoeffs.exp_grid(j, thetas, ks)
+            values = expcoeffs.exp_grid(j, xs, ks)
             for i, k in enumerate(ks):
                 label = f"j={j} k={k}"
-                rows += [(th, label, row[i]) for th, row in zip(thetas, values)]
+                rows += [(th, label, row[i]) for th, row in zip(xs, values)]
         return header, rows
     if figure == "cayley-B12":
-        grid = alpha_grid or GridSpec(0.05, 5.0, 200)
-        error = alpha_power_error(ks, grid.values())
-        if error:
-            raise ValueError(error)
-        header = ("alpha", "series", "value")
-        rows = []
         for j in js:
-            bs = [cayley.eval_coeffs(j, a)[0] for a in grid.values()]
+            bs = [cayley.eval_coeffs(j, a)[0] for a in xs]
             for k in ks:
-                rows += [(a, f"j={j} k={k}", b[k] / a**k) for a, b in zip(grid.values(), bs)]
+                rows += [(a, f"j={j} k={k}", b[k] / a**k) for a, b in zip(xs, bs)]
         parities = {j.is_integer for j in js}
         for k in ks:
             for parity in sorted(parities):
@@ -140,16 +163,12 @@ def figure_rows(
                     "limit (integer j)" if parity else "limit (semi-integer j)"
                 )
                 rows += [
-                    (a, f"{label} k={k}", cayley.b_limit_ratio(parity, k, a))
-                    for a in grid.values()
+                    (a, f"{label} k={k}", cayley.b_limit_ratio(parity, k, a)) for a in xs
                 ]
         return header, rows
-    grid = alpha_grid or GridSpec(0.0, 2.0, 400)
-    header = ("alpha", "series", "value")
-    rows = []
     for j in js:
         ms = range(j.two_j, 0, -2)  # the positive eigenvalues M of 2 n.J
-        for a in grid.values():
+        for a in xs:
             # det(a) = prod (1 + M^2 a^2), so at a = p/q the integer
             # prod (q^2 + M^2 p^2) is q**(2 * len(ms)) * det(a): one int/int
             # division rounds 1/det(a) correctly, and no coefficient becomes
@@ -158,42 +177,3 @@ def figure_rows(
             det_num = math.prod(q * q + m * m * p * p for m in ms)
             rows.append((a, f"j={j}", q ** (2 * len(ms)) / det_num))
     return header, rows
-
-
-def validate_figure(figure: str) -> list[str]:
-    """Spot-check emitted values against an independent path.
-
-    Returns a list of violation messages (empty means validated).  This is
-    how figure data is accepted: the reference plots are pixels, so the
-    numbers are vouched for by cross-path agreement instead.
-    """
-    problems = []
-    if figure == "exp-A":
-        for j in DEFAULT_SPINS[figure]:
-            for k in DEFAULT_KS[figure]:
-                for theta in (0.7, 2.0, math.pi, 5.5, 9.1, 11.8):
-                    a = expcoeffs.a_coeff_trunc(j, k, theta)
-                    if expcoeffs.epsilon(j, k) == 0:
-                        b = expcoeffs.a_coeff_cfn_series(j, k, theta)
-                    else:
-                        b = expcoeffs.a_coeff_derivative_path(j, k + 1, [theta])[0]
-                    if a != b and abs(a - b) > 1e-12 * max(abs(a), abs(b)):
-                        problems.append(f"exp-A j={j} k={k} theta={theta}: {a} vs {b}")
-    elif figure == "cayley-B12":
-        for j in DEFAULT_SPINS[figure]:
-            for alpha in (0.1, 0.5, 1.0, 2.5, 5.0):
-                direct = cayley.eval_coeffs(j, alpha)[0][1] / alpha
-                gamma = cayley.b_exact_gamma(j.two_j // 2, 1, alpha)
-                if abs(direct - gamma) > 1e-9 * max(1.0, abs(direct)):
-                    problems.append(f"cayley-B12 j={j} alpha={alpha}: {direct} vs {gamma}")
-    elif figure == "inv-det":
-        for j in DEFAULT_SPINS[figure]:
-            det = cayley.det_poly(j)
-            for alpha in (0.25, 0.8, 1.5, 2.0):
-                poly_val = math.fsum(float(c) * alpha**i for i, c in enumerate(det))
-                gamma_val = cayley.det_gamma(j, alpha)
-                if abs(poly_val - gamma_val) > 1e-10 * max(abs(poly_val), abs(gamma_val)):
-                    problems.append(f"inv-det j={j} alpha={alpha}: {poly_val} vs {gamma_val}")
-    else:
-        raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
-    return problems

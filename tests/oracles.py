@@ -1,0 +1,242 @@
+"""Independent references that the tests compare the library against.
+
+None of these is a production path: each recomputes a quantity the
+library serves by a second route (a closed form, a numeric special
+function, a per-eigenstate identity) so that agreement means something.
+No CLI command, verify check or fixture runs them, so they live here.
+"""
+
+from __future__ import annotations
+
+import cmath
+import itertools
+import math
+from fractions import Fraction
+from typing import NamedTuple
+
+from spinpoly import cayley, expcoeffs
+from spinpoly.bridge import alpha_from_theta
+from spinpoly.cayley import b_limit_ratio, eval_coeffs
+from spinpoly.cfn import cfn
+from spinpoly.halfint import HalfInt
+from spinpoly.plots import DEFAULT_KS, DEFAULT_SPINS, FIGURES
+
+
+# ---------------------------------------------------------------------------
+# basis: the closed-form inverse-Vandermonde entry
+# ---------------------------------------------------------------------------
+
+
+def findumonde_entry(j: HalfInt, k: int, l: int) -> Fraction:
+    """Closed-form inverse-Vandermonde entry at 1-based (k, l).
+
+    Evaluates the nested-sum numerator directly; the subset enumeration is
+    exponential in 2j+1-k, so this is a cross-check for small spins, not
+    the production path.
+    """
+    n = j.two_j + 1
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise ValueError(f"indices must lie in 1..{n}, got ({k}, {l})")
+    size = n - k
+    if size == 0:
+        numerator = Fraction(1)
+    else:
+        others = [m for m in range(1, n + 1) if m != l]
+        total = Fraction(0)
+        for subset in itertools.combinations(others, size):
+            term = Fraction(1)
+            for m in subset:
+                term *= Fraction(j.two_j + 2 - 2 * m, 2)  # j + 1 - m
+            total += term
+        numerator = -total if (k - j.two_j - 1) % 2 else total
+    sign = -1 if (1 - l) % 2 else 1
+    return (
+        Fraction(sign, 2 ** (k - 1))
+        * numerator
+        / (math.factorial(n - l) * math.factorial(l - 1))
+    )
+
+
+# ---------------------------------------------------------------------------
+# cfn: closed forms of the low central factorial entries
+# ---------------------------------------------------------------------------
+
+
+def cfn_t2(j: int) -> Fraction:
+    """|t(2j+2, 2)| in closed form: (j!)**2, for integer j >= 0."""
+    if j < 0:
+        raise ValueError("j must be a nonnegative integer")
+    return Fraction(math.factorial(j) ** 2)
+
+
+def _trigamma(x: float) -> float:
+    """Second logarithmic derivative of the gamma function, for x > 0.
+
+    Upward recurrence into the asymptotic region, then the Bernoulli
+    series through x**-9; good to ~1e-15 absolute for the arguments used.
+    """
+    acc = 0.0
+    while x < 16.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    tail = inv * (1.0 + inv * (0.5 + inv * (
+        1.0 / 6 + inv2 * (-1.0 / 30 + inv2 * (1.0 / 42 + inv2 * (-1.0 / 30))))))
+    return acc + tail
+
+
+class T4Pair(NamedTuple):
+    value: float      # (j!)^2 * (pi^2/6 - trigamma(j+1)), numeric route
+    exact: Fraction   # |t(2j+2, 4)| from the generating product
+
+
+def cfn_t4(j: int) -> T4Pair:
+    """|t(2j+2, 4)| two ways, for integer j >= 1.
+
+    The float route goes through a numeric trigamma so the two entries are
+    genuinely independent; they must agree to 1e-12 relative.
+    """
+    if j < 1:
+        raise ValueError("j must be a positive integer")
+    fact2 = math.factorial(j) ** 2
+    value = fact2 * (math.pi * math.pi / 6.0 - _trigamma(j + 1.0))
+    return T4Pair(value, abs(cfn(2 * j + 2, 4)))
+
+
+def cfn_asymptotic_ratio(l: int, j: int, alpha: float) -> float:
+    """(2*alpha)**(2*(1-l)) * |t(2j+2, 2l)| / (j!)**2.
+
+    The huge factorial cancellation is done exactly in rational arithmetic
+    before any float conversion, so there is no overflow at large j.  As
+    j grows this approaches (pi/(2*alpha))**(2*(l-1)) / (2l-1)!.
+    """
+    if l < 1:
+        raise ValueError("l must be a positive integer")
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    ratio = abs(cfn(2 * j + 2, 2 * l)) / Fraction(math.factorial(j) ** 2)
+    return float(ratio) * (2.0 * alpha) ** (2 * (1 - l))
+
+
+# ---------------------------------------------------------------------------
+# cayley: gamma closed forms and the distance to the large-j limit
+# ---------------------------------------------------------------------------
+
+
+def trigamma_int(j: int) -> float:
+    """Trigamma at the positive integer 1 + j: pi^2/6 - sum_{k<=j} 1/k^2."""
+    if j < 0:
+        raise ValueError("j must be a nonnegative integer")
+    return math.pi * math.pi / 6.0 - math.fsum(1.0 / (k * k) for k in range(1, j + 1))
+
+
+def b_exact_gamma(j: int, k: int, alpha: float) -> float:
+    """B_k(alpha)/alpha**k for integer spin j, via the gamma closed forms.
+
+    k in {1, 2} uses 1 - prod_{n<=j} n^2/(n^2 + 1/(4 alpha^2)); k in
+    {3, 4} multiplies the product by the trigamma correction factor.
+    Each n^2/(n^2+y^2) factor sits in (0, 1], so no overflow handling is
+    needed here.
+    """
+    if j < 0:
+        raise ValueError("j must be a nonnegative integer")
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    y2 = 1.0 / (4.0 * alpha * alpha)
+    factor = 1.0
+    for n in range(1, j + 1):
+        factor *= n * n / (n * n + y2)
+    if k in (1, 2):
+        return 1.0 - factor
+    if k in (3, 4):
+        correction = 1.0 + (math.pi**2 - 6.0 * trigamma_int(j)) / (24.0 * alpha * alpha)
+        return 1.0 - factor * correction
+    raise ValueError(f"closed forms cover k in 1..4, got {k}")
+
+
+def relative_error(j: HalfInt, k: int, alpha: float) -> float:
+    """(A_k^inf - A_k^[j]) / A_k^[j] at the given alpha.
+
+    The limit coefficient is 2*alpha**k times the parity-matched asymptotic
+    ratio (and 2*ratio - 1 for k = 0).  Raises on a vanishing denominator,
+    which happens at alpha = 0 for every k >= 1.
+    """
+    if not 0 <= k <= j.two_j:
+        raise ValueError(f"k must lie in 0..{j.two_j}, got {k}")
+    a_j = eval_coeffs(j, alpha)[1][k]
+    if a_j == 0:
+        raise ZeroDivisionError(f"A_{k}[{j}]({alpha}) = 0")
+    ratio = b_limit_ratio(j.is_integer, k, alpha)
+    if k == 0:
+        a_inf = 2.0 * ratio - 1.0
+    else:
+        a_inf = 2.0 * alpha**k * ratio
+    return (a_inf - a_j) / a_j
+
+
+# ---------------------------------------------------------------------------
+# bridge: the inverse parameter map and the per-eigenstate identity
+# ---------------------------------------------------------------------------
+
+
+def theta_from_alpha(m_eig: float, alpha: float) -> float:
+    """theta(alpha) = (2/m) * arctan(2*m*alpha), the principal branch."""
+    if m_eig == 0:
+        raise ValueError("the m = 0 eigenstate fixes no relation between the parameters")
+    return 2.0 / m_eig * math.atan(2.0 * m_eig * alpha)
+
+
+def verify_exp_equal_cayley(m_eig: float, theta: float) -> bool:
+    """Per-eigenstate identity e^{i theta m} == (1+2i a m)/(1-2i a m)
+    with a = alpha(theta; m); trivially true at m = 0."""
+    if m_eig == 0:
+        return True
+    a = alpha_from_theta(m_eig, theta)
+    lhs = cmath.exp(1j * theta * m_eig)
+    rhs = (1 + 2j * a * m_eig) / (1 - 2j * a * m_eig)
+    return abs(lhs - rhs) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# plots: spot checks of the emitted figure values
+# ---------------------------------------------------------------------------
+
+
+def validate_figure(figure: str) -> list[str]:
+    """Spot-check emitted values against an independent path.
+
+    Returns a list of violation messages (empty means validated).  This is
+    how figure data is accepted: the reference plots are pixels, so the
+    numbers are vouched for by cross-path agreement instead.
+    """
+    problems = []
+    if figure == "exp-A":
+        for j in DEFAULT_SPINS[figure]:
+            for k in DEFAULT_KS[figure]:
+                for theta in (0.7, 2.0, math.pi, 5.5, 9.1, 11.8):
+                    a = expcoeffs.a_coeff_trunc(j, k, theta)
+                    if expcoeffs.epsilon(j, k) == 0:
+                        b = expcoeffs.a_coeff_cfn_series(j, k, theta)
+                    else:
+                        b = expcoeffs.a_coeff_derivative_path(j, k + 1, [theta])[0]
+                    if a != b and abs(a - b) > 1e-12 * max(abs(a), abs(b)):
+                        problems.append(f"exp-A j={j} k={k} theta={theta}: {a} vs {b}")
+    elif figure == "cayley-B12":
+        for j in DEFAULT_SPINS[figure]:
+            for alpha in (0.1, 0.5, 1.0, 2.5, 5.0):
+                direct = cayley.eval_coeffs(j, alpha)[0][1] / alpha
+                gamma = b_exact_gamma(j.two_j // 2, 1, alpha)
+                if abs(direct - gamma) > 1e-9 * max(1.0, abs(direct)):
+                    problems.append(f"cayley-B12 j={j} alpha={alpha}: {direct} vs {gamma}")
+    elif figure == "inv-det":
+        for j in DEFAULT_SPINS[figure]:
+            det = cayley.det_poly(j)
+            for alpha in (0.25, 0.8, 1.5, 2.0):
+                poly_val = math.fsum(float(c) * alpha**i for i, c in enumerate(det))
+                gamma_val = cayley.det_gamma(j, alpha)
+                if abs(poly_val - gamma_val) > 1e-10 * max(abs(poly_val), abs(gamma_val)):
+                    problems.append(f"inv-det j={j} alpha={alpha}: {poly_val} vs {gamma_val}")
+    else:
+        raise ValueError(f"unknown figure {figure!r}; known: {', '.join(FIGURES)}")
+    return problems

@@ -13,10 +13,12 @@ from fractions import Fraction as F
 from spinpoly import bridge, cayley, cli, fixtures, plots
 from spinpoly.basis import verify_fundamental_identity
 from spinpoly.cayley import b_coeffs, b_coeffs_cfn, b_coeffs_recursion
-from spinpoly.cfn import cfn, cfn_t2
+from spinpoly.cfn import cfn
 from spinpoly.exact import RationalFunction
 from spinpoly.expcoeffs import exp_poly, exp_reconstruction
 from spinpoly.halfint import HalfInt, half_integers
+
+from oracles import cfn_t2, relative_error, validate_figure, verify_exp_equal_cayley
 
 
 def _report(n: int, message: str) -> None:
@@ -153,7 +155,7 @@ def test_criterion_8_relative_error_grid():
     for k in (1, 2, 3, 4):
         for alpha in alphas:
             chain = [
-                cayley.relative_error(HalfInt(2 * jj), k, alpha)
+                relative_error(HalfInt(2 * jj), k, alpha)
                 for jj in (1, 2, 8, 50)
                 if k <= 2 * jj
             ]
@@ -188,7 +190,7 @@ def test_criterion_8_t2_exact_and_figures(tmp_path):
     for figure in plots.FIGURES:
         header, rows = plots.figure_rows(figure)
         assert len(header) == 3 and rows, figure
-        assert plots.validate_figure(figure) == [], figure
+        assert validate_figure(figure) == [], figure
     target = tmp_path / "exp_A.csv"
     code = cli.main(
         ["plotdata", "--figure", "exp-A", "--theta-grid", "0:4pi:800", "--csv", str(target)]
@@ -215,6 +217,6 @@ def test_criterion_9_parameter_shear():
         theta = rng.uniform(-2 * math.pi, 2 * math.pi)
         if abs(math.cos(m * theta / 2.0)) < 0.1:
             continue
-        assert bridge.verify_exp_equal_cayley(m, theta), (m, theta)
+        assert verify_exp_equal_cayley(m, theta), (m, theta)
         checked += 1
     _report(9, "alpha(theta) differs across |M| for j >= 3/2; identity holds on 200 samples")

@@ -8,7 +8,6 @@ import pytest
 from spinpoly import basis
 from spinpoly.basis import (
     dual_matrices,
-    findumonde_entry,
     project_coefficients,
     spectrum,
     vandermonde,
@@ -16,6 +15,8 @@ from spinpoly.basis import (
     verify_fundamental_identity,
 )
 from spinpoly.halfint import HalfInt, half_integers
+
+from oracles import findumonde_entry
 
 
 def test_spectrum():

@@ -11,14 +11,12 @@ from spinpoly.bridge import (
     gauss_legendre,
     laplace_pair,
     quadrature_check,
-    shear_map,
-    theta_from_alpha,
-    verify_exp_equal_cayley,
 )
 from spinpoly.cayley import b_coeffs
 from spinpoly.exact import RationalFunction
 from spinpoly.halfint import HalfInt, half_integers
 
+from oracles import theta_from_alpha, verify_exp_equal_cayley
 from test_integer_identities import laplace_sin_cos_power, laplace_sin_power
 
 
@@ -119,10 +117,10 @@ def test_shear_maps_spin_half_form():
 def test_shear_round_trip():
     for m in (0.5, 1.0, 1.5, 2.0):
         for theta in (0.3, 0.9, -0.7):
-            alpha = shear_map(m, theta, "theta-to-alpha")
-            assert shear_map(m, alpha, "alpha-to-theta") == pytest.approx(theta, rel=1e-12)
+            alpha = alpha_from_theta(m, theta)
+            assert theta_from_alpha(m, alpha) == pytest.approx(theta, rel=1e-12)
     with pytest.raises(ValueError):
-        shear_map(1.0, 0.5, "sideways")
+        theta_from_alpha(0.0, 0.5)
 
 
 def test_shear_disagreement_above_spin_one():

@@ -10,19 +10,18 @@ from spinpoly.cayley import (
     b_coeffs,
     b_coeffs_cfn,
     b_coeffs_recursion,
-    b_exact_gamma,
     cayley_reconstruction,
     det_forms,
     det_gamma,
     det_poly,
     eval_coeffs,
     reduce_over_det,
-    relative_error,
     resolvent_coeffs,
-    trigamma_int,
 )
 from spinpoly.exact import RationalFunction, poly, poly_mul
 from spinpoly.halfint import HalfInt, half_integers
+
+from oracles import b_exact_gamma, relative_error, trigamma_int
 
 
 def even_poly(coeffs_by_alpha_squared):

@@ -5,34 +5,28 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from spinpoly.cfn import (
-    cfn,
-    cfn_asymptotic_ratio,
-    cfn_even,
-    cfn_odd,
-    cfn_t2,
-    cfn_t4,
-    det_cfn_row,
-)
+from spinpoly.cfn import cfn, det_cfn_row
 from spinpoly.exact import poly, poly_mul
 from spinpoly.halfint import HalfInt
+
+from oracles import cfn_asymptotic_ratio, cfn_t2, cfn_t4
 
 
 def test_even_values():
     # x^2(x^2-1) = x^4 - x^2 and x^2(x^2-1)(x^2-4) = x^6 - 5x^4 + 4x^2
-    assert cfn_even(2, 1) == -1
-    assert cfn_even(2, 2) == 1
-    assert cfn_even(1, 1) == 1
-    assert cfn_even(3, 2) == -5
-    assert cfn_even(3, 1) == 4
+    assert cfn(4, 2) == -1
+    assert cfn(4, 4) == 1
+    assert cfn(2, 2) == 1
+    assert cfn(6, 4) == -5
+    assert cfn(6, 2) == 4
 
 
 def test_odd_values():
     # x(x^2-1/4) = x^3 - x/4; x(x^2-1/4)(x^2-9/4) = x^5 - 5/2 x^3 + 9/16 x
-    assert cfn_odd(0, 0) == 1
-    assert cfn_odd(1, 0) == F(-1, 4)
-    assert cfn_odd(2, 1) == F(-5, 2)
-    assert cfn_odd(2, 0) == F(9, 16)
+    assert cfn(1, 1) == 1
+    assert cfn(3, 1) == F(-1, 4)
+    assert cfn(5, 3) == F(-5, 2)
+    assert cfn(5, 1) == F(9, 16)
 
 
 def test_dispatch():
@@ -45,11 +39,9 @@ def test_dispatch():
 
 def test_index_errors():
     with pytest.raises(ValueError):
-        cfn_even(3, 0)
-    with pytest.raises(ValueError):
-        cfn_odd(2, 3)
-    with pytest.raises(ValueError):
         cfn(-1, 0)
+    with pytest.raises(ValueError):
+        cfn(3, -1)
 
 
 def test_row_eight_by_hand():

@@ -42,6 +42,15 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["basis", "--j", "1.3"])  # not a half-integer
     assert exc.value.code == 2
+    # flags that pick the same output are exclusive: neither is dropped silently
+    for argv in (
+        ["coeffs", "exp", "--j", "1", "--theta", "1", "--theta-grid", "0:1:2"],
+        ["coeffs", "cayley", "--j", "1", "--exact", "--alpha", "2"],
+        ["coeffs", "cayley", "--j", "1", "--alpha", "2", "--alpha-grid", "1:1:1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cfn_command(capsys):
@@ -261,6 +270,11 @@ def test_single_point_grid_needs_only_a_finite_start(capsys):
 def test_grid_parsing_rejects_bad_spec():
     with pytest.raises(SystemExit):
         cli.main(["coeffs", "exp", "--j", "1", "--theta-grid", "0:pi"])
+    # a zero divisor after pi is a usage error, not a ZeroDivisionError
+    for argv in (["--theta", "pi/0"], ["--theta-grid", "0:pi/0:3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coeffs", "exp", "--j", "1", *argv])
+        assert exc.value.code == 2
     assert cli._parse_float_token("2pi") == pytest.approx(6.283185307179586)
     assert cli._parse_float_token("pi/2") == pytest.approx(1.5707963267948966)
     assert cli._parse_float_token("-pi") == pytest.approx(-3.141592653589793)

@@ -185,7 +185,8 @@ def test_matches_basis_projection():
 def test_matrix_coefficients_euler_rodrigues():
     theta = 1.37
     table = exp_poly(HalfInt(2), theta)
-    c0, c1, c2 = table.matrix_coefficients()
+    # coefficients of (n.J)**k: (1/k!) A_k (2i)**k
+    c0, c1, c2 = (a * (2j) ** k / math.factorial(k) for k, a in enumerate(table.A))
     assert abs(c0 - 1.0) < 1e-15
     assert abs(c1 - 1j * math.sin(theta)) < 1e-15
     assert abs(c2 - (math.cos(theta) - 1.0)) < 1e-15

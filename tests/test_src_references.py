@@ -1,0 +1,78 @@
+"""Every definition in src/spinpoly has a caller in src/spinpoly.
+
+A function, class or method that only tests reach is a test helper that
+the library carries: it belongs in tests/oracles.py.  A reference is a
+loaded Name or Attribute in some src module, outside the definition's own
+body; an import, a docstring or a comment that mentions the name is not
+one.  Dunder methods are reached by the language, not by name.  Exempt
+are the names the benchmark's tracer wraps or counts (perfbench/layers.py
+TARGETS and CACHES, read as test_bench_names.py reads them) and
+project_coefficients, the documented general entry point.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spinpoly"
+
+ENTRY_POINTS = {("spinpoly.basis", "project_coefficients")}
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _loaded_names(tree):
+    """(name, node) of each Name and Attribute the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node
+
+
+def unreferenced(exempt, src=SRC):
+    """Qualified names of the definitions in src that nothing else in src reads."""
+    trees = {f"spinpoly.{path.stem}": ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    refs = [ref for tree in trees.values() for ref in _loaded_names(tree)]
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if (name.startswith("__") and name.endswith("__")) or (module, qualname) in exempt:
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(ref == name and id(at) not in own for ref, at in refs):
+                out.append(f"{module}.{qualname}")
+    return out
+
+
+def test_every_src_definition_has_a_caller_in_src(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import layers
+
+    exempt = {(module, attr) for _, module, attr, _ in layers.TARGETS}
+    exempt |= set(layers.CACHES.values()) | ENTRY_POINTS
+    assert unreferenced(exempt) == []
+
+
+def test_a_test_only_function_is_reported(tmp_path):
+    # the guard itself: a definition only its own body calls is caught,
+    # while one reached from another module is not
+    (tmp_path / "a.py").write_text(
+        '"""mentions lonely in a docstring"""\n'
+        "def lonely(n):\n    return lonely(n - 1) if n else 0\n"
+        "def used():\n    return 1\n"
+        "class Box:\n    def __len__(self):\n        return 0\n"
+        "    def unused(self):\n        return 0\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Box, lonely, used\nX = used(), Box()\n")
+    assert unreferenced(set(), tmp_path) == ["spinpoly.a.lonely", "spinpoly.a.Box.unused"]
