@@ -28,10 +28,14 @@ def _row(n: int) -> Tuple[int, ...]:
     n is even.  Each row extends the same-parity predecessor by one
     quadratic factor: x^2 - (n/2 - 1)^2 for even n, 4x^2 - (n - 2)^2 for
     odd n.  Filling the table through degree n costs O(n^2) integer
-    multiplies.
+    multiplies.  A call that misses first asks for the same-parity rows
+    below n, lowest first, so each finds its predecessor cached and no
+    call recurses more than one level, however cold the table.
     """
     if n < 2:
         return (1,) if n == 0 else (0, 1)
+    for m in range(n % 2 + 2, n - 2, 2):
+        _row(m)
     a, c = (1, (n // 2 - 1) ** 2) if n % 2 == 0 else (4, (n - 2) ** 2)
     prev = _row(n - 2)
     return tuple(a * hi - c * lo for lo, hi in zip(prev + (0, 0), (0, 0) + prev))
@@ -41,13 +45,13 @@ def cfn_pair(n: int, k: int) -> Tuple[int, int]:
     """t(n, k) as an unreduced integer pair (num, den), den a power of 4.
 
     The only reader of the integer rows: den undoes the row's 4**(n//2)
-    scale for odd n and is 1 for even n.
+    scale for odd n, formed as the shift 1 << (n - 1), and is 1 for even n.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     if k > n:
         return 0, 1
-    return _row(n)[k], 4 ** (n // 2) if n % 2 else 1
+    return _row(n)[k], 1 << (n - 1) if n % 2 else 1
 
 
 def cfn(n: int, k: int) -> Fraction:

@@ -65,27 +65,32 @@ def _parse_j_list(text: str) -> list[HalfInt]:
     return [_parse_j(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _emit_csv(header, rows, path: str | None) -> None:
-    """Header and a sequence of row tuples as CSV: comma-separated, CRLF-terminated.
+def _csv_lines(rows) -> list[str]:
+    """CSV lines of row tuples: each field as str, comma-separated, CRLF-terminated.
 
-    Each field prints as str, which is repr for a float and p/q for a
-    Fraction.  No field ever holds a comma, a quote or a line break, so no
-    field is quoted and the bytes are those of csv.writer's default dialect.
+    str is repr for a float and p/q for a Fraction.  No field ever holds a
+    comma, a quote or a line break, so no field is quoted and the bytes are
+    those of csv.writer's default dialect.  The grid commands write the same
+    lines from one f-string per row.
     """
-    line = ",".join(["%s"] * len(header)) + "\r\n"
+    return [",".join(map(str, row)) + "\r\n" for row in rows]
+
+
+def _emit_csv(header, lines, path: str | None) -> None:
+    """The header and a sequence of formatted lines (see _csv_lines) as CSV, to path or stdout."""
     with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as out:
-        out.write(line % tuple(header))
-        # one write per 256 rows is as fast as one join of all of them, and
-        # never holds the whole text in memory beside the rows
-        for i in range(0, len(rows), 256):
-            out.write("".join([line % row for row in rows[i : i + 256]]))
+        out.write(",".join(header) + "\r\n")
+        # one write per 256 lines is as fast as one join of all of them, and
+        # never holds the whole text in memory twice
+        for i in range(0, len(lines), 256):
+            out.write("".join(lines[i : i + 256]))
 
 
 def _cmd_cfn(args) -> int:
     if args.table:
         values = [cfn(args.n, k) for k in range(args.n + 1)]
         rows = [(args.n, k, t.numerator, t.denominator) for k, t in enumerate(values)]
-        _emit_csv(("n", "k", "numerator", "denominator"), rows, args.csv)
+        _emit_csv(("n", "k", "numerator", "denominator"), _csv_lines(rows), args.csv)
         return 0
     if args.k is not None:
         print(cfn(args.n, args.k))
@@ -102,20 +107,21 @@ def _cmd_basis(args) -> int:
         rows = vandermonde_inverse(args.j)
     else:
         rows = vandermonde(args.j)
-    _emit_csv(tuple(f"c{i}" for i in range(args.j.two_j + 1)), rows, args.csv)
+    _emit_csv(tuple(f"c{i}" for i in range(args.j.two_j + 1)), _csv_lines(rows), args.csv)
     return 0
 
 
 def _cmd_coeffs_exp(args) -> int:
     j = args.j
-    if args.theta_grid is not None:
-        thetas = args.theta_grid.values()
+    if args.theta_grid is not None or args.csv is not None:
+        # --csv without a grid writes the one-point grid at --theta
+        thetas = [args.theta] if args.theta_grid is None else args.theta_grid.values()
         ks = range(j.two_j + 1) if args.k is None else (args.k,)
-        rows = []
+        lines = []
         for theta, values in zip(thetas, expcoeffs.exp_grid(j, thetas, ks)):
             t = repr(theta)  # formatted once per grid point
-            rows += [(t, k, a) for k, a in zip(ks, values)]
-        _emit_csv(("theta", "k", "A_k"), rows, args.csv)
+            lines += [f"{t},{k},{a!r}\r\n" for k, a in zip(ks, values)]
+        _emit_csv(("theta", "k", "A_k"), lines, args.csv)
         return 0
     table = expcoeffs.exp_poly(j, args.theta)
     if args.k is not None:
@@ -137,14 +143,19 @@ def _cmd_coeffs_cayley(args) -> int:
             a = cayley.reduce_over_det(j, num)
             print(f"A_{k}: num = [{', '.join(map(str, a.num))}], den = [{', '.join(map(str, a.den))}]")
         return 0
-    if args.alpha_grid is not None:
-        rows = []
-        for alpha in args.alpha_grid.values():
-            t = repr(alpha)  # formatted once per grid point
-            rows += [(t, k, b, a) for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha)))]
-        _emit_csv(("alpha", "k", "B_k", "A_k"), rows, args.csv)
-        return 0
     alpha = args.alpha if args.alpha is not None else 1.0
+    if args.alpha_grid is not None or args.csv is not None:
+        # --csv without a grid writes the one-point grid at --alpha
+        alphas = [alpha] if args.alpha_grid is None else args.alpha_grid.values()
+        lines = []
+        for alpha in alphas:
+            t = repr(alpha)  # formatted once per grid point
+            lines += [
+                f"{t},{k},{b!r},{a!r}\r\n"
+                for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha)))
+            ]
+        _emit_csv(("alpha", "k", "B_k", "A_k"), lines, args.csv)
+        return 0
     for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha))):
         print(f"k={k}  B_k = {b!r}  A_k = {a!r}")
     return 0
@@ -176,7 +187,7 @@ def _cmd_asymp(args) -> int:
         rows.append(
             (alpha, "limit", cayley.b_limit_ratio(args.j_list[0].is_integer, args.k, alpha))
         )
-    _emit_csv(("alpha", "series", "value"), rows, args.csv)
+    _emit_csv(("alpha", "series", "value"), _csv_lines(rows), args.csv)
     return 0
 
 
@@ -224,7 +235,7 @@ def _cmd_plotdata(args) -> int:
         theta_grid=args.theta_grid,
         alpha_grid=args.alpha_grid,
     )
-    _emit_csv(header, rows, args.csv)
+    _emit_csv(header, _csv_lines(rows), args.csv)
     return 0
 
 
@@ -350,6 +361,11 @@ def _range_error(args) -> str | None:
     """Why the parsed arguments fall outside a command's range, if they do."""
     if args.command == "cfn" and min(args.n, args.k or 0) < 0:
         return f"cfn needs n >= 0 and k >= 0, got n = {args.n}, k = {args.k}"
+    # a command that prints other than CSV refuses --csv rather than drop it
+    if args.command == "cfn" and args.csv is not None and not args.table:
+        return "cfn --csv writes the --table rows; add --table"
+    if getattr(args, "exact", False) and args.csv is not None:
+        return "coeffs cayley --exact prints numerator/denominator lists, not CSV; drop --csv"
     if args.command == "verify" and args.max_two_j < 0:
         return f"verify needs --max-two-j >= 0, got {args.max_two_j}"
     for name in ("alpha", "theta", "alpha_grid", "theta_grid"):

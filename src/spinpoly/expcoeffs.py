@@ -13,9 +13,12 @@ other.  The truncated series is the production path: exp_grid evaluates
 it over a grid of angles, and a_coeff_trunc and exp_poly are exp_grid at
 one point.
 
-Each coefficient is cached once as an exact integer pair (num, den), shared
-by every spin whose series reaches it; the float series divides each pair
-once, so it holds the exact coefficients correctly rounded.
+Each coefficient is built once, down its column: coefficient r of column
+col shares the running product (k + 1)...(k + 2r) with coefficient r - 1,
+so it costs one shift and one small multiply, never a factorial.  It is
+cached as the exact integer pair (num, den) together with num/den, one
+float shared by every spin whose series reaches it; the float series is
+those floats, the exact coefficients correctly rounded.
 """
 
 from __future__ import annotations
@@ -39,28 +42,37 @@ def epsilon(j: HalfInt, k: int) -> int:
     return (j.two_j - k) % 2
 
 
-# a spin's series needs k! and (k + 2r)! for every (k, r): compute each n! once
-_factorial = lru_cache(maxsize=None)(math.factorial)
-
-
 @lru_cache(maxsize=None)
-def _coef(k: int, col: int, r: int) -> Tuple[int, int]:
-    """Coefficient r of the series for A_k read off column col, as (num, den).
+def _coef(k: int, col: int, r: int) -> Tuple[int, int, float]:
+    """Coefficient r of the series for A_k read off column col, as (num, den, num/den).
 
     It is k! 4**r / (k + 2r)! * |t(col + 2r, col)|.  With col = k this is
     the series of (arcsin(sqrt x)/sqrt x)**k; with col = k + 1, used when
     2j - k is odd, it is that series times (1 - x)**(-1/2), since
     (arcsin s)**k / sqrt(1 - s**2) is the derivative of
-    (arcsin s)**(k+1) / (k+1).  The pair is left unreduced: int/int
-    division and Fraction both accept it, and a gcd would cost more.
+    (arcsin s)**(k+1) / (k+1).
+
+    With P_r = (k + 1)...(k + 2r) and |t| the row's integer (cfn_pair's
+    num), the pair is (|t| << 2r, P_r) for even col.  For odd col the row
+    integer carries 4**(r + (col - 1)/2), which cancels the 4**r, so the
+    pair is (|t|, P_r << (col - 1)).  Either den is coefficient r - 1's
+    times (k + 2r - 1)(k + 2r); _terms builds r - 1 first, so a miss
+    recurses one level.  The pair is left unreduced: int/int division and
+    Fraction both accept it, and a gcd would cost more.
     """
-    num, den = cfn_pair(col + 2 * r, col)
-    return _factorial(k) * abs(num) << 2 * r, _factorial(k + 2 * r) * den
+    t = abs(cfn_pair(col + 2 * r, col)[0])
+    if r:
+        den = _coef(k, col, r - 1)[1] * ((k + 2 * r - 1) * (k + 2 * r))
+    else:
+        den = 1 << (col - 1) if col % 2 else 1
+    num = t if col % 2 else t << 2 * r
+    return num, den, num / den
 
 
-def _terms(two_j: int, k: int) -> list[Tuple[int, int]]:
-    # the truncation entering A_k for spin two_j/2 has order floor(j - k/2);
-    # its only exact zeros are the tail t(2r, 0) = 0 for k = col = 0, dropped
+def _terms(two_j: int, k: int) -> list[Tuple[int, int, float]]:
+    # the truncation entering A_k for spin two_j/2 has order floor(j - k/2),
+    # built up r in order; its only exact zeros are the tail t(2r, 0) = 0
+    # for k = col = 0, dropped
     col = k + (two_j - k) % 2
     terms = [_coef(k, col, r) for r in range((two_j - k) // 2 + 1)]
     while not terms[-1][0]:
@@ -71,13 +83,17 @@ def _terms(two_j: int, k: int) -> list[Tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _series(two_j: int, k: int) -> Poly:
     """Exact truncation entering A_k for spin two_j/2 (see _coef)."""
-    return tuple(Fraction(num, den) for num, den in _terms(two_j, k))
+    return tuple(Fraction(num, den) for num, den, _ in _terms(two_j, k))
 
 
 @lru_cache(maxsize=None)
 def _series_float(two_j: int, k: int) -> Tuple[float, ...]:
-    # one int/int division per coefficient: the exact value correctly rounded
-    return tuple(num / den for num, den in _terms(two_j, k))
+    """The truncation entering A_k, each coefficient its exact value correctly rounded.
+
+    The floats are _coef's own, one int/int division per coefficient,
+    shared with every other spin whose series reaches that coefficient.
+    """
+    return tuple([value for _, _, value in _terms(two_j, k)])
 
 
 def exp_grid(
@@ -200,7 +216,7 @@ def _recon_weights(two_j: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     num/(den k!) over every _terms pair of the spin.
     """
     fracs = [
-        [Fraction(num, den * math.factorial(k)) for num, den in _terms(two_j, k)]
+        [Fraction(num, den * math.factorial(k)) for num, den, _ in _terms(two_j, k)]
         for k in range(two_j + 1)
     ]
     lcm = math.lcm(*(f.denominator for row in fracs for f in row))

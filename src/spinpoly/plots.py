@@ -19,7 +19,8 @@ from .halfint import HalfInt
 
 FIGURES = ("exp-A", "cayley-B12", "inv-det")
 
-# spins and k values a figure draws when none are given; inv-det takes no k
+# spins and k values a figure draws when none are given (of the ks, those
+# every drawn spin has: see default_ks); inv-det takes no k
 DEFAULT_SPINS = {
     "exp-A": (HalfInt(138), HalfInt(137)),
     "cayley-B12": (HalfInt(2), HalfInt(4), HalfInt(16)),
@@ -92,6 +93,12 @@ def grid_axis_error(
     return None
 
 
+def default_ks(figure: str, js: Sequence[HalfInt] | None) -> tuple[int, ...]:
+    """The figure's default ks that lie in 0..2j for every drawn spin."""
+    top = min(j.two_j for j in js or DEFAULT_SPINS[figure])
+    return tuple(k for k in DEFAULT_KS[figure] if k <= top)
+
+
 def figure_error(
     figure: str,
     js: Sequence[HalfInt] | None,
@@ -102,16 +109,21 @@ def figure_error(
     """Why the figure cannot be drawn from these arguments, if it cannot.
 
     Empty js, ks of None and a missing grid take the figure's defaults.
-    A grid must be for the figure's own axis, inv-det draws no k, each k
-    must lie in 0..2j of every drawn spin, and for cayley-B12 alpha^k must
-    be a nonzero finite float over the alpha grid.
+    A grid must be for the figure's own axis, inv-det draws no k, each
+    given k must lie in 0..2j of every drawn spin, a figure that draws ks
+    must keep at least one default k when none is given, and for
+    cayley-B12 alpha^k must be a nonzero finite float over the alpha grid.
     """
     error = grid_axis_error(figure, theta_grid, alpha_grid)
     if error:
         return error
     if figure == "inv-det" and ks:
         return "--figure inv-det draws no k; drop --k"
-    ks = DEFAULT_KS[figure] if ks is None else ks
+    if ks is None:
+        ks = default_ks(figure, js)
+        if DEFAULT_KS[figure] and not ks:
+            spins = ", ".join(map(str, js))
+            return f"--figure {figure} draws no default k in 0..2j for j = {spins}; pass --k"
     for j, k in itertools.product(js or DEFAULT_SPINS[figure], ks):
         if not 0 <= k <= j.two_j:
             return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"
@@ -138,8 +150,8 @@ def figure_rows(
     error = figure_error(figure, js, ks, theta_grid, alpha_grid)
     if error:
         raise ValueError(error)
+    ks = default_ks(figure, js) if ks is None else ks
     js = js or DEFAULT_SPINS[figure]
-    ks = ks if ks is not None else DEFAULT_KS[figure]
     own_grid = theta_grid if figure == "exp-A" else alpha_grid
     xs = (own_grid or DEFAULT_GRIDS[figure]).values()
     header = ("theta" if figure == "exp-A" else "alpha", "series", "value")

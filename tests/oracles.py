@@ -120,6 +120,28 @@ def cfn_asymptotic_ratio(l: int, j: int, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# expcoeffs: the series coefficients in factorial closed form
+# ---------------------------------------------------------------------------
+
+
+def exp_series_closed_form(two_j: int, k: int) -> tuple[Fraction, ...]:
+    """The truncation entering A_k for spin two_j/2, each coefficient by factorials.
+
+    Coefficient r is k! 4**r |t(col + 2r, col)| / (k + 2r)! with col = k,
+    or k + 1 when 2j - k is odd, for r = 0..floor((2j - k)/2); trailing
+    zeros are dropped, as the library drops the t(2r, 0) = 0 tail.
+    """
+    col = k + (two_j - k) % 2
+    coeffs = [
+        Fraction(math.factorial(k) * 4**r, math.factorial(k + 2 * r)) * abs(cfn(col + 2 * r, col))
+        for r in range((two_j - k) // 2 + 1)
+    ]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
 # cayley: gamma closed forms and the distance to the large-j limit
 # ---------------------------------------------------------------------------
 

@@ -206,6 +206,19 @@ def test_plotdata_command_and_determinism(capsys):
     assert exc.value.code == 2
 
 
+def test_plotdata_default_ks_follow_the_spins(capsys):
+    # j = 1 has A_0..A_2: the default ks 0..5 shrink to them, named by no --k
+    argv = ["plotdata", "--figure", "exp-A", "--j", "1", "--theta-grid", "0:1:2"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1::2]] == [
+        "j=1 k=0", "j=1 k=1", "j=1 k=2"
+    ]
+    assert run(capsys, *argv, "--k", "0", "--k", "1", "--k", "2") == (0, out)
+    assert cli.main([*argv, "--k", "3"]) == 2
+    assert capsys.readouterr().err == "spinpoly: error: --k 3 is outside 0..2j = 0..2 for j = 1\n"
+
+
 @pytest.mark.parametrize("j", ["171/2", "90", "100"])
 def test_plotdata_inv_det_past_the_float_range_of_det(capsys, j):
     # from 2j = 171 on, the largest determinant coefficient exceeds a float
@@ -250,6 +263,9 @@ def test_plotdata_inv_det_past_the_float_range_of_det(capsys, j):
         ["plotdata", "--figure", "inv-det", "--theta-grid", "0:1:2"],
         ["plotdata", "--figure", "cayley-B12", "--theta-grid", "0.5:1:2"],
         ["plotdata", "--figure", "inv-det", "--k", "3"],
+        ["plotdata", "--figure", "cayley-B12", "--j", "0"],
+        ["coeffs", "cayley", "--j", "1", "--exact", "--csv", "-"],
+        ["cfn", "--n", "4", "--csv", "-"],
     ],
 )
 def test_out_of_range_arguments_exit_2_with_one_line(capsys, argv):
@@ -393,6 +409,16 @@ def _csv_oracle(header, rows):
     return buf.getvalue()
 
 
+def _value(field):
+    """The int, Fraction or float a field prints, or the field itself if it is a label."""
+    for kind in (int, float, F):
+        try:
+            return kind(field)
+        except ValueError:
+            pass
+    return field
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -417,18 +443,90 @@ def test_emitted_csv_is_csv_writer_output_byte_for_byte(capsys, monkeypatch, tmp
     emitted = []
     emit = cli._emit_csv
 
-    def recording(header, rows, path):
-        emitted.append((header, rows))
-        emit(header, rows, path)
+    def recording(header, lines, path):
+        emitted.append((header, lines))
+        emit(header, lines, path)
 
     monkeypatch.setattr(cli, "_emit_csv", recording)
     code, out = run(capsys, *argv)
     assert code == 0 and len(emitted) == 1
-    header, rows = emitted[0]
-    assert rows
+    header, lines = emitted[0]
+    assert lines
+    # the lines are written as formatted: read each back into the values it prints
+    rows = []
+    for line in lines:
+        assert line.endswith("\r\n"), line
+        fields = line[:-2].split(",")
+        values = tuple(_value(f) for f in fields)
+        # csv.writer prints str(value): each field must be its value's own str
+        assert len(fields) == len(header) and [str(v) for v in values] == fields, line
+        rows.append(values)
     written = target.read_bytes().decode() if str(target) in argv else out
     assert written == _csv_oracle(header, rows)
-    # the template writer quotes nothing: no field may need quoting
+    # the lines are not quoted: no field may need quoting
     for field in itertools.chain(header, *rows):
         if isinstance(field, str):
             assert not set(field) & set(',"\r\n'), field
+
+
+@pytest.mark.parametrize(
+    "point, grid",
+    [
+        (["coeffs", "exp", "--j", "7/2", "--theta", "pi/3"],
+         ["coeffs", "exp", "--j", "7/2", "--theta-grid", "pi/3:pi/3:1"]),
+        (["coeffs", "exp", "--j", "3", "--theta=-0", "--k", "1"],
+         ["coeffs", "exp", "--j", "3", "--theta-grid=-0:-0:1", "--k", "1"]),
+        (["coeffs", "exp", "--j", "2"], ["coeffs", "exp", "--j", "2", "--theta-grid", "0:0:1"]),
+        (["coeffs", "cayley", "--j", "5/2", "--alpha", "0.7"],
+         ["coeffs", "cayley", "--j", "5/2", "--alpha-grid", "0.7:0.7:1"]),
+        (["coeffs", "cayley", "--j", "2"], ["coeffs", "cayley", "--j", "2", "--alpha-grid", "1:1:1"]),
+    ],
+)
+def test_csv_at_one_point_is_the_one_point_grid(capsys, tmp_path, point, grid):
+    # --csv is never dropped: at one angle or alpha it writes that point's grid
+    files = tmp_path / "point.csv", tmp_path / "grid.csv"
+    for argv, target in zip((point, grid), files):
+        assert run(capsys, *argv, "--csv", str(target)) == (0, "")
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert run(capsys, *point, "--csv")[1].encode() == files[1].read_bytes()
+
+
+# every output mode of every command whose parser takes --csv
+CSV_ARGVS = {
+    ("cfn",): [["--n", "4"], ["--n", "4", "--k", "1"], ["--n", "4", "--table"]],
+    ("basis",): [["--j", "1"], ["--j", "1", "--inverse"], ["--j", "1", "--duals"]],
+    ("coeffs", "exp"): [
+        ["--j", "1"], ["--j", "1", "--theta", "1"], ["--j", "1", "--k", "2"],
+        ["--j", "1", "--theta-grid", "0:1:2"],
+    ],
+    ("coeffs", "cayley"): [
+        ["--j", "1"], ["--j", "1", "--exact"], ["--j", "1", "--alpha", "2"],
+        ["--j", "1", "--alpha-grid", "1:2:2"],
+    ],
+    ("asymp",): [["--j-list", "1", "--alpha-grid", "1:2:2"]],
+    ("plotdata",): [
+        ["--figure", "exp-A", "--theta-grid", "0:1:2"],
+        ["--figure", "cayley-B12", "--alpha-grid", "1:2:2"],
+        ["--figure", "inv-det", "--alpha-grid", "0:1:2"],
+    ],
+}
+
+
+def test_every_csv_option_writes_its_file_or_exits_2(capsys, tmp_path):
+    takes_csv = {
+        tuple(path) for path in _command_paths()
+        for parser in _parsers(cli.build_parser(*path))
+        if parser.prog == " ".join(["spinpoly", *path]) and "--csv" in parser._option_string_actions
+    }
+    assert set(CSV_ARGVS) == takes_csv
+    for path, argvs in CSV_ARGVS.items():
+        for argv in argvs:
+            target = tmp_path / f"{'-'.join(path + tuple(argv))}.csv"
+            code = cli.main([*path, *argv, "--csv", str(target)])
+            captured = capsys.readouterr()
+            if code == 0:
+                assert target.exists() and not captured.out, argv
+            else:
+                assert code == 2 and not target.exists(), argv
+                assert captured.err.startswith("spinpoly: error: ")
+                assert len(captured.err.splitlines()) == 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinpoly import cfn as cfn_module
 from spinpoly import expcoeffs
 from spinpoly.basis import project_coefficients, spectrum
 from spinpoly.cfn import cfn
@@ -19,6 +20,7 @@ from spinpoly.expcoeffs import (
 )
 from spinpoly.halfint import HalfInt, half_integers
 
+from oracles import exp_series_closed_form
 from test_integer_identities import circle_point
 
 THETAS = [(-2.0 + 4.0 * i / 99) * math.pi for i in range(100)]
@@ -59,13 +61,60 @@ def test_series_equals_arcsin_power_times_binomial_product():
             assert expcoeffs._series(two_j, k) == _series_by_product(two_j, k), (two_j, k)
 
 
+def test_series_is_the_factorial_closed_form():
+    # the column recurrence against k! 4**r |t(col + 2r, col)| / (k + 2r)!
+    for two_j in range(201):
+        for k in sorted({0, 1, 2, two_j // 3, two_j // 2, two_j - 1, two_j} & {*range(two_j + 1)}):
+            assert expcoeffs._series(two_j, k) == exp_series_closed_form(two_j, k), (two_j, k)
+
+
 def test_float_series_is_the_exact_series_rounded():
     # covers the dropped zero tail at k = 0 for even 2j, and int/int
     # division rounding as Fraction.__float__ does
-    for two_j in range(161):
+    for two_j in range(201):
         for k in range(two_j + 1):
             exact = tuple(float(c) for c in expcoeffs._series(two_j, k))
             assert expcoeffs._series_float(two_j, k) == exact, (two_j, k)
+
+
+def _clear_series_caches():
+    for cache in (cfn_module._row, expcoeffs._coef, expcoeffs._series_float):
+        cache.cache_clear()
+
+
+def test_cold_series_far_above_the_recursion_limit():
+    # each central-factorial row and each column coefficient is built from
+    # its cached predecessor, one level deep, however cold the caches
+    _clear_series_caches()
+    try:
+        assert expcoeffs._series_float(2000, 1999) == (1.0,)  # row 2000 first
+        assert expcoeffs._series_float(2000, 0) == (1.0,)  # 1001 coefficients, zero tail
+    finally:
+        _clear_series_caches()  # rows up to 2000 hold hundreds of MB
+
+
+def test_series_floats_are_built_once_and_shared_across_spins():
+    # exp-cold's spins: every coefficient is divided once and one float
+    # object serves every spin whose series reaches it
+    _clear_series_caches()
+    spins = range(4, 104)
+    for two_j in spins:
+        exp_grid(HalfInt(two_j), [0.5])
+    distinct, kept = set(), set()
+    for two_j in spins:
+        for k in range(two_j + 1):
+            col = k + (two_j - k) % 2
+            for r in range((two_j - k) // 2 + 1):
+                distinct.add((k, col, r))
+                if col or not r:  # the t(2r, 0) = 0 tail is dropped
+                    kept.add((k, col, r))
+    info = expcoeffs._coef.cache_info()
+    assert info.currsize == info.misses == len(distinct) == 5460
+    floats = {
+        id(value) for two_j in spins for k in range(two_j + 1)
+        for value in expcoeffs._series_float(two_j, k)
+    }
+    assert len(floats) == len(kept)
 
 
 def test_spin_one_coefficients():

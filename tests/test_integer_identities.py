@@ -227,8 +227,8 @@ def test_perturbed_series_pair_fails_exp_reconstruction(monkeypatch, capsys, fre
     real = expcoeffs._coef
 
     def perturbed(k, col, r):
-        num, den = real(k, col, r)
-        return (num + 1, den) if (k, col, r) == (1, 1, 1) else (num, den)
+        num, den, value = real(k, col, r)
+        return (num + 1, den, (num + 1) / den) if (k, col, r) == (1, 1, 1) else (num, den, value)
 
     monkeypatch.setattr(expcoeffs, "_coef", perturbed)
     assert expcoeffs.exp_reconstruction(HalfInt(3), 0.4).exact is False

@@ -71,3 +71,22 @@ def test_grids_are_keyword_only_and_drawn_on_their_axis():
         header, rows = plots.figure_rows(figure, **grids)
         assert header[0] == axis.split("_")[0]
         assert sorted({row[0] for row in rows}) == GRID.values()
+
+
+@pytest.mark.parametrize("js", [[HalfInt(2)], [HalfInt(9), HalfInt(2)], [HalfInt(3)]])
+def test_default_ks_are_those_every_drawn_spin_has(js):
+    # exp-A draws k = 0..5 by default; a spin with 2j < 5 keeps 0..2j
+    top = min(5, *(j.two_j for j in js))
+    assert plots.default_ks("exp-A", js) == tuple(range(top + 1))
+    given = plots.figure_rows("exp-A", js, list(range(top + 1)), theta_grid=GRID)
+    assert plots.figure_rows("exp-A", js, theta_grid=GRID) == given
+    # a k given outright is still checked against every spin
+    with pytest.raises(ValueError, match=f"--k {top + 1} is outside 0..2j = 0..{top}"):
+        plots.figure_rows("exp-A", js, [top + 1], theta_grid=GRID)
+
+
+def test_a_figure_left_without_a_default_k_is_refused():
+    with pytest.raises(ValueError, match="draws no default k in 0..2j for j = 0; pass --k"):
+        plots.figure_rows("cayley-B12", [HalfInt(0)], alpha_grid=GRID)
+    header, rows = plots.figure_rows("cayley-B12", [HalfInt(0)], [0], alpha_grid=GRID)
+    assert rows
