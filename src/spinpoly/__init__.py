@@ -26,18 +26,16 @@ from .bridge import (
 )
 from .cayley import (
     CayleyCoeffs,
-    asymp_bosonic,
-    asymp_fermionic,
     b_coeffs,
     b_coeffs_recursion,
+    b_limit_ratio,
     cayley_reconstruction,
     det_forms,
-    det_gamma,
     det_poly,
+    log_det_gamma,
     reduce_over_det,
     resolvent_coeffs,
 )
-from .cfn import det_cfn_row
 from .exact import RationalFunction, poly, poly_eval
 from .expcoeffs import (
     ExpCoeffTable,

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Sequence, Tuple
 
-from .cfn import cfn, det_cfn_row
+from .cfn import cfn_pair
 from .exact import Poly, RationalFunction, i_power_parts, poly, poly_eval
 from .halfint import HalfInt
 
@@ -46,36 +46,27 @@ def _det_ints(two_j: int) -> Tuple[int, ...]:
     return out
 
 
-def _integer(c: Fraction) -> int:
-    # the paper's identities make c an integer; if they break, raise, never truncate
-    if c.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {c}")
-    return c.numerator
+def _integer(num: int, den: int) -> int:
+    # the paper's identities make num/den an integer; if they break, raise, never truncate
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"expected an integer, got {num}/{den}")
+    return q
 
 
 def det_cfn_poly(j: HalfInt) -> Poly:
     """The same determinant assembled from central factorial magnitudes."""
+    n = j.two_j + 2
     out = [0] * (2 * ((j.two_j + 1) // 2) + 1)
-    for k, mag in enumerate(det_cfn_row(j)):
-        out[2 * k] = _integer(4**k * mag)
+    for k in range(0, len(out), 2):  # alpha**k takes 2**k |t(n, n - k)|
+        num, den = cfn_pair(n, n - k)
+        out[k] = _integer(abs(num) << k, den)
     return poly(out)
 
 
-@dataclass(frozen=True)
-class DetForms:
-    """The determinant in its three guises: exact product expansion,
-    central-factorial assembly, and the gamma-function evaluator."""
-
-    j: HalfInt
-    poly: Poly
-    cfn_poly: Poly
-
-    def gamma(self, alpha: float) -> float:
-        return det_gamma(self.j, alpha)
-
-
-def det_forms(j: HalfInt) -> DetForms:
-    return DetForms(j, det_poly(j), det_cfn_poly(j))
+def det_forms(j: HalfInt) -> Tuple[Poly, Poly]:
+    """The determinant as the product expansion and as the central-factorial assembly."""
+    return det_poly(j), det_cfn_poly(j)
 
 
 def _log_sinh(x: float) -> float:
@@ -86,13 +77,13 @@ def _log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
 
 
-def det_gamma(j: HalfInt, alpha: float) -> float:
-    """Closed-form determinant via gamma-function magnitudes.
+def log_det_gamma(j: HalfInt, alpha: float) -> float:
+    """Log of the closed-form determinant via gamma-function magnitudes.
 
     Integer j uses (2a)^(2j+1) sinh(pi/2a) |Gamma(j+1+i/(2a))|^2 / pi,
     semi-integer j the same with cosh.  |Gamma|^2 is reduced to a finite
     product over the integer (or half-integer) offsets; the whole thing
-    is accumulated in log space so large j cannot overflow prematurely.
+    stays in log space, so large j cannot overflow.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero; the polynomial form gives det(0) = 1")
@@ -113,7 +104,7 @@ def det_gamma(j: HalfInt, alpha: float) -> float:
         log_det += math.fsum(
             math.log((l - 0.5) ** 2 + y * y) for l in range(1, half_steps + 1)
         )
-    return math.exp(log_det)
+    return log_det
 
 
 @dataclass(frozen=True)
@@ -210,9 +201,10 @@ def b_coeffs_recursion(j: HalfInt) -> CayleyCoeffs:
     B_m = (alpha**m (1 - alpha q_2j) + alpha**(2j+1) q_m) / (1 - alpha q_2j).
     """
     two_j = j.two_j
-    neg_kappa = [
-        -_integer(2 ** (two_j + 1 - m) * abs(cfn(two_j + 2, m + 1))) for m in range(two_j + 1)
-    ]
+    neg_kappa = []
+    for m in range(two_j + 1):
+        num, den = cfn_pair(two_j + 2, m + 1)
+        neg_kappa.append(-_integer(abs(num) << (two_j + 1 - m), den))
     den = [1] + [-x for x in reversed(neg_kappa)]  # 1 - alpha q_2j
     b_nums = [
         [x + y for x, y in zip([0] * m + den, [0] * (two_j + 1) + neg_kappa[m::-1])]
@@ -284,54 +276,52 @@ def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:
     return out
 
 
-def _log_sum_exp(logs: Sequence[float]) -> float:
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
-
-
-def asymp_bosonic(k: int, alpha: float) -> float:
-    """Large-j limit of B_k/alpha**k for integer spins (k >= 1).
-
-    1 - [sum_{n<k} x^{2n}/(2n+1)!] / (sinh(x)/x), x = pi/(2|alpha|);
-    evaluated in log space once sinh would overflow.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if alpha == 0:
-        return 1.0
-    x = math.pi / (2.0 * abs(alpha))
-    if x < 700.0:
-        partial = math.fsum(x ** (2 * n) / math.factorial(2 * n + 1) for n in range(k))
-        return 1.0 - partial / (math.sinh(x) / x)
-    log_partial = _log_sum_exp(
-        [2 * n * math.log(x) - math.lgamma(2 * n + 2) for n in range(k)]
-    )
-    return 1.0 - math.exp(log_partial - (_log_sinh(x) - math.log(x)))
-
-
-def asymp_fermionic(k: int, alpha: float) -> float:
-    """Large-j limit of B_2k/alpha**2k for semi-integer spins (k >= 0)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if alpha == 0:
-        return 1.0
-    x = math.pi / (2.0 * abs(alpha))
-    if x < 700.0:
-        partial = math.fsum(x ** (2 * n) / math.factorial(2 * n) for n in range(k + 1))
-        return 1.0 - partial / math.cosh(x)
-    log_partial = _log_sum_exp(
-        [2 * n * math.log(x) - math.lgamma(2 * n + 1) for n in range(k + 1)]
-    )
-    return 1.0 - math.exp(log_partial - _log_cosh(x))
-
-
 def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
-    """lim_{j->inf} B_k(alpha)/alpha**k at fixed k, per spin parity."""
+    """lim_{j->inf} B_k(alpha)/alpha**k at fixed k, for either spin parity.
+
+    With x = pi/(2|alpha|) and s = 1 for integer spins, 0 for semi-integer
+    ones, it is 1 - [sum_n x^{2n}/(2n+s)!] / F over n < (k+1)/2 (integer)
+    or n <= k/2 (semi-integer), where F = sinh(x)/x or cosh(x) is the whole
+    series.  Evaluated in log space once F would overflow, and by
+    _tail_share where a term of the float sum overflows.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if is_integer_spin:
-        return 1.0 if k == 0 else asymp_bosonic((k + 1) // 2, alpha)
-    return asymp_fermionic(k // 2, alpha)
+    s = 1 if is_integer_spin else 0
+    count = (k + 2 - s) // 2
+    if alpha == 0 or not count:
+        return 1.0
+    x = math.pi / (2.0 * abs(alpha))
+    if x < 700.0:
+        try:
+            partial = math.fsum(x ** (2 * n) / math.factorial(2 * n + s) for n in range(count))
+        except OverflowError:  # x**(2n) or (2n+s)! is past the float range
+            return _tail_share(s, count, x)
+        return 1.0 - partial / (math.sinh(x) / x if s else math.cosh(x))
+    logs = [2 * n * math.log(x) - math.lgamma(2 * n + 1 + s) for n in range(count)]
+    top = max(logs)
+    log_partial = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    log_full = _log_sinh(x) - math.log(x) if s else _log_cosh(x)
+    return 1.0 - math.exp(log_partial - log_full)
+
+
+def _tail_share(s: int, count: int, x: float) -> float:
+    """The limit ratio as the series tail over the whole, in fixed point.
+
+    Term n, x^{2n}/(2n+s)! at the exact rational x, is an integer multiple
+    of 2**-128 built from term n - 1, until the terms past the peak round
+    to 0.  Each floor loses under one unit, so the ratio is exact to far
+    below 1e-15, and 0 <= tail <= whole puts it in [0, 1].
+    """
+    p, q = x.as_integer_ratio()
+    term, whole, tail, n = 1 << 128, 0, 0, 0  # term 0 is 1/s! = 1
+    while term:
+        whole += term
+        if n >= count:
+            tail += term
+        n += 1
+        term = term * p * p // (q * q * (2 * n + s - 1) * (2 * n + s))
+    return tail / whole
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .halfint import HalfInt
-
 
 @lru_cache(maxsize=None)
 def _row(n: int) -> Tuple[int, ...]:
@@ -58,12 +56,3 @@ def cfn(n: int, k: int) -> Fraction:
     """t(n, k); zero for mixed parity or k > n, with t(0, 0) = 1."""
     return Fraction(*cfn_pair(n, k))
 
-
-def det_cfn_row(j: HalfInt) -> list[Fraction]:
-    """Magnitudes |t(2j+2, 2j+2-2k)| for k = 0 .. floor(j + 1/2).
-
-    These are the coefficients of 4**k * alpha**(2k) in the characteristic
-    determinant for spin j.
-    """
-    n = j.two_j + 2
-    return [abs(cfn(n, n - 2 * k)) for k in range((j.two_j + 1) // 2 + 1)]

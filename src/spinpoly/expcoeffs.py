@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Tuple
 
-from .cfn import cfn, cfn_pair
+from .cfn import cfn_pair
 from .exact import Poly, i_power_parts, poly_eval
 from .halfint import HalfInt
 
@@ -136,13 +136,14 @@ def a_coeff_trunc(j: HalfInt, k: int, theta: float) -> float:
 
 @lru_cache(maxsize=None)
 def _cfn_sum_terms(two_j: int, k: int) -> Tuple[Tuple[int, float], ...]:
-    # (m, k!/2^k * 2^m/m! * |t(m,k)|) for m = k..2j with the parity of k
+    # (m, k!/2^k * 2^m/m! * |t(m,k)|) for m = k..2j with the parity of k,
+    # each one int/int division of cfn_pair's integers, so correctly rounded
     kfact = math.factorial(k)
     terms = []
     for m in range(k, two_j + 1, 2):
-        c = Fraction(kfact * 2**m, 2**k * math.factorial(m)) * abs(cfn(m, k))
-        if c:
-            terms.append((m, float(c)))
+        num, den = cfn_pair(m, k)
+        if num:
+            terms.append((m, (kfact * abs(num) << m) / (math.factorial(m) * den << k)))
     return tuple(terms)
 
 

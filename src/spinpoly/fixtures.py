@@ -123,59 +123,33 @@ class FixtureResult:
     detail: str = ""
 
 
-def _check_vinv(two_j: int) -> FixtureResult:
-    name = f"inverse-vandermonde j={HalfInt(two_j)}"
-    got = basis.vandermonde_inverse(HalfInt(two_j))
-    want = VINV_GOLDEN[two_j]
+def _compare(name: str, got, want) -> FixtureResult:
     if got == want:
         return FixtureResult(name, True)
     return FixtureResult(name, False, f"computed {got} != golden {want}")
-
-
-def _check_duals(two_j: int) -> FixtureResult:
-    name = f"dual-diagonals j={HalfInt(two_j)}"
-    got = basis.dual_matrices(HalfInt(two_j))
-    want = DUALS_GOLDEN[two_j]
-    if got == want:
-        return FixtureResult(name, True)
-    return FixtureResult(name, False, f"computed {got} != golden {want}")
-
-
-def _check_det(two_j: int) -> FixtureResult:
-    name = f"determinant j={HalfInt(two_j)}"
-    got = cayley.det_poly(HalfInt(two_j))
-    want_even = DET_GOLDEN[two_j]
-    want = [F(0)] * (2 * len(want_even) - 1)
-    for i, c in enumerate(want_even):
-        want[2 * i] = F(c)
-    if got == poly(want):
-        return FixtureResult(name, True)
-    return FixtureResult(name, False, f"computed {got} != golden {tuple(want)}")
-
-
-def _check_cayley(two_j: int) -> FixtureResult:
-    j = HalfInt(two_j)
-    name = f"cayley-coefficients j={j}"
-    table = cayley.b_coeffs(j)
-    for k, (num, den) in enumerate(CAYLEY_GOLDEN[two_j]):
-        want = RationalFunction(poly(num), poly(den))
-        got = cayley.reduce_over_det(j, table.A[k])
-        if got != want:
-            return FixtureResult(
-                name, False, f"A_{k}: computed {got} != golden {want}"
-            )
-    return FixtureResult(name, True)
 
 
 def run_fixtures() -> list[FixtureResult]:
     """Run every embedded fixture; exact comparisons only."""
-    results = []
-    for two_j in (1, 2, 3, 4):
-        results.append(_check_vinv(two_j))
-    for two_j in (1, 2, 3, 4):
-        results.append(_check_duals(two_j))
-    for two_j in (1, 2, 3, 4, 5, 6):
-        results.append(_check_det(two_j))
-    for two_j in (1, 2, 3, 4, 5, 6):
-        results.append(_check_cayley(two_j))
-    return results
+    # DET_GOLDEN lists the even coefficients; the odd ones are 0
+    dets = {two_j: poly(c for x in even for c in (x, 0)) for two_j, even in DET_GOLDEN.items()}
+    cayleys = {
+        two_j: tuple(RationalFunction(num, den) for num, den in rows)
+        for two_j, rows in CAYLEY_GOLDEN.items()
+    }
+    # fixture kind, the computed object for a spin, golden values by 2j
+    table = (
+        ("inverse-vandermonde", basis.vandermonde_inverse, VINV_GOLDEN),
+        ("dual-diagonals", basis.dual_matrices, DUALS_GOLDEN),
+        ("determinant", cayley.det_poly, dets),
+        (
+            "cayley-coefficients",
+            lambda j: tuple(cayley.reduce_over_det(j, num) for num in cayley.b_coeffs(j).A),
+            cayleys,
+        ),
+    )
+    return [
+        _compare(f"{kind} j={HalfInt(two_j)}", compute(HalfInt(two_j)), want)
+        for kind, compute, golden in table
+        for two_j, want in golden.items()
+    ]

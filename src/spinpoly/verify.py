@@ -171,17 +171,22 @@ def _check_pairing_parity(max_two_j: int, tally: _Tally) -> str | None:
 
 
 def _check_det_forms(max_two_j: int, tally: _Tally) -> str | None:
+    # as logs, since det(2) passes the float range near 2j = 150
     for j in half_integers(max_two_j):
-        forms = cayley.det_forms(j)
+        det, cfn_det = cayley.det_forms(j)
         tally.add()
-        if forms.poly != forms.cfn_poly:
+        if det != cfn_det:
             return f"op=det_cfn_poly j={j}"
+        deg = len(det) - 1
         for alpha in (-2.0, -0.5, 0.5, 1.0, 2.0):
-            poly_val = float(sum(float(c) * alpha**i for i, c in enumerate(forms.poly)))
-            gamma_val = forms.gamma(alpha)
-            tally.add(_rel_diff(poly_val, gamma_val))
-            if not _rel_close(poly_val, gamma_val, DET_BOUND):
-                return f"op=det_gamma j={j} alpha={alpha} poly={poly_val} gamma={gamma_val}"
+            p, q = alpha.as_integer_ratio()
+            scaled = sum(c * p**i * q ** (deg - i) for i, c in enumerate(det))  # q**deg det(p/q)
+            log_poly = math.log(scaled) - deg * math.log(q)
+            log_gamma = cayley.log_det_gamma(j, alpha)
+            err = -math.expm1(-abs(log_poly - log_gamma))  # |a - b| / max(a, b)
+            tally.add(err)
+            if not err <= DET_BOUND:
+                return f"op=det_gamma j={j} alpha={alpha} log_poly={log_poly} log_gamma={log_gamma}"
     return None
 
 

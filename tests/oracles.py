@@ -177,6 +177,27 @@ def b_exact_gamma(j: int, k: int, alpha: float) -> float:
     raise ValueError(f"closed forms cover k in 1..4, got {k}")
 
 
+def limit_ratio_exact(is_integer_spin: bool, k: int, x: float) -> Fraction:
+    """b_limit_ratio at x = pi/(2|alpha|) as one exact fraction, tail over whole.
+
+    With s = 1 for integer spins, 0 otherwise, term n is x^{2n}/(2n+s)! at
+    the exact rational x, and the limit is the share of the terms from
+    n = (k + 2 - s)//2 on.  The sum stops 200 terms past the larger of
+    that index and x; from n = x on each term is under a quarter of the
+    one before, so what is left out is below 4**-200 of the whole.  All
+    terms are taken over the one denominator q**(2 top) (2 top + s)!.
+    """
+    s = 1 if is_integer_spin else 0
+    count = (k + 2 - s) // 2
+    p, q = Fraction(x).as_integer_ratio()
+    top = max(count, math.ceil(x)) + 200
+    scaled, falling = [], 1  # falling = (2 top + s)! / (2n + s)!
+    for n in range(top, -1, -1):
+        scaled.append(p ** (2 * n) * q ** (2 * (top - n)) * falling)
+        falling *= (2 * n + s) * (2 * n + s - 1)
+    return Fraction(sum(scaled[: top - count + 1]), sum(scaled))
+
+
 def relative_error(j: HalfInt, k: int, alpha: float) -> float:
     """(A_k^inf - A_k^[j]) / A_k^[j] at the given alpha.
 
@@ -256,7 +277,7 @@ def validate_figure(figure: str) -> list[str]:
             det = cayley.det_poly(j)
             for alpha in (0.25, 0.8, 1.5, 2.0):
                 poly_val = math.fsum(float(c) * alpha**i for i, c in enumerate(det))
-                gamma_val = cayley.det_gamma(j, alpha)
+                gamma_val = math.exp(cayley.log_det_gamma(j, alpha))
                 if abs(poly_val - gamma_val) > 1e-10 * max(abs(poly_val), abs(gamma_val)):
                     problems.append(f"inv-det j={j} alpha={alpha}: {poly_val} vs {gamma_val}")
     else:

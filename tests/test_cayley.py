@@ -5,23 +5,22 @@ from fractions import Fraction as F
 import pytest
 
 from spinpoly.cayley import (
-    asymp_bosonic,
-    asymp_fermionic,
     b_coeffs,
     b_coeffs_cfn,
     b_coeffs_recursion,
+    b_limit_ratio,
     cayley_reconstruction,
     det_forms,
-    det_gamma,
     det_poly,
     eval_coeffs,
+    log_det_gamma,
     reduce_over_det,
     resolvent_coeffs,
 )
 from spinpoly.exact import RationalFunction, poly, poly_mul
 from spinpoly.halfint import HalfInt, half_integers
 
-from oracles import b_exact_gamma, relative_error, trigamma_int
+from oracles import b_exact_gamma, limit_ratio_exact, relative_error, trigamma_int
 
 
 def even_poly(coeffs_by_alpha_squared):
@@ -51,16 +50,16 @@ def test_det_poly_equals_fraction_product_over_the_spectrum():
 
 def test_det_equals_cfn_assembly():
     for j in half_integers(40):
-        forms = det_forms(j)
-        assert forms.poly == forms.cfn_poly, j
+        det, cfn_det = det_forms(j)
+        assert det == cfn_det, j
 
 
 def test_det_gamma_values():
-    assert det_gamma(HalfInt(2), 0.5) == pytest.approx(2.0, rel=1e-12)
-    assert det_gamma(HalfInt(1), 1.0) == pytest.approx(2.0, rel=1e-12)
-    assert det_gamma(HalfInt(5), 1.0) == pytest.approx(520.0, rel=1e-12)
+    assert math.exp(log_det_gamma(HalfInt(2), 0.5)) == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(log_det_gamma(HalfInt(1), 1.0)) == pytest.approx(2.0, rel=1e-12)
+    assert math.exp(log_det_gamma(HalfInt(5), 1.0)) == pytest.approx(520.0, rel=1e-12)
     with pytest.raises(ValueError):
-        det_gamma(HalfInt(2), 0.0)
+        log_det_gamma(HalfInt(2), 0.0)
 
 
 def test_det_gamma_matches_poly_on_grid():
@@ -68,7 +67,7 @@ def test_det_gamma_matches_poly_on_grid():
         det = det_poly(j)
         for alpha in (-2.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 2.0):
             want = math.fsum(float(c) * alpha**i for i, c in enumerate(det))
-            got = det_gamma(j, alpha)
+            got = math.exp(log_det_gamma(j, alpha))
             assert abs(got - want) <= 1e-10 * want, (j, alpha)
 
 
@@ -153,23 +152,49 @@ def test_asymp_bosonic_k1_form():
     for alpha in (0.3, 1.0, 2.5):
         x = math.pi / (2 * alpha)
         want = 1.0 - 1.0 / ((2 * alpha / math.pi) * math.sinh(x))
-        assert asymp_bosonic(1, alpha) == pytest.approx(want, rel=1e-14)
+        assert b_limit_ratio(True, 1, alpha) == pytest.approx(want, rel=1e-14)
 
 
 def test_asymp_limits_and_monotinicity():
-    assert asymp_bosonic(3, 1e6) == pytest.approx(0.0, abs=1e-10)
-    assert asymp_fermionic(2, 1e6) == pytest.approx(0.0, abs=1e-10)
-    assert asymp_bosonic(2, 0.0) == 1.0
-    values = [asymp_bosonic(k, 1.0) for k in range(1, 11)]
+    assert b_limit_ratio(True, 5, 1e6) == pytest.approx(0.0, abs=1e-10)
+    assert b_limit_ratio(False, 4, 1e6) == pytest.approx(0.0, abs=1e-10)
+    assert b_limit_ratio(True, 3, 0.0) == 1.0
+    values = [b_limit_ratio(True, 2 * n - 1, 1.0) for n in range(1, 11)]
     assert all(a >= b >= 0.0 for a, b in zip(values, values[1:]))
     # deep in the essential-singularity region the ratio underflows to 1
-    assert asymp_bosonic(2, 1e-4) == 1.0
-    assert asymp_fermionic(1, 1e-4) == 1.0
+    assert b_limit_ratio(True, 3, 1e-4) == 1.0
+    assert b_limit_ratio(False, 2, 1e-4) == 1.0
 
 
 def test_asymp_fermionic_values():
-    assert asymp_fermionic(0, 1.0) == pytest.approx(1.0 - 1.0 / math.cosh(math.pi / 2), rel=1e-14)
-    assert asymp_fermionic(1, math.pi / 2) == pytest.approx(1.0 - 1.5 / math.cosh(1.0), rel=1e-14)
+    assert b_limit_ratio(False, 0, 1.0) == pytest.approx(1.0 - 1.0 / math.cosh(math.pi / 2), rel=1e-14)
+    assert b_limit_ratio(False, 2, math.pi / 2) == pytest.approx(1.0 - 1.5 / math.cosh(1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "is_integer_spin, k, alpha",
+    [
+        (True, 171, 1.0),  # 171! is past the float range
+        (True, 171, 1e4),
+        (False, 172, 1.0),
+        (True, 121, 0.00225),  # x**120 overflows at x = 698.1
+        (True, 1001, 0.5),  # saturated: the exact share is below 1e-2000
+        (False, 1001, 0.5),
+        (True, 400, math.pi / 800),  # about half the series is past k, x = 400
+        (False, 400, math.pi / 800),
+        (True, 1398, math.pi / 1398),  # x = 699, just under the log-space switch
+        (False, 700, math.pi / 1396),
+    ],
+)
+def test_limit_ratio_past_the_float_sum_matches_exact_reference(is_integer_spin, k, alpha):
+    # where a term of the float partial sum overflows, the ratio is the exact
+    # one at the same float x to 1e-15, and a share in [0, 1]
+    x, s = math.pi / (2.0 * abs(alpha)), int(is_integer_spin)
+    with pytest.raises(OverflowError):
+        math.fsum(x ** (2 * n) / math.factorial(2 * n + s) for n in range((k + 2 - s) // 2))
+    got = b_limit_ratio(is_integer_spin, k, alpha)
+    assert 0.0 <= got <= 1.0
+    assert abs(F(got) - limit_ratio_exact(is_integer_spin, k, x)) <= F(1, 10**15)
 
 
 def test_b_exact_gamma_matches_table():

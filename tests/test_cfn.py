@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from spinpoly.cfn import cfn, det_cfn_row
+from spinpoly.cayley import det_cfn_poly
+from spinpoly.cfn import cfn
 from spinpoly.exact import poly, poly_mul
 from spinpoly.halfint import HalfInt
 
@@ -70,9 +71,9 @@ def test_integer_rows_match_fraction_product():
 
 
 def test_det_row_values():
-    assert det_cfn_row(HalfInt(3)) == [1, F(5, 2), F(9, 16)]
-    assert det_cfn_row(HalfInt(1)) == [1, F(1, 4)]
-    assert det_cfn_row(HalfInt(2)) == [1, 1]
+    assert det_cfn_poly(HalfInt(3)) == (1, 0, 10, 0, 9)
+    assert det_cfn_poly(HalfInt(1)) == (1, 0, 1)
+    assert det_cfn_poly(HalfInt(2)) == (1, 0, 4)
 
 
 @given(st.integers(0, 60), st.integers(0, 60))

@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import spinpoly
-from spinpoly import cayley, cli, fixtures
+from spinpoly import cayley, cli, fixtures, verify
 from spinpoly.halfint import HalfInt
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,8 +133,8 @@ def test_basis_default_prints_vandermonde(capsys):
 def test_verify_failure_exit_code_and_context(capsys, monkeypatch):
     from spinpoly import cayley
 
-    real = cayley.det_gamma
-    monkeypatch.setattr(cayley, "det_gamma", lambda j, a: real(j, a) * (1.0 + 1e-6))
+    real = cayley.log_det_gamma
+    monkeypatch.setattr(cayley, "log_det_gamma", lambda j, a: real(j, a) + math.log1p(1e-6))
     code, out = run(capsys, "verify", "--max-two-j", "2")
     assert code == 1
     report = json.loads(out)
@@ -141,6 +142,13 @@ def test_verify_failure_exit_code_and_context(capsys, monkeypatch):
     assert bad
     assert "op=det_gamma" in bad[0]["detail"]
     assert "alpha=" in bad[0]["detail"] and "j=" in bad[0]["detail"]
+
+
+def test_verify_determinant_forms_past_the_float_range_of_det():
+    # det(2) passes the float range at 2j = 150; the check compares logs
+    tally = verify._Tally()
+    assert verify._check_det_forms(160, tally) is None
+    assert tally.cases == 161 * 6 and tally.worst < verify.DET_BOUND
 
 
 def test_fixtures_command(capsys):
@@ -170,6 +178,24 @@ def test_asymp_command(capsys):
     code, out = run(capsys, "asymp", "--j-list", "1", "--k", "0", "--alpha-grid", "0:1:2")
     assert code == 0
     assert "0.0,j=1,1.0" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a term of the limit's float sum overflows: 171! here, x**120 at x = 698.1 below
+        ["asymp", "--j-list", "86", "--k", "171", "--alpha-grid", "1:1:1"],
+        ["plotdata", "--figure", "cayley-B12", "--j", "86", "--k", "171", "--alpha-grid", "1:1:1"],
+        ["asymp", "--j-list", "61", "--k", "121", "--alpha-grid", "0.00225:0.00225:1"],
+    ],
+)
+def test_limit_curves_past_the_float_range_of_the_partial_sum(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["alpha", "series", "value"] and len(rows) == 3
+    assert any(series.startswith("limit") for _, series, _ in rows[1:])
+    assert all(0.0 <= float(value) <= 1.0 for _, _, value in rows[1:])
 
 
 def test_bridge_command(capsys):

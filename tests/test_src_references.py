@@ -7,7 +7,8 @@ body; an import, a docstring or a comment that mentions the name is not
 one.  Dunder methods are reached by the language, not by name.  Exempt
 are the names the benchmark's tracer wraps or counts (perfbench/layers.py
 TARGETS and CACHES, read as test_bench_names.py reads them) and
-project_coefficients, the documented general entry point.
+project_coefficients, the documented general entry point.  A second
+guard keeps cfn.cfn, the Fraction form of t(n, k), to the cfn command.
 """
 
 import ast
@@ -76,3 +77,17 @@ def test_a_test_only_function_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Box, lonely, used\nX = used(), Box()\n")
     assert unreferenced(set(), tmp_path) == ["spinpoly.a.lonely", "spinpoly.a.Box.unused"]
+
+
+def test_only_the_cli_reads_central_factorial_fractions():
+    # the library reads t(n, k) as cfn_pair's integers; cfn.cfn, the Fraction
+    # form, is the cfn command's alone
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "cfn":
+                    callers.add(path.stem)
+    assert callers == {"cli"}
