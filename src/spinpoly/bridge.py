@@ -13,11 +13,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Tuple
 
 from .cayley import eval_coeffs
 from .cfn import cfn_pair
 from .expcoeffs import exp_grid
 from .halfint import HalfInt
+
+# ((m, c_m) for m = col, col + 2, ..., 2j; top): see laplace_column
+LaplaceColumn = Tuple[Tuple[Tuple[int, int], ...], int]
 
 
 def b_from_a_laplace(j: HalfInt, k: int, alpha) -> Fraction:
@@ -27,30 +31,51 @@ def b_from_a_laplace(j: HalfInt, k: int, alpha) -> Fraction:
     2j-k first rewrites A_k through the derivative relation, which lands
     every term in the sin/cos-power integral family.  alpha is any exact
     rational (a float is taken at its exact value); the result is exact.
-
-    With alpha = p/q and F_r = q^2 + r^2 p^2, the term of index m is
-    c_m alpha**(m - delta) / prod (1 + r^2 alpha^2)
-    = c_m p**(m - delta) q**e / prod F_r over 0 < r <= m, r = m mod 2, where
-    e = m % 2 + delta is the same for every term.  So the sum has one
-    integer denominator: the largest power of 4 under the t(m, col) times
-    prod F_r up to r = 2j, and one Horner pass over m builds its numerator.
+    It is scaled_laplace over laplace_column, in lowest terms.
     """
     if not 0 <= k <= j.two_j:
         raise ValueError(f"k must lie in 0..{j.two_j}, got {k}")
     p, q = Fraction(alpha).as_integer_ratio()
-    delta = (j.two_j - k) % 2  # 1: the sin**(m-1) cos family of column k + 1
-    col = k + delta
-    pairs = [(m, *cfn_pair(m, col)) for m in range(col, j.two_j + 1, 2)]
+    column = laplace_column(j.two_j, k + (j.two_j - k) % 2)
+    return Fraction(*scaled_laplace(j.two_j, k, column, p, q))
+
+
+def laplace_column(two_j: int, col: int) -> LaplaceColumn:
+    """The alpha-independent part of the transform through column col: (terms, top).
+
+    top is the largest power of 4 under the t(m, col), m = col, col + 2,
+    ..., 2j, and terms pairs each such m with |t(m, col)| 2**(m - col) top,
+    an integer.  B_k reads column k when 2j - k is even and k + 1 when it
+    is odd, so one column serves k = col and k = col - 1.
+    """
+    pairs = [(m, *cfn_pair(m, col)) for m in range(col, two_j + 1, 2)]
     top = max(den for _, _, den in pairs)
+    return tuple((m, (abs(num) << m - col) * (top // den)) for m, num, den in pairs), top
+
+
+def scaled_laplace(two_j: int, k: int, column: LaplaceColumn, p: int, q: int) -> Tuple[int, int]:
+    """B_k at alpha = p/q as an unreduced integer pair (num, den > 0).
+
+    column is laplace_column(two_j, col), col = k + (2j - k) % 2.  With
+    delta = col - k and F_r = q^2 + r^2 p^2, the term of index m is
+    c_m alpha**(m - delta) / prod (1 + r^2 alpha^2)
+    = c_m p**(m - delta) q**e / prod F_r over 0 < r <= m, r = m mod 2, where
+    e = m % 2 + delta is the same for every term.  So the sum has one
+    integer denominator, top times prod F_r up to r = 2j, and one Horner
+    pass over m builds its numerator.
+    """
+    delta = (two_j - k) % 2  # 1: the sin**(m-1) cos family of column k + 1
+    col = k + delta
+    terms, top = column
     num = 0
     den = top
     for r in range(2 - col % 2, col, 2):
         den *= q * q + r * r * p * p
-    for m, t_num, t_den in pairs:
+    for m, c in terms:
         f = q * q + m * m * p * p if m else 1  # r = 0 is no factor
-        num = num * f + (abs(t_num) << m - col) * (top // t_den) * p ** (m - delta)
+        num = num * f + c * p ** (m - delta)
         den *= f
-    return Fraction(num * q ** (col % 2 + delta), den)
+    return num * q ** (col % 2 + delta), den
 
 
 @dataclass(frozen=True)

@@ -268,12 +268,13 @@ def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:
             nxt[m + 1] += -lam * dm
         d = nxt
     powers = [alpha**m for m in range(n + 1)]
-    det_val = sum(dm * powers[m] for m, dm in enumerate(d))
-    out = []
-    for idx in range(n):
-        trunc = sum(d[m] * powers[m] for m in range(0, n - idx))
-        out.append(powers[idx] * trunc / det_val)
-    return out
+    # trunc[i] = sum of the terms d_m alpha**m below m = i, one running sum
+    trunc = []
+    det_val = 0
+    for dm, pm in zip(d, powers):
+        trunc.append(det_val)
+        det_val = det_val + dm * pm
+    return [powers[idx] * trunc[n - idx] / det_val for idx in range(n)]
 
 
 def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
@@ -283,7 +284,8 @@ def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
     ones, it is 1 - [sum_n x^{2n}/(2n+s)!] / F over n < (k+1)/2 (integer)
     or n <= k/2 (semi-integer), where F = sinh(x)/x or cosh(x) is the whole
     series.  Evaluated in log space once F would overflow, and by
-    _tail_share where a term of the float sum overflows.
+    _tail_share where a term of the float sum overflows or where the
+    partial sum passes half of F, so that 1 - partial/F would cancel.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -297,12 +299,14 @@ def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
             partial = math.fsum(x ** (2 * n) / math.factorial(2 * n + s) for n in range(count))
         except OverflowError:  # x**(2n) or (2n+s)! is past the float range
             return _tail_share(s, count, x)
-        return 1.0 - partial / (math.sinh(x) / x if s else math.cosh(x))
-    logs = [2 * n * math.log(x) - math.lgamma(2 * n + 1 + s) for n in range(count)]
-    top = max(logs)
-    log_partial = top + math.log(math.fsum(math.exp(v - top) for v in logs))
-    log_full = _log_sinh(x) - math.log(x) if s else _log_cosh(x)
-    return 1.0 - math.exp(log_partial - log_full)
+        head = partial / (math.sinh(x) / x if s else math.cosh(x))
+    else:
+        logs = [2 * n * math.log(x) - math.lgamma(2 * n + 1 + s) for n in range(count)]
+        top = max(logs)
+        log_partial = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+        log_full = _log_sinh(x) - math.log(x) if s else _log_cosh(x)
+        head = math.exp(log_partial - log_full)
+    return _tail_share(s, count, x) if head > 0.5 else 1.0 - head
 
 
 def _tail_share(s: int, count: int, x: float) -> float:

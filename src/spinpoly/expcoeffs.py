@@ -147,12 +147,16 @@ def _cfn_sum_terms(two_j: int, k: int) -> Tuple[Tuple[int, float], ...]:
     return tuple(terms)
 
 
-def a_coeff_cfn_series(j: HalfInt, k: int, theta: float) -> float:
-    """A_k(theta) by the direct central-factorial sum; needs 2j - k even."""
+def a_coeff_cfn_series(j: HalfInt, k: int, thetas: Iterable[float]) -> list[float]:
+    """A_k on a grid, by the direct central-factorial sum; needs 2j - k even."""
     if epsilon(j, k):
         raise ValueError(f"2j - k must be even, got 2j={j.two_j}, k={k}")
-    s = math.sin(theta / 2.0)
-    return math.fsum(c * s**m for m, c in _cfn_sum_terms(j.two_j, k))
+    terms = _cfn_sum_terms(j.two_j, k)
+    out = []
+    for theta in thetas:
+        s = math.sin(theta / 2.0)
+        out.append(math.fsum(c * s**m for m, c in terms))
+    return out
 
 
 def a_coeff_derivative_path(j: HalfInt, k: int, thetas: Iterable[float]) -> list[float]:
@@ -204,8 +208,8 @@ def exp_poly(j: HalfInt, theta: float) -> ExpCoeffTable:
 # ---------------------------------------------------------------------------
 
 
-def _quarter_tan(theta: float) -> tuple[int, int]:
-    # t = tan(theta/4) as a/b in lowest terms, b > 0
+def quarter_tan(theta: float) -> tuple[int, int]:
+    """t = tan(theta/4) as a/b in lowest terms, b > 0: the rational point of theta."""
     return Fraction(math.tan(theta / 4.0)).limit_denominator(10**12).as_integer_ratio()
 
 
@@ -226,6 +230,31 @@ def _recon_weights(two_j: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     )
 
 
+def _recon_numerators(two_j: int, s: int, c: int, d: int) -> list[int]:
+    """X_k = L d**2j A_k/k! at (sin, cos)(theta/2) = (s, c)/d, for k = 0..2j.
+
+    X_k = c**eps s**k sum_r w_r s**2r d**(2j-k-eps-2r) with L and w from
+    _recon_weights.  The sum runs by Horner in d**2 from r = 0 up, one
+    big product w_r s**2r per term, and is then multiplied by d**2 once
+    for each coefficient the zero tail of the series dropped from w.
+    """
+    w_all = _recon_weights(two_j)[1]
+    s2, d2 = s * s, d * d
+    s2_pow = [1]
+    for _ in range(two_j // 2):
+        s2_pow.append(s2_pow[-1] * s2)
+    xs = []
+    s_pow = 1
+    for k, w in enumerate(w_all):
+        acc = 0
+        for wr, s2r in zip(w, s2_pow):
+            acc = acc * d2 + wr * s2r
+        x = s_pow * acc * d2 ** ((two_j - k) // 2 + 1 - len(w))
+        xs.append(x * c if (two_j - k) % 2 else x)
+        s_pow *= s
+    return xs
+
+
 @dataclass(frozen=True)
 class ExpReconstruction:
     j: HalfInt
@@ -234,25 +263,22 @@ class ExpReconstruction:
     exact: bool        # whether the rational identity held bit-exactly
 
 
-def exp_reconstruction(j: HalfInt, theta: float) -> ExpReconstruction:
-    """Check sum_k (1/k!) A_k (2i m)**k == e^{i theta m} on the spectrum."""
+def exp_reconstruction(
+    j: HalfInt, theta: float, point: tuple[int, int] | None = None
+) -> ExpReconstruction:
+    """Check sum_k (1/k!) A_k (2i m)**k == e^{i theta m} on the spectrum.
+
+    point is quarter_tan(theta), taken when not given; a caller checking
+    many spins at one theta passes it to find it once.
+    """
     two_j = j.two_j
-    lcm, weights = _recon_weights(two_j)
-    a, b = _quarter_tan(theta)
+    lcm = _recon_weights(two_j)[0]
+    a, b = quarter_tan(theta) if point is None else point
     s, c, d = 2 * a * b, b * b - a * a, a * a + b * b  # (sin, cos)(theta/2) * d
-    s2_pow, d2_pow = [1], [1]
+    d2_pow = [1]
     for _ in range(two_j // 2):
-        s2_pow.append(s2_pow[-1] * s * s)
         d2_pow.append(d2_pow[-1] * d * d)
-    # X_k = L d**2j A_k/k! = c**eps s**k sum_r w_r s**2r d**(2j-k-eps-2r)
-    xs = []
-    s_pow = 1
-    for k, w in enumerate(weights):
-        n = (two_j - k) // 2
-        x = s_pow * sum(wr * s2_pow[r] * d2_pow[n - r] for r, wr in enumerate(w))
-        xs.append(x * c if (two_j - k) % 2 else x)
-        s_pow *= s
-    even, odd = i_power_parts(xs)
+    even, odd = i_power_parts(_recon_numerators(two_j, s, c, d))
     den = lcm * d**two_j
     max_err = 0.0
     exact = True

@@ -6,6 +6,10 @@ locate the first violation.  Every entry also reports its margins: the
 number of cases compared and the seconds taken, and for a check with a
 float bound the worst error seen next to that bound.  The CLI serializes
 the result as JSON.
+
+A check runs each oracle path once per grid (all angles, all alphas or
+all k of a spin) and then compares the cases in order, so the count, the
+worst error and the first failure are those of one case at a time.
 """
 
 from __future__ import annotations
@@ -13,12 +17,14 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from typing import Sequence
 
 from . import bridge, cayley, expcoeffs
 from .basis import verify_fundamental_identity
 from .halfint import half_integers
 
 _THETAS = [(-2.0 + 4.0 * i / 24) * math.pi for i in range(25)]
+_RECON_THETAS = [-3.5 * math.pi, -math.pi, 0.4, 1.7, math.pi, 2 * math.pi, 3 * math.pi, 11.0]
 _ALPHAS = [Fraction(n, 7) for n in range(-10, 11, 3) if n] + [Fraction(1, 2), Fraction(3)]
 
 EXP_PATH_BOUND = 1e-12       # relative, truncated series against the other paths
@@ -35,9 +41,18 @@ class _Tally:
         self.cases = 0
         self.worst = 0.0
 
-    def add(self, err: float = 0.0) -> None:
-        self.cases += 1
-        self.worst = max(self.worst, err)
+    def add(self, fails: Sequence[bool], errs: Sequence[float] = ()) -> int | None:
+        """Count a batch of cases up to its first failing one; return that index, or None.
+
+        errs, for a check with a float bound, are the cases' errors; the
+        worst counted one is kept, as if the cases had come one at a time.
+        """
+        bad = next((i for i, fail in enumerate(fails) if fail), None)
+        n = len(fails) if bad is None else bad + 1
+        self.cases += n
+        if errs:
+            self.worst = max([self.worst, *errs[:n]])
+        return bad
 
 
 def _rel_close(a: float, b: float, tol: float) -> bool:
@@ -53,55 +68,60 @@ def _rel_diff(a: float, b: float) -> float:
 def _check_fundamental_identity(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         rep = verify_fundamental_identity(j)
-        tally.add()
-        if not rep.passed:
+        if tally.add([not rep.passed]) is not None:
             return f"op=verify_fundamental_identity j={j} eigenvalue={rep.failing_eigenvalue}"
     return None
 
 
 def _check_exp_paths(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
-        grid = expcoeffs.exp_grid(j, _THETAS)
-        for k in range(j.two_j + 1):
-            even = expcoeffs.epsilon(j, k) == 0
-            for theta, row in zip(_THETAS, grid):
-                a = row[k]
-                if even:
-                    b = expcoeffs.a_coeff_cfn_series(j, k, theta)
-                    op = "a_coeff_cfn_series"
-                else:
-                    b = expcoeffs.a_coeff_derivative_path(j, k + 1, [theta])[0]
-                    op = "a_coeff_derivative_path"
-                tally.add(_rel_diff(a, b))
-                if not _rel_close(a, b, EXP_PATH_BOUND):
-                    return f"op={op} j={j} k={k} theta={theta} trunc={a} other={b}"
+        for k, trunc in enumerate(zip(*expcoeffs.exp_grid(j, _THETAS))):
+            if expcoeffs.epsilon(j, k) == 0:
+                op, other = "a_coeff_cfn_series", expcoeffs.a_coeff_cfn_series(j, k, _THETAS)
+            else:
+                op = "a_coeff_derivative_path"
+                other = expcoeffs.a_coeff_derivative_path(j, k + 1, _THETAS)
+            pairs = list(zip(trunc, other))
+            bad = tally.add(
+                [not _rel_close(a, b, EXP_PATH_BOUND) for a, b in pairs],
+                [_rel_diff(a, b) for a, b in pairs],
+            )
+            if bad is not None:
+                a, b = pairs[bad]
+                return f"op={op} j={j} k={k} theta={_THETAS[bad]} trunc={a} other={b}"
     return None
 
 
 def _check_exp_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
-    thetas = [-3.5 * math.pi, -math.pi, 0.4, 1.7, math.pi, 2 * math.pi, 3 * math.pi, 11.0]
+    points = [expcoeffs.quarter_tan(theta) for theta in _RECON_THETAS]  # once per check
     for j in half_integers(max_two_j):
-        for theta in thetas:
-            rep = expcoeffs.exp_reconstruction(j, theta)
-            tally.add(rep.max_error)
-            if not rep.exact or rep.max_error >= EXP_RECON_BOUND:
-                return (
-                    f"op=exp_reconstruction j={j} theta={theta} "
-                    f"max_error={rep.max_error} exact={rep.exact}"
-                )
+        reps = [expcoeffs.exp_reconstruction(j, t, pt) for t, pt in zip(_RECON_THETAS, points)]
+        bad = tally.add(
+            [not rep.exact or rep.max_error >= EXP_RECON_BOUND for rep in reps],
+            [rep.max_error for rep in reps],
+        )
+        if bad is not None:
+            rep = reps[bad]
+            return (
+                f"op=exp_reconstruction j={j} theta={rep.theta} "
+                f"max_error={rep.max_error} exact={rep.exact}"
+            )
     return None
 
 
 def _check_cayley_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
-        for alpha in _ALPHAS[:8]:
-            rep = cayley.cayley_reconstruction(j, alpha)
-            tally.add(rep.max_error)
-            if not rep.exact or rep.max_error >= CAYLEY_RECON_BOUND:
-                return (
-                    f"op=cayley_reconstruction j={j} alpha={alpha} "
-                    f"max_error={rep.max_error} exact={rep.exact}"
-                )
+        reps = [cayley.cayley_reconstruction(j, alpha) for alpha in _ALPHAS[:8]]
+        bad = tally.add(
+            [not rep.exact or rep.max_error >= CAYLEY_RECON_BOUND for rep in reps],
+            [rep.max_error for rep in reps],
+        )
+        if bad is not None:
+            rep = reps[bad]
+            return (
+                f"op=cayley_reconstruction j={j} alpha={rep.alpha} "
+                f"max_error={rep.max_error} exact={rep.exact}"
+            )
     return None
 
 
@@ -112,38 +132,50 @@ def _check_cayley_paths(max_two_j: int, tally: _Tally) -> str | None:
             (cayley.b_coeffs_recursion(j), "b_coeffs_recursion"),
             (cayley.b_coeffs_cfn(j), "b_coeffs_cfn"),
         ):
-            for k in range(j.two_j + 1):
-                tally.add()
-                if other.den != direct.den or other.B[k] != direct.B[k]:
-                    return f"op={op} j={j} k={k}"
+            same_den = other.den == direct.den
+            pairs = zip(other.B, direct.B, strict=True)
+            bad = tally.add([not same_den or b != d for b, d in pairs])
+            if bad is not None:
+                return f"op={op} j={j} k={bad}"
         eigs = [1j * m2 for m2 in range(j.two_j, -j.two_j - 1, -2)]
         for alpha in (0.35, -1.25):
             res = cayley.resolvent_coeffs(eigs, alpha)
-            for k, (r, want) in enumerate(zip(res, cayley.eval_coeffs(j, alpha)[0])):
-                scale = max(1.0, abs(want))
-                tally.add(abs(r - want) / scale)
-                if abs(r - want) > RESOLVENT_BOUND * scale:
-                    return (
-                        f"op=resolvent_coeffs j={j} k={k} alpha={alpha} "
-                        f"resolvent={r} direct={want}"
-                    )
+            wants = cayley.eval_coeffs(j, alpha)[0]
+            rows = [(r, want, max(1.0, abs(want))) for r, want in zip(res, wants)]
+            bad = tally.add(
+                [abs(r - want) > RESOLVENT_BOUND * scale for r, want, scale in rows],
+                [abs(r - want) / scale for r, want, scale in rows],
+            )
+            if bad is not None:
+                r, want, _ = rows[bad]
+                return (
+                    f"op=resolvent_coeffs j={j} k={bad} alpha={alpha} "
+                    f"resolvent={r} direct={want}"
+                )
     return None
 
 
 def _check_laplace_bridge(max_two_j: int, tally: _Tally) -> str | None:
     alphas = _ALPHAS[:6]
+    ratios = [alpha.as_integer_ratio() for alpha in alphas]
     for j in half_integers(max_two_j):
+        two_j = j.two_j
         # B_k(alpha) = nums[k]/den from the integer determinant, per alpha
-        tables = [cayley.scaled_b(j.two_j, *alpha.as_integer_ratio()) for alpha in alphas]
-        for k in range(j.two_j + 1):
-            for alpha, (nums, den) in zip(alphas, tables):
-                via = bridge.b_from_a_laplace(j, k, alpha)
-                tally.add()
-                if via.numerator * den != nums[k] * via.denominator:
-                    return (
-                        f"op=b_from_a_laplace j={j} k={k} alpha={alpha} "
-                        f"laplace={via} direct={Fraction(nums[k], den)}"
-                    )
+        tables = [cayley.scaled_b(two_j, p, q) for p, q in ratios]
+        # B_k reads column k + (2j - k) % 2, so each column serves two k
+        columns = {col: bridge.laplace_column(two_j, col) for col in range(two_j % 2, two_j + 1, 2)}
+        for k in range(two_j + 1):
+            column = columns[k + (two_j - k) % 2]
+            vias = [bridge.scaled_laplace(two_j, k, column, p, q) for p, q in ratios]
+            bad = tally.add(
+                [num * den != nums[k] * v_den for (num, v_den), (nums, den) in zip(vias, tables)]
+            )
+            if bad is not None:
+                nums, den = tables[bad]
+                return (
+                    f"op=b_from_a_laplace j={j} k={k} alpha={alphas[bad]} "
+                    f"laplace={Fraction(*vias[bad])} direct={Fraction(nums[k], den)}"
+                )
     return None
 
 
@@ -152,41 +184,43 @@ def _check_pairing_parity(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         table = cayley.b_coeffs(j)
         odd_den = any(table.den[1::2])
-        for k, num in enumerate(table.B):
-            tally.add()
-            if odd_den or any(num[1 - k % 2 :: 2]):
-                return f"op=parity j={j} k={k}"
+        bad = tally.add([odd_den or any(num[1 - k % 2 :: 2]) for k, num in enumerate(table.B)])
+        if bad is not None:
+            return f"op=parity j={j} k={bad}"
         if j.is_integer:
-            tally.add()
-            if table.B[0] != table.den:
+            if tally.add([table.B[0] != table.den]) is not None:
                 return f"op=B0 j={j}"
             pairs = [(2 * k + 2, 2 * k + 1) for k in range(j.two_j // 2)]
         else:
             pairs = [(2 * k + 1, 2 * k) for k in range((j.two_j + 1) // 2)]
-        for hi, lo in pairs:
-            tally.add()
-            if table.B[hi] != (0,) + table.B[lo]:
-                return f"op=pairing j={j} B_{hi} != alpha*B_{lo}"
+        bad = tally.add([table.B[hi] != (0,) + table.B[lo] for hi, lo in pairs])
+        if bad is not None:
+            hi, lo = pairs[bad]
+            return f"op=pairing j={j} B_{hi} != alpha*B_{lo}"
     return None
 
 
 def _check_det_forms(max_two_j: int, tally: _Tally) -> str | None:
     # as logs, since det(2) passes the float range near 2j = 150
+    alphas = (-2.0, -0.5, 0.5, 1.0, 2.0)
     for j in half_integers(max_two_j):
         det, cfn_det = cayley.det_forms(j)
-        tally.add()
-        if det != cfn_det:
+        if tally.add([det != cfn_det]) is not None:
             return f"op=det_cfn_poly j={j}"
         deg = len(det) - 1
-        for alpha in (-2.0, -0.5, 0.5, 1.0, 2.0):
+        logs = []
+        for alpha in alphas:
             p, q = alpha.as_integer_ratio()
             scaled = sum(c * p**i * q ** (deg - i) for i, c in enumerate(det))  # q**deg det(p/q)
-            log_poly = math.log(scaled) - deg * math.log(q)
-            log_gamma = cayley.log_det_gamma(j, alpha)
-            err = -math.expm1(-abs(log_poly - log_gamma))  # |a - b| / max(a, b)
-            tally.add(err)
-            if not err <= DET_BOUND:
-                return f"op=det_gamma j={j} alpha={alpha} log_poly={log_poly} log_gamma={log_gamma}"
+            logs.append((math.log(scaled) - deg * math.log(q), cayley.log_det_gamma(j, alpha)))
+        errs = [-math.expm1(-abs(lp - lg)) for lp, lg in logs]  # |a - b| / max(a, b)
+        bad = tally.add([not err <= DET_BOUND for err in errs], errs)
+        if bad is not None:
+            log_poly, log_gamma = logs[bad]
+            return (
+                f"op=det_gamma j={j} alpha={alphas[bad]} "
+                f"log_poly={log_poly} log_gamma={log_gamma}"
+            )
     return None
 
 

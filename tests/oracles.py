@@ -141,6 +141,29 @@ def exp_series_closed_form(two_j: int, k: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def recon_numerators_termwise(two_j: int, s: int, c: int, d: int) -> list[int]:
+    """X_k = L d**2j A_k/k! at (sin, cos)(theta/2) = (s, c)/d, term by term.
+
+    Each term of c**eps s**k sum_r w_r s**2r d**(2j-k-eps-2r) is its own
+    product w_r * s**2r * d**2(n-r), n = (2j - k)//2, with L and w from
+    expcoeffs._recon_weights: the sum expcoeffs._recon_numerators forms
+    by Horner in d**2.
+    """
+    weights = expcoeffs._recon_weights(two_j)[1]
+    s2_pow, d2_pow = [1], [1]
+    for _ in range(two_j // 2):
+        s2_pow.append(s2_pow[-1] * s * s)
+        d2_pow.append(d2_pow[-1] * d * d)
+    xs = []
+    s_pow = 1
+    for k, w in enumerate(weights):
+        n = (two_j - k) // 2
+        x = s_pow * sum(wr * s2_pow[r] * d2_pow[n - r] for r, wr in enumerate(w))
+        xs.append(x * c if (two_j - k) % 2 else x)
+        s_pow *= s
+    return xs
+
+
 # ---------------------------------------------------------------------------
 # cayley: gamma closed forms and the distance to the large-j limit
 # ---------------------------------------------------------------------------
@@ -260,7 +283,7 @@ def validate_figure(figure: str) -> list[str]:
                 for theta in (0.7, 2.0, math.pi, 5.5, 9.1, 11.8):
                     a = expcoeffs.a_coeff_trunc(j, k, theta)
                     if expcoeffs.epsilon(j, k) == 0:
-                        b = expcoeffs.a_coeff_cfn_series(j, k, theta)
+                        b = expcoeffs.a_coeff_cfn_series(j, k, [theta])[0]
                     else:
                         b = expcoeffs.a_coeff_derivative_path(j, k + 1, [theta])[0]
                     if a != b and abs(a - b) > 1e-12 * max(abs(a), abs(b)):

@@ -132,6 +132,21 @@ def test_resolvent_single_eigenvalue():
     assert resolvent_coeffs([F(3)], F(1, 2)) == [F(-2)]  # 1/(1 - 3/2)
 
 
+def test_resolvent_is_the_truncation_formula_exactly():
+    # r_n = alpha**n Trunc_{N-1-n}[det] / det with each truncation summed on its own
+    eigs = [F(m, 3) for m in range(-4, 5)]
+    det = [F(1)]
+    for lam in eigs:
+        det = [a - lam * b for a, b in zip(det + [0], [0] + det)]
+    n = len(eigs)
+    for alpha in (F(2, 7), F(-5, 2), F(1, 100)):
+        det_val = sum(c * alpha**m for m, c in enumerate(det))
+        want = [
+            alpha**i * sum(det[m] * alpha**m for m in range(n - i)) / det_val for i in range(n)
+        ]
+        assert resolvent_coeffs(eigs, alpha) == want
+
+
 def test_resolvent_direct_oracle():
     alpha = 0.1
     eigs = [1.0, 2.0, 3.0]
@@ -171,6 +186,13 @@ def test_asymp_fermionic_values():
     assert b_limit_ratio(False, 2, math.pi / 2) == pytest.approx(1.0 - 1.5 / math.cosh(1.0), rel=1e-14)
 
 
+SATURATED_IN_THE_FLOAT_SUM = {
+    (True, 3, 5011.872336272725),
+    (True, 5, 4466.835921509635),
+    (False, 129, 0.31622776601683794),
+}
+
+
 @pytest.mark.parametrize(
     "is_integer_spin, k, alpha",
     [
@@ -184,14 +206,24 @@ def test_asymp_fermionic_values():
         (False, 400, math.pi / 800),
         (True, 1398, math.pi / 1398),  # x = 699, just under the log-space switch
         (False, 700, math.pi / 1396),
+        (True, 1500, math.pi / 1401),  # saturated in log space, x = 700.5
+        (True, 1500, math.pi / 1500),
+        (True, 3, 5011.872336272725),  # saturated in the float sum
+        (True, 5, 4466.835921509635),
+        (False, 129, 0.31622776601683794),
     ],
 )
 def test_limit_ratio_past_the_float_sum_matches_exact_reference(is_integer_spin, k, alpha):
-    # where a term of the float partial sum overflows, the ratio is the exact
-    # one at the same float x to 1e-15, and a share in [0, 1]
+    # where a term of the float partial sum overflows, or where the sum holds
+    # but passes half the whole, so that 1 - partial/whole would cancel, the
+    # ratio is the exact one at the same float x to 1e-15, and a share in [0, 1]
     x, s = math.pi / (2.0 * abs(alpha)), int(is_integer_spin)
-    with pytest.raises(OverflowError):
-        math.fsum(x ** (2 * n) / math.factorial(2 * n + s) for n in range((k + 2 - s) // 2))
+    terms = (x ** (2 * n) / math.factorial(2 * n + s) for n in range((k + 2 - s) // 2))
+    if (is_integer_spin, k, alpha) in SATURATED_IN_THE_FLOAT_SUM:
+        assert math.fsum(terms) / (math.sinh(x) / x if s else math.cosh(x)) > 0.5
+    else:
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
     got = b_limit_ratio(is_integer_spin, k, alpha)
     assert 0.0 <= got <= 1.0
     assert abs(F(got) - limit_ratio_exact(is_integer_spin, k, x)) <= F(1, 10**15)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import spinpoly
-from spinpoly import cayley, cli, fixtures, verify
+from spinpoly import bridge, cayley, cli, expcoeffs, fixtures, verify
 from spinpoly.halfint import HalfInt
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,6 +149,77 @@ def test_verify_determinant_forms_past_the_float_range_of_det():
     tally = verify._Tally()
     assert verify._check_det_forms(160, tally) is None
     assert tally.cases == 161 * 6 and tally.worst < verify.DET_BOUND
+
+
+def test_verify_case_counts_per_check():
+    # every comparison is counted once, however a check batches its work
+    checks = verify.run_verify(9)["checks"]
+    assert [c["name"] for c in checks] == list(verify._CHECKS)
+    assert [c["cases"] for c in checks] == [10, 1375, 80, 80, 220, 330, 85, 60]
+
+
+def _perturbed_terms(monkeypatch, two_j, k, index):
+    # one _cfn_sum_terms coefficient off by 1e-9 relative, the cache untouched
+    real = expcoeffs._cfn_sum_terms
+
+    def terms(tj, kk):
+        out = real(tj, kk)
+        if (tj, kk) != (two_j, k):
+            return out
+        m, c = out[index]
+        return out[:index] + ((m, c * (1 + 1e-9)),) + out[index + 1 :]
+
+    monkeypatch.setattr(expcoeffs, "_cfn_sum_terms", terms)
+
+
+def _perturbed_column(monkeypatch):
+    # t(5, 3) one unit off in the Laplace bridge's column, nowhere else
+    real = bridge.cfn_pair
+
+    def pair(n, k):
+        num, den = real(n, k)
+        return (num + den, den) if (n, k) == (5, 3) else (num, den)
+
+    monkeypatch.setattr(bridge, "cfn_pair", pair)
+
+
+@pytest.mark.parametrize(
+    "perturb, name, detail, cases, worst",
+    [
+        (
+            lambda mp: _perturbed_terms(mp, 6, 2, 1),
+            "exp-path-equality",
+            "op=a_coeff_derivative_path j=3 k=1 theta=-5.759586531581287 "
+            "trunc=0.26176285609900113 other=0.2617628561101657",
+            552,
+            4.2651464898387035e-11,
+        ),
+        (
+            lambda mp: _perturbed_terms(mp, 6, 0, 0),
+            "exp-path-equality",
+            "op=a_coeff_cfn_series j=3 k=0 theta=-6.283185307179586 trunc=1.0 other=1.000000001",
+            526,
+            1.0000000817403708e-09,
+        ),
+        (
+            _perturbed_column,
+            "laplace-bridge",
+            "op=b_from_a_laplace j=5/2 k=2 alpha=-10/7 "
+            "laplace=15430100/360431149 direct=1337700/27725473",
+            103,
+            None,
+        ),
+    ],
+)
+def test_verify_reports_the_first_failing_case(monkeypatch, perturb, name, detail, cases, worst):
+    # the failing (op, j, k, theta or alpha), the cases counted up to it and
+    # the worst error among them are those of the one-point-at-a-time loops
+    perturb(monkeypatch)
+    entry = verify._run_check(name, 9)
+    assert entry["passed"] is False
+    assert entry["detail"] == detail
+    assert entry["cases"] == cases
+    assert entry.get("worst") == worst
 
 
 def test_fixtures_command(capsys):

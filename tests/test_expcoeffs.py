@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spinpoly import cfn as cfn_module
-from spinpoly import expcoeffs
+from spinpoly import expcoeffs, verify
 from spinpoly.basis import project_coefficients, spectrum
 from spinpoly.cfn import cfn
 from spinpoly.exact import poly, poly_eval, poly_mul
@@ -20,7 +20,7 @@ from spinpoly.expcoeffs import (
 )
 from spinpoly.halfint import HalfInt, half_integers
 
-from oracles import exp_series_closed_form
+from oracles import exp_series_closed_form, recon_numerators_termwise
 from test_integer_identities import circle_point
 
 THETAS = [(-2.0 + 4.0 * i / 99) * math.pi for i in range(100)]
@@ -131,7 +131,7 @@ def test_spin_three_half_k1_series():
     j = HalfInt(3)
     for theta in (0.3, 1.1, 2.9):
         s = math.sin(theta / 2)
-        assert a_coeff_cfn_series(j, 1, theta) == pytest.approx(s + s**3 / 6, rel=1e-14)
+        assert a_coeff_cfn_series(j, 1, [theta])[0] == pytest.approx(s + s**3 / 6, rel=1e-14)
 
 
 def test_zero_angle_is_identity_column():
@@ -146,9 +146,9 @@ def test_cfn_series_matches_trunc():
         for k in range(j.two_j + 1):
             if epsilon(j, k):
                 continue
-            for theta in THETAS:
+            series = a_coeff_cfn_series(j, k, THETAS)
+            for theta, b in zip(THETAS, series):
                 a = a_coeff_trunc(j, k, theta)
-                b = a_coeff_cfn_series(j, k, theta)
                 assert a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (j, k, theta)
 
 
@@ -167,7 +167,7 @@ def test_derivative_path_parity_errors():
     with pytest.raises(ValueError):
         a_coeff_derivative_path(HalfInt(2), 1, [0.1])
     with pytest.raises(ValueError):
-        a_coeff_cfn_series(HalfInt(2), 1, 0.1)
+        a_coeff_cfn_series(HalfInt(2), 1, [0.1])
 
 
 def test_float_reconstruction_small_spins():
@@ -187,6 +187,28 @@ def test_exact_reconstruction_spot_checks():
         rep = exp_reconstruction(HalfInt(two_j), theta)
         assert rep.exact
         assert rep.max_error < 1e-12
+
+
+@pytest.mark.parametrize(
+    "two_js, thetas",
+    [(range(61), verify._RECON_THETAS), ([148], verify._RECON_THETAS[2:4])],
+)
+def test_reconstruction_numerators_by_horner_match_the_termwise_sum(two_js, thetas):
+    # the Horner form in d**2 against each term as its own product of powers
+    for theta in thetas:
+        a, b = expcoeffs.quarter_tan(theta)
+        s, c, d = 2 * a * b, b * b - a * a, a * a + b * b
+        for two_j in two_js:
+            want = recon_numerators_termwise(two_j, s, c, d)
+            assert expcoeffs._recon_numerators(two_j, s, c, d) == want, (two_j, theta)
+
+
+def test_reconstruction_at_a_given_point_is_the_same_report():
+    for two_j in (0, 7, 20):
+        for theta in verify._RECON_THETAS:
+            j = HalfInt(two_j)
+            point = expcoeffs.quarter_tan(theta)
+            assert exp_reconstruction(j, theta, point) == exp_reconstruction(j, theta)
 
 
 def test_two_pi_rotation_signs():

@@ -37,7 +37,7 @@ ALPHAS = VERIFY_ALPHAS + [F(0), F(-5, 3)]
 
 def circle_point(theta):
     """Rational (sin(theta/2), cos(theta/2)) exactly on the unit circle."""
-    a, b = expcoeffs._quarter_tan(theta)
+    a, b = expcoeffs.quarter_tan(theta)
     d = a * a + b * b
     return F(2 * a * b, d), F(b * b - a * a, d)
 
