@@ -10,10 +10,9 @@ are Fractions, one integer ratio each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .cfn import cfn_pair
 from .exact import poly_eval
@@ -108,8 +107,7 @@ def _deflate(p: Tuple[int, ...], root: int) -> Tuple[int, ...]:
     return tuple(q)
 
 
-@dataclass(frozen=True)
-class FundamentalIdentityReport:
+class FundamentalIdentityReport(NamedTuple):
     j: HalfInt
     passed: bool
     failing_eigenvalue: int | None = None

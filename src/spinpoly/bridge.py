@@ -10,10 +10,9 @@ quadrature of the defining integral is kept as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .cayley import eval_coeffs
 from .cfn import cfn_pair
@@ -78,8 +77,7 @@ def scaled_laplace(two_j: int, k: int, column: LaplaceColumn, p: int, q: int) ->
     return num * q ** (col % 2 + delta), den
 
 
-@dataclass(frozen=True)
-class LaplacePair:
+class LaplacePair(NamedTuple):
     """A single (j, k, alpha) comparison between the exact Cayley table
     and the Laplace transform of the exponential coefficient."""
 

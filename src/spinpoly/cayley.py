@@ -16,11 +16,10 @@ eval_coeffs is the one float evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .cfn import cfn_pair
 from .exact import Poly, RationalFunction, i_power_parts, poly, poly_eval
@@ -107,8 +106,7 @@ def log_det_gamma(j: HalfInt, alpha: float) -> float:
     return log_det
 
 
-@dataclass(frozen=True)
-class CayleyCoeffs:
+class CayleyCoeffs(NamedTuple):
     """Resolvent coefficients B_k and Cayley coefficients A_k for one spin.
 
     den is the spin's integer determinant, stored once; B[k] and A[k] are
@@ -286,14 +284,16 @@ def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
     series.  Evaluated in log space once F would overflow, and by
     _tail_share where a term of the float sum overflows or where the
     partial sum passes half of F, so that 1 - partial/F would cancel.
+    Where x is infinite (alpha = 0, or pi/(2|alpha|) overflows) it is the
+    x -> inf limit, 1.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     s = 1 if is_integer_spin else 0
     count = (k + 2 - s) // 2
-    if alpha == 0 or not count:
+    x = math.pi / (2.0 * abs(alpha)) if alpha else math.inf
+    if not count or x == math.inf:
         return 1.0
-    x = math.pi / (2.0 * abs(alpha))
     if x < 700.0:
         try:
             partial = math.fsum(x ** (2 * n) / math.factorial(2 * n + s) for n in range(count))
@@ -328,8 +328,7 @@ def _tail_share(s: int, count: int, x: float) -> float:
     return tail / whole
 
 
-@dataclass(frozen=True)
-class CayleyReconstruction:
+class CayleyReconstruction(NamedTuple):
     j: HalfInt
     alpha: Fraction
     max_error: float   # worst |sum - (1+2i a m)/(1-2i a m)| over the spectrum

@@ -18,7 +18,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
-from . import bridge, cayley, expcoeffs, fixtures, plots, verify
+from . import bridge, cayley, expcoeffs, plots, verify
 from .basis import dual_matrices, vandermonde, vandermonde_inverse
 from .cfn import cfn
 from .halfint import HalfInt
@@ -168,6 +168,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixtures(_args) -> int:
+    from . import fixtures  # the golden tables load only for this command
+
     results = fixtures.run_fixtures()
     failures = [r for r in results if not r.passed]
     if failures:

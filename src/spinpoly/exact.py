@@ -9,9 +9,8 @@ Everything is immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 Poly = Tuple[Union[int, Fraction], ...]
 Scalar = Union[Fraction, int, float, complex]
@@ -53,8 +52,12 @@ def i_power_parts(coeffs: Iterable) -> tuple[list, list]:
     return even, odd
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class _RationalFields(NamedTuple):
+    num: Poly
+    den: Poly
+
+
+class RationalFunction(_RationalFields):
     """A quotient of two exact polynomials, normalized but not reduced.
 
     cayley.reduce_over_det returns one in lowest terms; calling it
@@ -62,14 +65,13 @@ class RationalFunction:
     equal exactly when their coefficient tuples are.
     """
 
-    num: Poly
-    den: Poly
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "num", poly(self.num))
-        object.__setattr__(self, "den", poly(self.den))
-        if not self.den:
+    def __new__(cls, num: Iterable, den: Iterable) -> "RationalFunction":
+        num, den = poly(num), poly(den)
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
+        return super().__new__(cls, num, den)
 
     def __call__(self, x: Scalar):
         if isinstance(x, int):  # int/int would be a float; the value is exact

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .cfn import cfn_pair
 from .exact import Poly, i_power_parts, poly_eval
@@ -179,8 +178,7 @@ def a_coeff_derivative_path(j: HalfInt, k: int, thetas: Iterable[float]) -> list
     return out
 
 
-@dataclass(frozen=True)
-class ExpCoeffTable:
+class ExpCoeffTable(NamedTuple):
     """A_0..A_2j at a fixed angle."""
 
     j: HalfInt
@@ -255,8 +253,7 @@ def _recon_numerators(two_j: int, s: int, c: int, d: int) -> list[int]:
     return xs
 
 
-@dataclass(frozen=True)
-class ExpReconstruction:
+class ExpReconstruction(NamedTuple):
     j: HalfInt
     theta: float
     max_error: float   # worst |sum - exp(i theta m)| over the spectrum

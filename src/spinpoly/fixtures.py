@@ -8,8 +8,8 @@ and compares bit-exactly against the computed objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import basis, cayley
 from .exact import RationalFunction, poly
@@ -116,8 +116,7 @@ CAYLEY_GOLDEN = {
 }
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -2,25 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
+class _HalfIntFields(NamedTuple):
+    two_j: int
+
+
+class HalfInt(_HalfIntFields):
     """A nonnegative half-integer j, held as ``two_j = 2j``.
 
     The matrix dimension for spin j is ``two_j + 1``.  Integer spins
     (bosonic) have even ``two_j``, semi-integer spins (fermionic) odd.
+    An immutable NamedTuple, ordered and hashed by two_j.
     """
 
-    two_j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.two_j, int) or isinstance(self.two_j, bool):
-            raise TypeError(f"two_j must be an int, got {self.two_j!r}")
-        if self.two_j < 0:
-            raise ValueError(f"two_j must be nonnegative, got {self.two_j}")
+    def __new__(cls, two_j: int) -> "HalfInt":
+        if not isinstance(two_j, int) or isinstance(two_j, bool):
+            raise TypeError(f"two_j must be an int, got {two_j!r}")
+        if two_j < 0:
+            raise ValueError(f"two_j must be nonnegative, got {two_j}")
+        return super().__new__(cls, two_j)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":

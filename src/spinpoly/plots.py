@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import cayley, expcoeffs
 from .halfint import HalfInt
@@ -29,17 +28,21 @@ DEFAULT_SPINS = {
 DEFAULT_KS = {"exp-A": tuple(range(6)), "cayley-B12": (1,), "inv-det": ()}
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridFields(NamedTuple):
     start: float
     stop: float
     count: int
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
+
+class GridSpec(_GridFields):
+    __slots__ = ()
+
+    def __new__(cls, start: float, stop: float, count: int) -> "GridSpec":
+        if count < 1:
             raise ValueError("grid count must be at least 1")
-        if self.stop < self.start:
+        if stop < start:
             raise ValueError("grid stop must not precede start")
+        return super().__new__(cls, start, stop, count)
 
     def values(self) -> list[float]:
         if self.count == 1:

@@ -179,6 +179,10 @@ def test_asymp_limits_and_monotinicity():
     # deep in the essential-singularity region the ratio underflows to 1
     assert b_limit_ratio(True, 3, 1e-4) == 1.0
     assert b_limit_ratio(False, 2, 1e-4) == 1.0
+    # x = pi/(2|alpha|) overflows to inf: the x -> inf limit, not 0 * log(inf)
+    assert b_limit_ratio(True, 1, 1e-310) == 1.0
+    assert b_limit_ratio(False, 2, 1e-310) == 1.0
+    assert b_limit_ratio(True, 1, 5e-324) == 1.0
 
 
 def test_asymp_fermionic_values():

@@ -25,15 +25,28 @@ def run(capsys, *argv):
     return code, out
 
 
-def test_module_entrypoint_help():
+def _child(*args):
     # the child does not see pytest's pythonpath; point it at this package
     paths = [str(Path(spinpoly.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinpoly", "--help"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entrypoint_help():
+    proc = _child("-m", "spinpoly", "--help")
     assert proc.returncode == 0
     assert "spin matrix" in proc.stdout.lower()
+
+
+def test_import_leaves_dataclasses_and_the_golden_tables_unloaded():
+    # start-up cost: records are NamedTuples, and only `fixtures` reads the golden tables
+    proc = _child(
+        "-c",
+        "import sys, spinpoly.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'spinpoly.fixtures'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_usage_error_exits_2():
@@ -249,6 +262,11 @@ def test_asymp_command(capsys):
     code, out = run(capsys, "asymp", "--j-list", "1", "--k", "0", "--alpha-grid", "0:1:2")
     assert code == 0
     assert "0.0,j=1,1.0" in out
+    # below about 8.7e-309, pi/(2 alpha) overflows to inf: the limit is its x -> inf value
+    code, out = run(capsys, "asymp", "--j-list", "1", "--k", "1", "--alpha-grid", "5e-324:1e-320:2")
+    assert code == 0
+    assert "5e-324,limit,1.0" in out.splitlines()
+    assert "1e-320,limit,1.0" in out.splitlines()
 
 
 @pytest.mark.parametrize(

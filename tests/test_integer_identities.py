@@ -6,7 +6,7 @@ denominator.  The Fraction versions below are the straightforward
 routes: A_k evaluated at the rational circle point and summed with
 i-powers, the exact Cayley table evaluated at alpha, and the
 term-by-term Laplace sum over the closed-form sin-power transforms.  The
-integer routes must return the same dataclasses and values, and a
+integer routes must return the same records and values, and a
 perturbed table must make them fail.  test_bridge and test_expcoeffs
 check the closed forms and the circle point themselves.
 """
@@ -14,7 +14,6 @@ check the closed forms and the circle point themselves.
 import cmath
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -273,7 +272,7 @@ def _patch_table(monkeypatch, two_j, k, num):
         table = real(tj)
         if tj != two_j:
             return table
-        return replace(table, B=table.B[:k] + (num,) + table.B[k + 1 :])
+        return table._replace(B=table.B[:k] + (num,) + table.B[k + 1 :])
 
     monkeypatch.setattr(cayley, "_b_coeffs", perturbed)
 
@@ -307,8 +306,7 @@ def test_rescaled_recursion_table_fails_path_equality(monkeypatch, capsys, fresh
 
     def doubled(j):
         table = real(j)
-        return replace(
-            table,
+        return table._replace(
             den=twice(table.den),
             B=tuple(map(twice, table.B)),
             A=tuple(map(twice, table.A)),
