@@ -9,14 +9,13 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
-import shutil
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bridge, cayley, expcoeffs, plots, verify
 from .basis import dual_matrices, vandermonde, vandermonde_inverse
@@ -232,8 +231,8 @@ def _cmd_shear(args) -> int:
 def _cmd_plotdata(args) -> int:
     header, rows = plots.figure_rows(
         args.figure,
-        args.j or None,
-        args.k or None,
+        args.j,
+        args.k,
         theta_grid=args.theta_grid,
         alpha_grid=args.alpha_grid,
     )
@@ -265,8 +264,9 @@ def _options(fn, options):
     return add_arguments
 
 
+@lru_cache(maxsize=None)
 def _commands() -> dict:
-    """name -> (help, add_arguments); coeffs -> its families. Built per call: no shared lists."""
+    """name -> (help, add_arguments); coeffs -> its families. Built once: no default is mutable."""
     return {
         "cfn": ("central factorial numbers, exact p/q values", _options(_cmd_cfn, {
             "--n": {"type": int, "required": True},
@@ -319,8 +319,8 @@ def _commands() -> dict:
         })),
         "plotdata": ("figure data as long-format CSV", _options(_cmd_plotdata, {
             "--figure": {"required": True, "choices": plots.FIGURES},
-            "--j": {"type": _parse_j, "action": "append", "default": []},
-            "--k": {"type": int, "action": "append", "default": []},
+            "--j": {"type": _parse_j, "action": "append", "default": None},
+            "--k": {"type": int, "action": "append", "default": None},
             "--theta-grid": _GRID,
             "--alpha-grid": _GRID,
             "--csv": _CSV,
@@ -329,15 +329,15 @@ def _commands() -> dict:
 
 
 def _add_commands(parser, dest, table, path) -> None:
-    """Add the table's commands to parser, only path[0]'s branch when it names one."""
-    chosen = path[0] if path and path[0] in table else None
+    """Add the table's commands to parser: path[0]'s branch, or every branch if it is None."""
+    chosen = path[0]
     # a one-branch tree's usage still lists every command; a full tree keeps argparse's
     # own metavar, so its errors name the argument "command" or "family" as before
     metavar = None if chosen is None else "{%s}" % ",".join(table)
     sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name, (text, add_arguments) in table.items():
         if chosen in (None, name):
-            p = sub.add_parser(name, help=text, formatter_class=parser.formatter_class)
+            p = sub.add_parser(name, help=text)
             if isinstance(add_arguments, dict):
                 _add_commands(p, "family", add_arguments, path[1:])
             else:
@@ -345,17 +345,27 @@ def _add_commands(parser, dest, table, path) -> None:
 
 
 def build_parser(*path: str) -> argparse.ArgumentParser:
-    """The argparse tree: only the (command, family) branch path names, else every branch."""
-    # argparse's own formatter reads the terminal width each time it is made,
-    # once per add_argument; read it once per tree, less 2 as that formatter does
-    width = shutil.get_terminal_size().columns - 2
+    """The argparse tree: only the (command, family) branch path names, else every branch.
+
+    One tree per branch per process, built on first use and shared: change none.
+    argparse's own help formatter reads the terminal width when help is printed.
+    """
+    command, family, *_ = (*path, None, None)
+    table = _commands()
+    if command not in table:
+        return _parser(None, None)
+    families = table[command][1]
+    return _parser(command, family if isinstance(families, dict) and family in families else None)
+
+
+@lru_cache(maxsize=None)
+def _parser(command: str | None, family: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinpoly",
         description="Spin matrix polynomials: exact rotation-coefficient tables, "
         "verification suites, and figure data as CSV.",
-        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
     )
-    _add_commands(parser, "command", _commands(), path)
+    _add_commands(parser, "command", _commands(), (command, family))
     return parser
 
 
@@ -391,9 +401,7 @@ def _range_error(args) -> str | None:
             return "--j-list mixes integer and semi-integer spins, whose limits differ"
         spins, ks, grid = args.j_list, [args.k], args.alpha_grid
     elif args.command == "plotdata":
-        return plots.figure_error(
-            args.figure, args.j, args.k or None, args.theta_grid, args.alpha_grid
-        )
+        return plots.figure_error(args.figure, args.j, args.k, args.theta_grid, args.alpha_grid)
     for j, k in itertools.product(spins, ks):
         if not 0 <= k <= j.two_j:
             return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"

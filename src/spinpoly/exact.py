@@ -73,6 +73,11 @@ class RationalFunction(_RationalFields):
             raise ZeroDivisionError("rational function with zero denominator")
         return super().__new__(cls, num, den)
 
+    @classmethod
+    def _make(cls, iterable) -> "RationalFunction":
+        # NamedTuple's _replace builds through _make: check the fields here too
+        return cls(*iterable)
+
     def __call__(self, x: Scalar):
         if isinstance(x, int):  # int/int would be a float; the value is exact
             x = Fraction(x)

@@ -28,6 +28,11 @@ class HalfInt(_HalfIntFields):
         return super().__new__(cls, two_j)
 
     @classmethod
+    def _make(cls, iterable) -> "HalfInt":
+        # NamedTuple's _replace builds through _make: check the fields here too
+        return cls(*iterable)
+
+    @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Parse '3/2', '1.5' or '3'.  Anything that is not an exact
         nonnegative half-integer is rejected, never rounded."""

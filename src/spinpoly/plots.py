@@ -44,6 +44,11 @@ class GridSpec(_GridFields):
             raise ValueError("grid stop must not precede start")
         return super().__new__(cls, start, stop, count)
 
+    @classmethod
+    def _make(cls, iterable) -> "GridSpec":
+        # NamedTuple's _replace builds through _make: check the fields here too
+        return cls(*iterable)
+
     def values(self) -> list[float]:
         if self.count == 1:
             return [self.start]
@@ -111,9 +116,9 @@ def figure_error(
 ) -> str | None:
     """Why the figure cannot be drawn from these arguments, if it cannot.
 
-    Empty js, ks of None and a missing grid take the figure's defaults.
-    A grid must be for the figure's own axis, inv-det draws no k, each
-    given k must lie in 0..2j of every drawn spin, a figure that draws ks
+    js of None or empty, ks of None and a missing grid take the figure's
+    defaults.  A grid must be for the figure's own axis, inv-det draws no
+    k, each given k must lie in 0..2j of every drawn spin, a figure that draws ks
     must keep at least one default k when none is given, and for
     cayley-B12 alpha^k must be a nonzero finite float over the alpha grid.
     """

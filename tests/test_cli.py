@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -47,6 +48,19 @@ def test_import_leaves_dataclasses_and_the_golden_tables_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_builds_no_parser():
+    # start-up cost: trees are built by the first main call, and cli leaves
+    # reading the terminal width to argparse's own formatter
+    proc = _child(
+        "-c",
+        "import spinpoly.cli as cli; "
+        "print(cli._commands.cache_info().currsize, cli._parser.cache_info().currsize, "
+        "hasattr(cli, 'shutil'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 0 False"
 
 
 def test_usage_error_exits_2():
@@ -428,18 +442,25 @@ def _command_paths():
             yield from ([name, family] for family in entry)
 
 
-def test_chosen_branch_parses_like_the_full_tree(capsys, monkeypatch, tmp_path):
+# help, usage and error argvs: each exits through argparse
+USAGE_ARGVS = [
+    [], ["--help"], ["coeffs"], ["coeffs", "--help"], ["coeffs", "nope"], ["nope"],
+    ["verify", "--bogus"], ["cfn"], ["basis"], ["coeffs", "exp"], ["coeffs", "cayley"],
+    ["bridge", "--k", "1", "--alpha", "1"], ["shear", "--theta", "1"],
+    ["asymp", "--alpha-grid", "1:1:1"], ["plotdata"], ["cfn", "--n", "1", "extra"],
+]
+
+
+def _workload_ops(monkeypatch, outdir):
+    """The seed-1 ops of every benchmark workload, writing their CSV files to outdir."""
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import workloads
 
-    ops = [op for w in workloads.WORKLOADS for op in workloads.generate(w, 1, tmp_path)]
-    argvs = [list(op.argv) for op in ops]
-    argvs += [
-        [], ["--help"], ["coeffs"], ["coeffs", "--help"], ["coeffs", "nope"], ["nope"],
-        ["verify", "--bogus"], ["cfn"], ["basis"], ["coeffs", "exp"], ["coeffs", "cayley"],
-        ["bridge", "--k", "1", "--alpha", "1"], ["shear", "--theta", "1"],
-        ["asymp", "--alpha-grid", "1:1:1"], ["plotdata"], ["cfn", "--n", "1", "extra"],
-    ]
+    return [op for w in workloads.WORKLOADS for op in workloads.generate(w, 1, outdir)]
+
+
+def test_chosen_branch_parses_like_the_full_tree(capsys, monkeypatch, tmp_path):
+    argvs = [list(op.argv) for op in _workload_ops(monkeypatch, tmp_path)] + USAGE_ARGVS
     for argv in argvs:
         chosen = _parse(cli.build_parser(*argv[:2]), argv, capsys)
         full = _parse(cli.build_parser(), argv, capsys)
@@ -447,6 +468,44 @@ def test_chosen_branch_parses_like_the_full_tree(capsys, monkeypatch, tmp_path):
     # the top-level usage of a one-branch tree still lists every command
     code, _, err = _parse(cli.build_parser("verify"), ["verify", "--bogus"], capsys)
     assert code == 2 and "{%s}" % ",".join(cli._commands()) in err
+
+
+def _replay(capsys, calls, cleared):
+    """(exit code, stdout, stderr, CSV bytes) of each (argv, csv path) run through main in turn.
+
+    With cleared, every call starts from an empty parser cache.
+    """
+    out = []
+    for argv, path in calls:
+        if cleared:
+            cli._parser.cache_clear()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        # verify reports its run time, the one field that differs between runs
+        stdout = re.sub(r'"seconds": [0-9.e+-]+', '"seconds": _', captured.out)
+        out.append((code, stdout, captured.err, path and Path(path).read_bytes()))
+        if path:
+            Path(path).unlink()
+    return out
+
+
+def test_cached_trees_print_what_fresh_trees_print(capsys, monkeypatch, tmp_path):
+    calls = [(list(op.argv), op.csv) for op in _workload_ops(monkeypatch, tmp_path)]
+    calls += [(argv, None) for argv in USAGE_ARGVS]
+    # plotdata calls with --j/--k between calls without: no call may see another's list
+    plot = ["plotdata", "--figure", "cayley-B12", "--alpha-grid", "1:2:2"]
+    det = ["plotdata", "--figure", "inv-det", "--alpha-grid", "0:1:3"]
+    for argv in (plot, plot + ["--j", "3", "--k", "2"], plot, det + ["--j", "1"], det,
+                 plot + ["--k", "1"], det + ["--j", "2", "--j", "1"], plot, det):
+        calls.append((argv, None))
+    once = _replay(capsys, calls, cleared=False)
+    assert once == _replay(capsys, calls, cleared=True)
+    assert {code for (code, *_), (argv, _) in zip(once, calls) if argv not in USAGE_ARGVS} == {0}
+    args = cli.build_parser("plotdata").parse_args(plot)
+    assert args.j is None and args.k is None
 
 
 @pytest.mark.parametrize("path", list(_command_paths()), ids="-".join)
@@ -460,6 +519,7 @@ def test_help_is_the_same_from_both_trees(capsys, path):
 
 
 def test_main_builds_only_the_chosen_command(capsys, monkeypatch):
+    cli._parser.cache_clear()
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -474,8 +534,22 @@ def test_main_builds_only_the_chosen_command(capsys, monkeypatch):
     assert run(capsys, "coeffs", "cayley", "--j", "1/2")[0] == 0
     assert built == ["coeffs", "cayley"]
     built.clear()
+    # a branch is built once per process: a second call of it builds nothing
+    assert run(capsys, "coeffs", "cayley", "--j", "1")[0] == 0
+    assert run(capsys, "fixtures")[0] == 0
+    assert built == []
     cli.build_parser()
     assert len(built) == len(list(_command_paths()))
+    built.clear()
+    # tokens that name no branch select an existing tree, never a new one
+    for path, branch in [
+        (["nope"], []), (["--help", "coeffs"], []), (["cfn", "exp"], ["cfn"]),
+        (["coeffs", "nope"], ["coeffs"]), (["coeffs", "exp", "--j"], ["coeffs", "exp"]),
+    ]:
+        assert cli.build_parser(*path) is cli.build_parser(*branch), path
+    for path in _command_paths():
+        cli.build_parser(*path)
+    assert cli._parser.cache_info().currsize == 1 + len(list(_command_paths()))
 
 
 def _parsers(parser):
@@ -489,17 +563,23 @@ def _parsers(parser):
 
 @pytest.mark.parametrize("columns", ["60", "200"])
 def test_help_text_is_argparse_own_at_the_terminal_width(monkeypatch, columns):
-    # build_parser binds the width once; argparse's default formatter reads
-    # it anew for every help, so both must print the same text
+    # the trees are built at one width and print help at another: a cached tree
+    # must wrap as a tree built at the width in force when help is printed
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200" if columns == "60" else "60")
+    paths = [[]] + list(_command_paths())
+    cached = [list(_parsers(cli.build_parser(*path))) for path in paths]
     monkeypatch.setenv("COLUMNS", columns)
-    for path in [[]] + list(_command_paths()):
-        for parser in _parsers(cli.build_parser(*path)):
-            bound = parser.format_help(), parser.format_usage()
-            parser.formatter_class = argparse.HelpFormatter
-            assert (parser.format_help(), parser.format_usage()) == bound, path
+    for path, parsers in zip(paths, cached):
+        fresh = _parsers(cli._parser.__wrapped__(*(path + [None, None])[:2]))
+        for parser, other in itertools.zip_longest(parsers, fresh):
+            assert parser.formatter_class is argparse.HelpFormatter, path
+            assert (parser.format_help(), parser.format_usage()) == (
+                other.format_help(), other.format_usage()
+            ), path
 
 
-def test_parser_reads_the_terminal_width_once_per_build(monkeypatch):
+def test_a_cached_branch_reads_no_terminal_width(capsys, monkeypatch):
     import shutil
 
     calls = []
@@ -510,10 +590,12 @@ def test_parser_reads_the_terminal_width_once_per_build(monkeypatch):
         return size(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counting)
-    cli.build_parser("coeffs", "exp")
-    assert len(calls) == 1
-    cli.build_parser()
-    assert len(calls) == 2
+    cli._parser.cache_clear()
+    assert run(capsys, "coeffs", "exp", "--j", "1")[0] == 0
+    assert calls  # building the branch formats each argument once
+    calls.clear()
+    assert run(capsys, "coeffs", "exp", "--j", "1/2")[0] == 0
+    assert calls == []
 
 
 def _csv_oracle(header, rows):

@@ -1,10 +1,10 @@
 """The result records are immutable NamedTuples.
 
 HalfInt, GridSpec and RationalFunction check (and RationalFunction
-normalizes) their fields when built, with the exception types and
-messages they had as frozen dataclasses.  Every record keeps
-its field names, defaults and repr, refuses assignment, and HalfInt
-hashes and sorts by two_j.
+normalizes) their fields when built and when _replace copies them, with
+the exception types and messages they had as frozen dataclasses.  Every
+record keeps its field names, defaults and repr, refuses assignment, and
+HalfInt hashes and sorts by two_j.
 """
 
 from fractions import Fraction as F
@@ -32,8 +32,17 @@ def test_checked_records_repr():
         (lambda: GridSpec(0, 1, 0), ValueError, "grid count must be at least 1"),
         (lambda: GridSpec(1, 0, 2), ValueError, "grid stop must not precede start"),
         (lambda: RationalFunction((1,), (0,)), ZeroDivisionError, "rational function with zero denominator"),
+        # _replace builds through the same checks
+        (lambda: HalfInt(2)._replace(two_j=True), TypeError, "two_j must be an int, got True"),
+        (lambda: HalfInt(2)._replace(two_j=-1), ValueError, "two_j must be nonnegative, got -1"),
+        (lambda: GridSpec(0, 1, 3)._replace(count=-5), ValueError, "grid count must be at least 1"),
+        (lambda: GridSpec(0, 1, 3)._replace(stop=-1), ValueError, "grid stop must not precede start"),
+        (lambda: RationalFunction((1,), (1,))._replace(den=()), ZeroDivisionError, "rational function with zero denominator"),
     ],
-    ids=["bool", "float", "negative", "count", "order", "zero-den"],
+    ids=[
+        "bool", "float", "negative", "count", "order", "zero-den",
+        "replace-bool", "replace-negative", "replace-count", "replace-order", "replace-zero-den",
+    ],
 )
 def test_checked_records_refuse_bad_fields(build, error, message):
     with pytest.raises(error) as exc:
@@ -47,6 +56,14 @@ def test_rational_function_strips_trailing_zeros():
     assert rf.num == (1, 2) and rf.den == (F(1, 2),)
     assert rf == RationalFunction((1, 2), (F(1, 2),))
     assert RationalFunction(num=(0,), den=(1,)).num == ()
+    assert RationalFunction((1,), (1,))._replace(num=[1, 0], den=[2, 0]) == RationalFunction((1,), (2,))
+
+
+def test_replace_keeps_the_record_type():
+    assert type(HalfInt(2)._replace(two_j=3)) is HalfInt and HalfInt._make([4]) == HalfInt(4)
+    assert GridSpec(0.0, 1.0, 3)._replace(count=2) == GridSpec(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        HalfInt(2)._replace(two=3)
 
 
 def test_half_int_hashes_and_sorts_by_two_j():
