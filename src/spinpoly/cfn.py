@@ -24,18 +24,29 @@ def _row(n: int) -> Tuple[int, ...]:
 
     Row n is t(n, k) scaled by 4**(n//2) when n is odd, and unscaled when
     n is even.  Each row extends the same-parity predecessor by one
-    quadratic factor: x^2 - (n/2 - 1)^2 for even n, 4x^2 - (n - 2)^2 for
-    odd n.  Filling the table through degree n costs O(n^2) integer
-    multiplies.  A call that misses first asks for the same-parity rows
-    below n, lowest first, so each finds its predecessor cached and no
-    call recurses more than one level, however cold the table.
+    quadratic factor (_next_row).  Filling the table through degree n
+    costs O(n^2) integer multiplies.  A call that misses first asks for
+    the same-parity rows below n, lowest first, so each finds its
+    predecessor cached and no call recurses more than one level, however
+    cold the table.
+    """
+    if n < 2:
+        return _next_row((), n)
+    for m in range(n % 2 + 2, n - 2, 2):
+        _row(m)
+    return _next_row(_row(n - 2), n)
+
+
+def _next_row(prev: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """Row n from prev, row n - 2: one factor x^2 - (n/2 - 1)^2 for even n,
+    4x^2 - (n - 2)^2 for odd n.  Rows 0 and 1 ignore prev.
+
+    The one recurrence of the table: _row memoizes its rows, and the exp
+    series frontiers (expcoeffs._Frontier) keep only the last.
     """
     if n < 2:
         return (1,) if n == 0 else (0, 1)
-    for m in range(n % 2 + 2, n - 2, 2):
-        _row(m)
     a, c = (1, (n // 2 - 1) ** 2) if n % 2 == 0 else (4, (n - 2) ** 2)
-    prev = _row(n - 2)
     return tuple(a * hi - c * lo for lo, hi in zip(prev + (0, 0), (0, 0) + prev))
 
 

@@ -13,23 +13,30 @@ other.  The truncated series is the production path: exp_grid evaluates
 it over a grid of angles, and a_coeff_trunc and exp_poly are exp_grid at
 one point.
 
-Each coefficient is built once, down its column: coefficient r of column
-col shares the running product (k + 1)...(k + 2r) with coefficient r - 1,
-so it costs one shift and one small multiply, never a factorial.  It is
-cached as the exact integer pair (num, den) together with num/den, one
-float shared by every spin whose series reaches it; the float series is
-those floats, the exact coefficients correctly rounded.
+Coefficient r of column col sits in row col + 2r, and every column a
+spin reads has the parity of 2j, so the float series of all spins of one
+parity come from one sweep down the rows of that parity.  Each parity
+keeps a frontier (_Frontier): the last row swept, and for each k the
+running denominator (k + 1)...(k + 2r) and the list of floats built so
+far.  A row extends every k's list by one coefficient, each one shift,
+one small multiply and one int/int division, so correctly rounded; the
+frontier only moves past the highest row any spin has asked for, and a
+spin's series is a prefix of each list, float objects shared with every
+other spin.  The exact coefficients (_series, the reconstruction
+weights) are the same pairs, built by the same recurrence down cfn_pair's
+memoized rows, for the checks only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Tuple
 
-from .cfn import cfn_pair
+from .cfn import _next_row, cfn_pair
 from .exact import Poly, i_power_parts, poly_eval
 from .halfint import HalfInt
 
@@ -41,58 +48,111 @@ def epsilon(j: HalfInt, k: int) -> int:
     return (j.two_j - k) % 2
 
 
-@lru_cache(maxsize=None)
-def _coef(k: int, col: int, r: int) -> Tuple[int, int, float]:
-    """Coefficient r of the series for A_k read off column col, as (num, den, num/den).
+def _pairs(two_j: int, k: int) -> list[Tuple[int, int]]:
+    """The truncation entering A_k for spin two_j/2, as exact pairs (num, den).
 
-    It is k! 4**r / (k + 2r)! * |t(col + 2r, col)|.  With col = k this is
-    the series of (arcsin(sqrt x)/sqrt x)**k; with col = k + 1, used when
-    2j - k is odd, it is that series times (1 - x)**(-1/2), since
-    (arcsin s)**k / sqrt(1 - s**2) is the derivative of
-    (arcsin s)**(k+1) / (k+1).
+    Coefficient r is k! 4**r / (k + 2r)! * |t(col + 2r, col)| with col = k
+    when 2j - k is even: the series of (arcsin(sqrt x)/sqrt x)**k.  When
+    2j - k is odd col = k + 1, giving that series times (1 - x)**(-1/2),
+    since (arcsin s)**k / sqrt(1 - s**2) is the derivative of
+    (arcsin s)**(k+1) / (k+1).  The order is floor(j - k/2).
 
     With P_r = (k + 1)...(k + 2r) and |t| the row's integer (cfn_pair's
     num), the pair is (|t| << 2r, P_r) for even col.  For odd col the row
     integer carries 4**(r + (col - 1)/2), which cancels the 4**r, so the
     pair is (|t|, P_r << (col - 1)).  Either den is coefficient r - 1's
-    times (k + 2r - 1)(k + 2r); _terms builds r - 1 first, so a miss
-    recurses one level.  The pair is left unreduced: int/int division and
-    Fraction both accept it, and a gcd would cost more.
+    times (k + 2r - 1)(k + 2r), the recurrence _Frontier sweeps too.  The
+    pairs are left unreduced: int/int division and Fraction both accept
+    them, and a gcd would cost more.  The only exact zeros, the tail
+    t(2r, 0) = 0 for k = col = 0, are dropped.
     """
-    t = abs(cfn_pair(col + 2 * r, col)[0])
-    if r:
-        den = _coef(k, col, r - 1)[1] * ((k + 2 * r - 1) * (k + 2 * r))
-    else:
-        den = 1 << (col - 1) if col % 2 else 1
-    num = t if col % 2 else t << 2 * r
-    return num, den, num / den
-
-
-def _terms(two_j: int, k: int) -> list[Tuple[int, int, float]]:
-    # the truncation entering A_k for spin two_j/2 has order floor(j - k/2),
-    # built up r in order; its only exact zeros are the tail t(2r, 0) = 0
-    # for k = col = 0, dropped
     col = k + (two_j - k) % 2
-    terms = [_coef(k, col, r) for r in range((two_j - k) // 2 + 1)]
-    while not terms[-1][0]:
-        terms.pop()
-    return terms
+    odd = col % 2
+    den = 1 << (col - 1) if odd else 1
+    pairs = []
+    for r in range((two_j - k) // 2 + 1):
+        if r:
+            den *= (k + 2 * r - 1) * (k + 2 * r)
+        t = abs(cfn_pair(col + 2 * r, col)[0])
+        pairs.append((t if odd else t << 2 * r, den))
+    while not pairs[-1][0]:
+        pairs.pop()
+    return pairs
 
 
 @lru_cache(maxsize=None)
 def _series(two_j: int, k: int) -> Poly:
-    """Exact truncation entering A_k for spin two_j/2 (see _coef)."""
-    return tuple(Fraction(num, den) for num, den, _ in _terms(two_j, k))
+    """Exact truncation entering A_k for spin two_j/2 (see _pairs)."""
+    return tuple(Fraction(num, den) for num, den in _pairs(two_j, k))
 
 
-@lru_cache(maxsize=None)
+class _Frontier:
+    """The float series of every spin of one parity, from one sweep down its rows.
+
+    top is the last row swept and row its integers (cfn._next_row).  For
+    each k, dens[k] and floats[k] are the running den and the floats
+    num/den of A_k's series for the spins of this parity, pairs as
+    _pairs forms them: coefficient r of column col comes from row
+    col + 2r.  Row n adds coefficient (n - col)/2 to each k whose column
+    is below n, and opens column n for k = n - 1 and n.  divided counts
+    the coefficients built, each divided once for the life of the process.
+
+    reach sweeps under the lock and reads top inside it, so threads asking
+    for different spins at once never sweep a row twice.  top moves only
+    once a row's floats are all appended, and lists only grow, so a
+    reader that finds top high enough reads a complete prefix unlocked.
+    """
+
+    __slots__ = ("parity", "top", "row", "dens", "floats", "divided", "lock")
+
+    def __init__(self, parity: int):
+        self.parity = parity
+        self.top = parity - 2
+        self.row: Tuple[int, ...] = ()
+        self.dens: list[int] = []
+        self.floats: list[list[float]] = []
+        self.divided = 0
+        self.lock = threading.Lock()
+
+    def reach(self, two_j: int) -> None:
+        """Sweep the rows of this parity up to two_j that no spin has reached yet."""
+        odd = self.parity
+        with self.lock:
+            row, dens, floats = self.row, self.dens, self.floats
+            for n in range(self.top + 2, two_j + 1, 2):
+                row = _next_row(row, n)
+                for col in range(odd, n, 2):  # coefficient r = (n - col)/2 >= 1
+                    r2 = n - col
+                    num = abs(row[col]) if odd else abs(row[col]) << r2
+                    for k in (col - 1, col) if col else (0,):
+                        den = dens[k] * ((k + r2 - 1) * (k + r2))
+                        dens[k] = den
+                        floats[k].append(num / den)
+                den = 1 << (n - 1) if odd else 1  # r = 0 of column n
+                num = abs(row[n])
+                for _ in range(len(dens), n + 1):
+                    dens.append(den)
+                    floats.append([num / den])
+                self.row = row
+                self.divided += n + 1
+                self.top = n
+
+
+_FRONTIERS = (_Frontier(0), _Frontier(1))
+
+
 def _series_float(two_j: int, k: int) -> Tuple[float, ...]:
     """The truncation entering A_k, each coefficient its exact value correctly rounded.
 
-    The floats are _coef's own, one int/int division per coefficient,
-    shared with every other spin whose series reaches that coefficient.
+    A prefix of the frontier's list for k (see _Frontier), its float
+    objects shared with every spin of the same parity; the t(2r, 0) = 0
+    tail of k = col = 0 is dropped, as _pairs drops it.
     """
-    return tuple([value for _, _, value in _terms(two_j, k)])
+    frontier = _FRONTIERS[two_j % 2]
+    if frontier.top < two_j:
+        frontier.reach(two_j)
+    size = (two_j - k) // 2 + 1 if k or two_j % 2 else 1
+    return tuple(frontier.floats[k][:size])
 
 
 def exp_grid(
@@ -103,23 +163,58 @@ def exp_grid(
     Returns one tuple per theta, in the order of ks.  Each series is
     fetched once per call; per point, the half-angle sine s and cosine c
     are taken once, and each A_k is Horner in s*s from the top coefficient
-    down, times s**k, times c when 2j - k is odd.  a_coeff_trunc, exp_poly
-    and every grid of the truncated series come through here, so they
-    agree bit for bit.  Raises ValueError on a k outside 0..2j.
+    down, starting from 0 * s*s, then times s**k, times c when 2j - k is
+    odd.  a_coeff_trunc, exp_poly and every grid of the truncated series
+    come through here, so they agree bit for bit.  Raises ValueError on a
+    k outside 0..2j.
+
+    The points run four at a time, in lanes 0..3: one pass over a series
+    steps all four Horner sums, so the loop over coefficients is paid once
+    per four angles.  Each lane performs exactly the operations a point
+    alone would, in the same order and on its own values, so every result
+    is bit-identical to the one-point loop, a nan or signed-zero angle
+    included.  The last len(thetas) % 4 points take that one-point loop.
     """
     two_j = j.two_j
     ks = range(two_j + 1) if ks is None else ks
     # epsilon checks k before the series is read
     plan = [(k, epsilon(j, k), _series_float(two_j, k)[::-1]) for k in ks]
-    out = []
+    points = []
     for theta in thetas:
-        s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-        s2 = s * s
+        s = math.sin(theta / 2.0)
+        points.append((s, math.cos(theta / 2.0), s * s))
+    out = []
+    quads = len(points) - len(points) % 4
+    for i in range(0, quads, 4):
+        (s0, c0, x0), (s1, c1, x1), (s2, c2, x2), (s3, c3, x3) = points[i : i + 4]
+        row0, row1, row2, row3 = [], [], [], []
+        for k, odd, coeffs in plan:
+            a0, a1, a2, a3 = 0 * x0, 0 * x1, 0 * x2, 0 * x3
+            for co in coeffs:
+                a0 = a0 * x0 + co
+                a1 = a1 * x1 + co
+                a2 = a2 * x2 + co
+                a3 = a3 * x3 + co
+            a0 *= s0**k
+            a1 *= s1**k
+            a2 *= s2**k
+            a3 *= s3**k
+            if odd:
+                a0 *= c0
+                a1 *= c1
+                a2 *= c2
+                a3 *= c3
+            row0.append(a0)
+            row1.append(a1)
+            row2.append(a2)
+            row3.append(a3)
+        out += (tuple(row0), tuple(row1), tuple(row2), tuple(row3))
+    for s, c, x in points[quads:]:
         row = []
         for k, odd, coeffs in plan:
-            acc = 0 * s2
+            acc = 0 * x
             for co in coeffs:
-                acc = acc * s2 + co
+                acc = acc * x + co
             acc *= s**k
             if odd:
                 acc *= c
@@ -216,10 +311,10 @@ def _recon_weights(two_j: int) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """(L, w): A_k/k! = sum_r w[k][r]/L * s**(k+2r) * c**eps, all integers.
 
     L is the least common denominator of the reduced coefficients
-    num/(den k!) over every _terms pair of the spin.
+    num/(den k!) over every _pairs pair of the spin.
     """
     fracs = [
-        [Fraction(num, den * math.factorial(k)) for num, den, _ in _terms(two_j, k)]
+        [Fraction(num, den * math.factorial(k)) for num, den in _pairs(two_j, k)]
         for k in range(two_j + 1)
     ]
     lcm = math.lcm(*(f.denominator for row in fracs for f in row))

@@ -12,12 +12,13 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from spinpoly import cayley, expcoeffs
 from spinpoly.bridge import alpha_from_theta
 from spinpoly.cayley import b_limit_ratio, eval_coeffs
-from spinpoly.cfn import cfn
+from spinpoly.cfn import _next_row, cfn, cfn_pair
 from spinpoly.halfint import HalfInt
 from spinpoly.plots import DEFAULT_KS, DEFAULT_SPINS, FIGURES
 
@@ -139,6 +140,96 @@ def exp_series_closed_form(two_j: int, k: int) -> tuple[Fraction, ...]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def series_coef(k: int, col: int, r: int) -> tuple[int, int, float]:
+    """Coefficient r of A_k's series down column col, as (num, den, num/den).
+
+    The per-coefficient cache the library's one sweep per parity replaced:
+    the pair k! 4**r |t(col + 2r, col)| / (k + 2r)!, unreduced, with den
+    coefficient r - 1's times (k + 2r - 1)(k + 2r).  Callers build r - 1
+    first (series_by_coef does), so a miss recurses one level.
+    """
+    t = abs(cfn_pair(col + 2 * r, col)[0])
+    if r:
+        den = series_coef(k, col, r - 1)[1] * ((k + 2 * r - 1) * (k + 2 * r))
+    else:
+        den = 1 << (col - 1) if col % 2 else 1
+    num = t if col % 2 else t << 2 * r
+    return num, den, num / den
+
+
+def series_by_coef(two_j: int, k: int) -> list[tuple[int, int, float]]:
+    """The series_coef terms entering A_k for spin two_j/2, r in order, zero tail dropped."""
+    col = k + (two_j - k) % 2
+    terms = [series_coef(k, col, r) for r in range((two_j - k) // 2 + 1)]
+    while not terms[-1][0]:
+        terms.pop()
+    return terms
+
+
+def recon_weights_by_coef(two_j: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """expcoeffs._recon_weights as it was formed from the series_coef pairs."""
+    fracs = [
+        [Fraction(num, den * math.factorial(k)) for num, den, _ in series_by_coef(two_j, k)]
+        for k in range(two_j + 1)
+    ]
+    lcm = math.lcm(*(f.denominator for row in fracs for f in row))
+    return lcm, tuple(
+        tuple(f.numerator * (lcm // f.denominator) for f in row) for row in fracs
+    )
+
+
+def series_floats_streamed(two_j: int, ks) -> dict[int, tuple[float, ...]]:
+    """{k: the float series of A_k for spin two_j/2}, by the factorial closed form.
+
+    Coefficient r is the Fraction k! 4**r |t(col + 2r, col)| / (k + 2r)!
+    rounded once, as exp_series_closed_form forms it.  The rows of 2j's
+    parity are swept with cfn._next_row keeping only the last, so 2j = 2000
+    needs a few MB where cfn._row's memoized table holds about 500 MB.
+    """
+    cols = {k: k + (two_j - k) % 2 for k in ks}
+    columns = {k: [] for k in ks}
+    row = ()
+    for n in range(two_j % 2, two_j + 1, 2):
+        row = _next_row(row, n)
+        for k, col in cols.items():
+            if col <= n:
+                scale = 1 << (n - 1) if n % 2 else 1  # cfn_pair's den of row n
+                columns[k].append(Fraction(abs(row[col]), scale))
+    out = {}
+    for k, ts in columns.items():
+        coeffs = [
+            Fraction(math.factorial(k) * 4**r, math.factorial(k + 2 * r)) * t
+            for r, t in enumerate(ts)
+        ]
+        while not coeffs[-1]:
+            coeffs.pop()
+        out[k] = tuple(float(c) for c in coeffs)
+    return out
+
+
+def exp_grid_scalar(j: HalfInt, thetas, ks=None) -> list[tuple[float, ...]]:
+    """expcoeffs.exp_grid one point at a time: the loop its four-lane Horner replaced."""
+    two_j = j.two_j
+    ks = range(two_j + 1) if ks is None else ks
+    plan = [(k, expcoeffs.epsilon(j, k), expcoeffs._series_float(two_j, k)[::-1]) for k in ks]
+    out = []
+    for theta in thetas:
+        s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+        s2 = s * s
+        row = []
+        for k, odd, coeffs in plan:
+            acc = 0 * s2
+            for co in coeffs:
+                acc = acc * s2 + co
+            acc *= s**k
+            if odd:
+                acc *= c
+            row.append(acc)
+        out.append(tuple(row))
+    return out
 
 
 def recon_numerators_termwise(two_j: int, s: int, c: int, d: int) -> list[int]:

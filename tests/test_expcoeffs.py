@@ -1,6 +1,13 @@
 import cmath
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +27,17 @@ from spinpoly.expcoeffs import (
 )
 from spinpoly.halfint import HalfInt, half_integers
 
-from oracles import exp_series_closed_form, recon_numerators_termwise
+from oracles import (
+    exp_grid_scalar,
+    exp_series_closed_form,
+    recon_numerators_termwise,
+    recon_weights_by_coef,
+    series_by_coef,
+    series_floats_streamed,
+)
 from test_integer_identities import circle_point
 
+ROOT = Path(__file__).resolve().parents[1]
 THETAS = [(-2.0 + 4.0 * i / 99) * math.pi for i in range(100)]
 
 
@@ -77,26 +92,71 @@ def test_float_series_is_the_exact_series_rounded():
             assert expcoeffs._series_float(two_j, k) == exact, (two_j, k)
 
 
-def _clear_series_caches():
-    for cache in (cfn_module._row, expcoeffs._coef, expcoeffs._series_float):
-        cache.cache_clear()
+@pytest.fixture
+def fresh_frontiers(monkeypatch):
+    # unswept frontiers for this test alone; the process's own come back after
+    frontiers = (expcoeffs._Frontier(0), expcoeffs._Frontier(1))
+    monkeypatch.setattr(expcoeffs, "_FRONTIERS", frontiers)
+    return frontiers
 
 
-def test_cold_series_far_above_the_recursion_limit():
-    # each central-factorial row and each column coefficient is built from
-    # its cached predecessor, one level deep, however cold the caches
-    _clear_series_caches()
-    try:
-        assert expcoeffs._series_float(2000, 1999) == (1.0,)  # row 2000 first
-        assert expcoeffs._series_float(2000, 0) == (1.0,)  # 1001 coefficients, zero tail
-    finally:
-        _clear_series_caches()  # rows up to 2000 hold hundreds of MB
+def _hex(values):
+    return [float.hex(v) for v in values]
 
 
-def test_series_floats_are_built_once_and_shared_across_spins():
+def test_cold_series_far_above_the_recursion_limit(fresh_frontiers):
+    # the frontier sweeps its rows in a loop: a cold 2j = 2000 build, far
+    # past the recursion limit, neither recurses nor fills cfn's row table
+    rows = cfn_module._row.cache_info().currsize
+    assert expcoeffs._series_float(2000, 1999) == (1.0,)  # row 2000 first
+    assert expcoeffs._series_float(2000, 0) == (1.0,)  # 1001 coefficients, zero tail
+    assert fresh_frontiers[0].top == 2000 and fresh_frontiers[1].top == -1
+    assert cfn_module._row.cache_info().currsize == rows
+    ks = (1, 2, 3, 700, 1333, 1998, 1999)
+    want = series_floats_streamed(2000, ks)
+    for k in ks:
+        assert _hex(expcoeffs._series_float(2000, k)) == _hex(want[k]), k
+
+
+@pytest.mark.parametrize("two_j", [500, 1001])
+def test_large_spin_series_match_the_closed_form(fresh_frontiers, two_j):
+    ks = sorted({0, 1, 2, 3, two_j // 3, two_j // 2, two_j - 2, two_j - 1, two_j})
+    want = series_floats_streamed(two_j, ks)
+    for k in ks:
+        assert _hex(expcoeffs._series_float(two_j, k)) == _hex(want[k]), k
+
+
+def _interleaved(top):
+    # even and odd spins alternating, each parity's frontier pulled up in steps
+    evens, odds = list(range(0, top + 1, 2)), list(range(top - top % 2 - 1, 0, -2))
+    out = []
+    for pair in itertools.zip_longest(evens, odds):
+        out += [tj for tj in pair if tj is not None]
+    return out
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_frontier_series_are_the_per_coefficient_recurrence(fresh_frontiers, order):
+    spins = {
+        "ascending": list(range(201)),
+        "descending": list(range(200, -1, -1)),
+        "interleaved": _interleaved(200),
+    }[order]
+    assert sorted(spins) == list(range(201))
+    for two_j in spins:
+        for k in range(two_j + 1):
+            want = [value for _, _, value in series_by_coef(two_j, k)]
+            assert _hex(expcoeffs._series_float(two_j, k)) == _hex(want), (two_j, k)
+
+
+def test_reconstruction_weights_are_unchanged():
+    for two_j in range(151):
+        assert expcoeffs._recon_weights(two_j) == recon_weights_by_coef(two_j), two_j
+
+
+def test_series_floats_are_built_once_and_shared_across_spins(fresh_frontiers):
     # exp-cold's spins: every coefficient is divided once and one float
     # object serves every spin whose series reaches it
-    _clear_series_caches()
     spins = range(4, 104)
     for two_j in spins:
         exp_grid(HalfInt(two_j), [0.5])
@@ -108,13 +168,79 @@ def test_series_floats_are_built_once_and_shared_across_spins():
                 distinct.add((k, col, r))
                 if col or not r:  # the t(2r, 0) = 0 tail is dropped
                     kept.add((k, col, r))
-    info = expcoeffs._coef.cache_info()
-    assert info.currsize == info.misses == len(distinct) == 5460
+    assert sum(f.divided for f in fresh_frontiers) == len(distinct) == 5460
     floats = {
         id(value) for two_j in spins for k in range(two_j + 1)
         for value in expcoeffs._series_float(two_j, k)
     }
     assert len(floats) == len(kept)
+    # asking again, in any order, divides nothing more
+    for two_j in reversed(spins):
+        exp_grid(HalfInt(two_j), [0.5])
+    assert sum(f.divided for f in fresh_frontiers) == 5460
+
+
+def test_threads_asking_for_different_spins_get_the_single_thread_floats(
+    monkeypatch, fresh_frontiers
+):
+    spins = list(range(150))
+    random.Random(7).shuffle(spins)
+
+    def series_of(two_j):
+        return [_hex(expcoeffs._series_float(two_j, k)) for k in range(two_j + 1)]
+
+    want = {two_j: series_of(two_j) for two_j in spins}
+    divided = sum(f.divided for f in fresh_frontiers)
+
+    frontiers = (expcoeffs._Frontier(0), expcoeffs._Frontier(1))
+    monkeypatch.setattr(expcoeffs, "_FRONTIERS", frontiers)
+    got, errors = {}, []
+    start = threading.Barrier(8)
+
+    def work(mine):
+        try:
+            start.wait(timeout=30)
+            for two_j in mine:
+                got[two_j] = series_of(two_j)
+        except Exception as exc:  # reported below, with the thread's spins
+            errors.append((mine, exc))
+
+    threads = [threading.Thread(target=work, args=(spins[i::8],)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert got == want
+    # no row was swept twice, and each frontier stopped at its top spin
+    assert sum(f.divided for f in frontiers) == divided
+    assert [f.top for f in frontiers] == [148, 149]
+
+
+def test_a_cold_large_spin_peaks_small(tmp_path):
+    # the child's own high-water mark: ru_maxrss of a child inherits the
+    # parent's, /proc/self/status read in the child does not
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status")
+    code = (
+        "from spinpoly.expcoeffs import exp_poly\n"
+        "from spinpoly.halfint import HalfInt\n"
+        "exp_poly(HalfInt(1000), 1.0)\n"
+        "print([l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0].split()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 60 * 1024  # kB: below 60 MiB
 
 
 def test_spin_one_coefficients():
@@ -314,6 +440,36 @@ def test_exp_grid_takes_a_k_subset_in_its_order():
     assert exp_grid(j, [], ks) == []
     for theta, row in zip(GRID_THETAS, full):
         assert [repr(a_coeff_trunc(j, k, theta)) for k in ks] == [repr(row[k]) for k in ks]
+
+
+def _grid_hex(rows):
+    return [_hex(row) for row in rows]
+
+
+@pytest.mark.parametrize("size", [*range(10), 25, 32])
+def test_four_lane_grid_is_the_one_point_loop_bit_for_bit(size):
+    # every lane count and every leftover: full quads, then 0..3 points alone
+    thetas = [(-2.0 + 4.0 * i / max(size - 1, 1)) * math.pi + 0.1 * (i % 3) for i in range(size)]
+    if size:
+        thetas[size // 2] = -0.0
+    for two_j in [0, 1, 2, 3, 7, 8, 40, 41, 103]:
+        j = HalfInt(two_j)
+        assert _grid_hex(exp_grid(j, thetas)) == _grid_hex(exp_grid_scalar(j, thetas)), two_j
+        assert _grid_hex(exp_grid(j, iter(thetas))) == _grid_hex(exp_grid_scalar(j, thetas))
+
+
+def test_four_lane_grid_with_a_nan_angle_and_k_subsets():
+    nan = float("nan")
+    for thetas in ([nan], [0.3, nan, -1.2, 2.0], [0.3, 1.0, -1.2, nan, 5.0], [nan] * 9):
+        for two_j in (5, 6, 41):
+            j = HalfInt(two_j)
+            for ks in (None, [], [0], [two_j], [3, 0, two_j, 3], list(range(two_j, -1, -2))):
+                got = exp_grid(j, thetas, ks)
+                assert _grid_hex(got) == _grid_hex(exp_grid_scalar(j, thetas, ks)), (thetas, ks)
+    # a nan angle spoils its own lane only
+    row = exp_grid(HalfInt(4), [0.3, nan, -1.2, 2.0])
+    assert all(math.isnan(a) for a in row[1])
+    assert not any(math.isnan(a) for a in row[0] + row[2] + row[3])
 
 
 @pytest.mark.parametrize("two_j, k", [(0, 1), (4, 5), (4, -1), (7, 8), (7, -3)])

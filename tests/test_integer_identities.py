@@ -200,16 +200,17 @@ def test_scaled_b_matches_the_exact_table():
 
 
 @pytest.fixture
-def fresh_caches():
-    # the tables a patched _coef or _det_ints feeds are cached; start and end clean
+def fresh_caches(monkeypatch):
+    # the tables a patched _pairs or _det_ints feeds are cached; start and
+    # end clean, with unswept exp series frontiers for the test alone
     caches = (
         expcoeffs._recon_weights,
         expcoeffs._series,
-        expcoeffs._series_float,
         cayley._b_coeffs,
     )
     for cache in caches:
         cache.cache_clear()
+    monkeypatch.setattr(expcoeffs, "_FRONTIERS", (expcoeffs._Frontier(0), expcoeffs._Frontier(1)))
     yield
     for cache in caches:
         cache.cache_clear()
@@ -223,13 +224,17 @@ def _verify_detail(capsys, name):
 
 
 def test_perturbed_series_pair_fails_exp_reconstruction(monkeypatch, capsys, fresh_caches):
-    real = expcoeffs._coef
+    real = expcoeffs._pairs
 
-    def perturbed(k, col, r):
-        num, den, value = real(k, col, r)
-        return (num + 1, den, (num + 1) / den) if (k, col, r) == (1, 1, 1) else (num, den, value)
+    def perturbed(two_j, k):
+        # coefficient r = 1 of column 1: k = 1 at every odd 2j >= 3
+        pairs = real(two_j, k)
+        if k == 1 and two_j % 2 and len(pairs) > 1:
+            num, den = pairs[1]
+            pairs[1] = (num + 1, den)
+        return pairs
 
-    monkeypatch.setattr(expcoeffs, "_coef", perturbed)
+    monkeypatch.setattr(expcoeffs, "_pairs", perturbed)
     assert expcoeffs.exp_reconstruction(HalfInt(3), 0.4).exact is False
     code, check = _verify_detail(capsys, "exp-reconstruction")
     assert code == 1
