@@ -22,9 +22,9 @@ far.  A row extends every k's list by one coefficient, each one shift,
 one small multiply and one int/int division, so correctly rounded; the
 frontier only moves past the highest row any spin has asked for, and a
 spin's series is a prefix of each list, float objects shared with every
-other spin.  The exact coefficients (_series, the reconstruction
-weights) are the same pairs, built by the same recurrence down cfn_pair's
-memoized rows, for the checks only.
+other spin; a row is added whole or not at all.  The exact coefficients
+(_series, the reconstruction weights) are the same pairs, built by the
+same _next_pair down cfn_pair's memoized rows, for the checks only.
 """
 
 from __future__ import annotations
@@ -48,33 +48,43 @@ def epsilon(j: HalfInt, k: int) -> int:
     return (j.two_j - k) % 2
 
 
+def _next_pair(k: int, col: int, r: int, t: int, den: int) -> Tuple[int, int]:
+    """Coefficient r of A_k's series down column col, as the pair (num, den).
+
+    t is |t(col + 2r, col)|, the row's integer (cfn_pair's num), and den
+    is coefficient r - 1's den, ignored at r = 0.  The coefficient is
+    k! 4**r / (k + 2r)! * |t(col + 2r, col)|: with P_r = (k + 1)...(k + 2r)
+    the pair is (t << 2r, P_r) for even col.  For odd col the row integer
+    carries 4**(r + (col - 1)/2), which cancels the 4**r, so the pair is
+    (t, P_r << (col - 1)).  Either den is coefficient r - 1's times
+    (k + 2r - 1)(k + 2r).  The pairs are left unreduced: int/int division
+    and Fraction both accept them, and a gcd would cost more.  The one
+    statement of the coefficient convention: _pairs and _Frontier both
+    build their pairs here.
+    """
+    if r:
+        den *= (k + 2 * r - 1) * (k + 2 * r)
+    else:
+        den = 1 << (col - 1) if col % 2 else 1
+    return (t if col % 2 else t << 2 * r), den
+
+
 def _pairs(two_j: int, k: int) -> list[Tuple[int, int]]:
     """The truncation entering A_k for spin two_j/2, as exact pairs (num, den).
 
-    Coefficient r is k! 4**r / (k + 2r)! * |t(col + 2r, col)| with col = k
-    when 2j - k is even: the series of (arcsin(sqrt x)/sqrt x)**k.  When
-    2j - k is odd col = k + 1, giving that series times (1 - x)**(-1/2),
+    Coefficient r is k! 4**r / (k + 2r)! * |t(col + 2r, col)| (_next_pair)
+    with col = k when 2j - k is even: the series of (arcsin(sqrt x)/sqrt x)**k.
+    When 2j - k is odd col = k + 1, giving that series times (1 - x)**(-1/2),
     since (arcsin s)**k / sqrt(1 - s**2) is the derivative of
-    (arcsin s)**(k+1) / (k+1).  The order is floor(j - k/2).
-
-    With P_r = (k + 1)...(k + 2r) and |t| the row's integer (cfn_pair's
-    num), the pair is (|t| << 2r, P_r) for even col.  For odd col the row
-    integer carries 4**(r + (col - 1)/2), which cancels the 4**r, so the
-    pair is (|t|, P_r << (col - 1)).  Either den is coefficient r - 1's
-    times (k + 2r - 1)(k + 2r), the recurrence _Frontier sweeps too.  The
-    pairs are left unreduced: int/int division and Fraction both accept
-    them, and a gcd would cost more.  The only exact zeros, the tail
+    (arcsin s)**(k+1) / (k+1).  The order is floor(j - k/2).  The rows
+    come from cfn_pair's memoized table.  The only exact zeros, the tail
     t(2r, 0) = 0 for k = col = 0, are dropped.
     """
     col = k + (two_j - k) % 2
-    odd = col % 2
-    den = 1 << (col - 1) if odd else 1
-    pairs = []
+    pairs, den = [], 0
     for r in range((two_j - k) // 2 + 1):
-        if r:
-            den *= (k + 2 * r - 1) * (k + 2 * r)
-        t = abs(cfn_pair(col + 2 * r, col)[0])
-        pairs.append((t if odd else t << 2 * r, den))
+        num, den = _next_pair(k, col, r, abs(cfn_pair(col + 2 * r, col)[0]), den)
+        pairs.append((num, den))
     while not pairs[-1][0]:
         pairs.pop()
     return pairs
@@ -91,15 +101,15 @@ class _Frontier:
 
     top is the last row swept and row its integers (cfn._next_row).  For
     each k, dens[k] and floats[k] are the running den and the floats
-    num/den of A_k's series for the spins of this parity, pairs as
-    _pairs forms them: coefficient r of column col comes from row
-    col + 2r.  Row n adds coefficient (n - col)/2 to each k whose column
-    is below n, and opens column n for k = n - 1 and n.  divided counts
-    the coefficients built, each divided once for the life of the process.
+    num/den of A_k's series for the spins of this parity (_next_pair):
+    coefficient r of column col comes from row col + 2r.  Row n adds
+    coefficient (n - col)/2 to each k whose column is below n, and opens
+    column n for k = n - 1 and n.  divided counts the coefficients built,
+    each divided once for the life of the process.
 
     reach sweeps under the lock and reads top inside it, so threads asking
-    for different spins at once never sweep a row twice.  top moves only
-    once a row's floats are all appended, and lists only grow, so a
+    for different spins at once never sweep a row twice.  A row is added
+    whole or not at all (_sweep), and top moves only once it is, so a
     reader that finds top high enough reads a complete prefix unlocked.
     """
 
@@ -116,26 +126,41 @@ class _Frontier:
 
     def reach(self, two_j: int) -> None:
         """Sweep the rows of this parity up to two_j that no spin has reached yet."""
-        odd = self.parity
         with self.lock:
-            row, dens, floats = self.row, self.dens, self.floats
             for n in range(self.top + 2, two_j + 1, 2):
-                row = _next_row(row, n)
-                for col in range(odd, n, 2):  # coefficient r = (n - col)/2 >= 1
-                    r2 = n - col
-                    num = abs(row[col]) if odd else abs(row[col]) << r2
-                    for k in (col - 1, col) if col else (0,):
-                        den = dens[k] * ((k + r2 - 1) * (k + r2))
-                        dens[k] = den
-                        floats[k].append(num / den)
-                den = 1 << (n - 1) if odd else 1  # r = 0 of column n
-                num = abs(row[n])
-                for _ in range(len(dens), n + 1):
+                self._sweep(n)
+
+    def _sweep(self, n: int) -> None:
+        """Add row n: one coefficient to every k in 0..n, k = n - 1 and n opened.
+
+        The row's dens and floats are built aside and then committed; an
+        exception or interrupt, in the build or the commit, leaves the
+        frontier at row top as it was, so no den is multiplied twice.
+        """
+        row = _next_row(self.row, n)
+        dens, new = self.dens.copy(), []
+        for col in range(self.parity, n + 1, 2):
+            r, t = (n - col) // 2, abs(row[col])
+            for k in (col - 1, col) if col else (0,):  # ascending, each k once
+                num, den = _next_pair(k, col, r, t, dens[k] if r else 0)
+                if r:
+                    dens[k] = den
+                else:
                     dens.append(den)
-                    floats.append([num / den])
-                self.row = row
-                self.divided += n + 1
-                self.top = n
+                new.append(num / den)
+        floats = self.floats
+        sizes = [len(f) for f in floats]
+        try:
+            for f, value in zip(floats, new):
+                f.append(value)
+            floats.extend([value] for value in new[len(sizes):])
+            divided = self.divided + len(new)
+            self.row, self.dens, self.divided, self.top = row, dens, divided, n
+        except BaseException:
+            del floats[len(sizes):]
+            for f, size in zip(floats, sizes):
+                del f[size:]
+            raise
 
 
 _FRONTIERS = (_Frontier(0), _Frontier(1))

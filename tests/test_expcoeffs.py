@@ -118,6 +118,74 @@ def test_cold_series_far_above_the_recursion_limit(fresh_frontiers):
         assert _hex(expcoeffs._series_float(2000, k)) == _hex(want[k]), k
 
 
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_cold_row_table_does_not_recurse():
+    # cfn._row, which _series and _recon_weights read through cfn_pair,
+    # warms the rows below a miss lowest first: a cold row 300 takes a few
+    # frames where plain recursion down its predecessors would take 150
+    want = ()
+    for n in range(0, 301, 2):
+        want = cfn_module._next_row(want, n)
+    cfn_module._row.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        row = cfn_module._row(300)
+    finally:
+        sys.setrecursionlimit(limit)
+        cfn_module._row.cache_clear()
+    assert row == want
+
+
+def _assert_frontier_matches_the_recurrence(frontier):
+    for two_j in range(frontier.parity, frontier.top + 1, 2):
+        for k in range(two_j + 1):
+            want = [value for _, _, value in series_by_coef(two_j, k)]
+            assert _hex(expcoeffs._series_float(two_j, k)) == _hex(want), (two_j, k)
+
+
+class _FailingList(list):
+    def append(self, value):
+        raise MemoryError
+
+
+@pytest.mark.parametrize("phase", ["build", "commit"])
+def test_an_interrupted_row_leaves_the_frontier_as_it_was(monkeypatch, fresh_frontiers, phase):
+    frontier = fresh_frontiers[0]
+    expcoeffs._series_float(40, 0)
+    divided = frontier.divided
+    sizes = [len(f) for f in frontier.floats]
+    if phase == "build":  # coefficient 31 of the 43 in row 42
+        calls, next_pair = itertools.count(), expcoeffs._next_pair
+
+        def flaky(*args):
+            if next(calls) == 30:
+                raise KeyboardInterrupt
+            return next_pair(*args)
+
+        monkeypatch.setattr(expcoeffs, "_next_pair", flaky)
+    else:  # lists 0..19 have taken row 42's float, list 20 fails
+        kept = frontier.floats[20]
+        frontier.floats[20] = _FailingList(kept)
+    with pytest.raises(KeyboardInterrupt if phase == "build" else MemoryError):
+        expcoeffs._series_float(60, 0)
+    if phase == "build":
+        monkeypatch.setattr(expcoeffs, "_next_pair", next_pair)
+    else:
+        frontier.floats[20] = kept
+    assert (frontier.top, frontier.divided) == (40, divided)
+    assert [len(f) for f in frontier.floats] == sizes
+    expcoeffs._series_float(60, 0)
+    assert frontier.divided == sum(n + 1 for n in range(0, 61, 2))
+    _assert_frontier_matches_the_recurrence(frontier)
+
+
 @pytest.mark.parametrize("two_j", [500, 1001])
 def test_large_spin_series_match_the_closed_form(fresh_frontiers, two_j):
     ks = sorted({0, 1, 2, 3, two_j // 3, two_j // 2, two_j - 2, two_j - 1, two_j})
