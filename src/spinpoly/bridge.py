@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Tuple
 
-from .cayley import eval_coeffs
+from .cayley import scaled_b
 from .cfn import cfn_pair
 from .expcoeffs import exp_grid
 from .halfint import HalfInt
@@ -30,13 +30,19 @@ def b_from_a_laplace(j: HalfInt, k: int, alpha) -> Fraction:
     2j-k first rewrites A_k through the derivative relation, which lands
     every term in the sin/cos-power integral family.  alpha is any exact
     rational (a float is taken at its exact value); the result is exact.
-    It is scaled_laplace over laplace_column, in lowest terms.
+    It is _laplace_ints in lowest terms.
     """
-    if not 0 <= k <= j.two_j:
-        raise ValueError(f"k must lie in 0..{j.two_j}, got {k}")
-    p, q = Fraction(alpha).as_integer_ratio()
-    column = laplace_column(j.two_j, k + (j.two_j - k) % 2)
-    return Fraction(*scaled_laplace(j.two_j, k, column, p, q))
+    return Fraction(*_laplace_ints(j.two_j, k, *Fraction(alpha).as_integer_ratio()))
+
+
+def _laplace_ints(two_j: int, k: int, p: int, q: int) -> Tuple[int, int]:
+    """scaled_laplace's unreduced pair for B_k at alpha = p/q, over k's own column.
+
+    Raises ValueError on a k outside 0..2j.
+    """
+    if not 0 <= k <= two_j:
+        raise ValueError(f"k must lie in 0..{two_j}, got {k}")
+    return scaled_laplace(two_j, k, laplace_column(two_j, k + (two_j - k) % 2), p, q)
 
 
 def laplace_column(two_j: int, col: int) -> LaplaceColumn:
@@ -93,9 +99,19 @@ class LaplacePair(NamedTuple):
 
 
 def laplace_pair(j: HalfInt, k: int, alpha: float) -> LaplacePair:
-    direct = eval_coeffs(j, alpha)[0][k]
-    via = float(b_from_a_laplace(j, k, Fraction(alpha)))
-    return LaplacePair(j, k, alpha, direct, via)
+    """B_k(alpha) from the Cayley table and from the Laplace transform, as floats.
+
+    alpha is taken at its exact value p/q.  The direct value is scaled_b's
+    one numerator for k over its denominator, the transformed one the pair
+    that b_from_a_laplace reduces: each one int/int division, so each is
+    the exact B_k(alpha) rounded once, eval_coeffs(j, alpha)[0][k] and
+    float(b_from_a_laplace(j, k, alpha)) bit for bit.  Raises ValueError
+    on a k outside 0..2j.
+    """
+    p, q = Fraction(alpha).as_integer_ratio()
+    via_num, via_den = _laplace_ints(j.two_j, k, p, q)
+    (num,), den = scaled_b(j.two_j, p, q, (k,))
+    return LaplacePair(j, k, alpha, num / den, via_num / via_den)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,11 @@ the difference-equation recursion, the general resolvent formula, and
 (in the bridge module) a Laplace transform of the exponential
 coefficients.  Each exact table holds integer numerators over one integer
 denominator, and reduce_over_det takes an entry to lowest terms through
-the determinant's product form.  All exact tables are cached immutably;
-eval_coeffs is the one float evaluator.
+the determinant's product form.  All exact tables are cached immutably.
+
+eval_coeffs is the one float evaluator: for all k, or only the k in ks,
+it rounds scaled_b's integers at alpha = p/q, each float one int/int
+division of the same numerator and denominator whichever k are asked for.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cfn import cfn_pair
 from .exact import Poly, RationalFunction, i_power_parts, poly, poly_eval
@@ -145,39 +148,52 @@ def b_coeffs(j: HalfInt) -> CayleyCoeffs:
     return _b_coeffs(j.two_j)
 
 
-def scaled_b(two_j: int, p: int, q: int) -> Tuple[list[int], int]:
-    """B_0..B_2j at alpha = p/q as integer numerators over one denominator.
+def scaled_b(
+    two_j: int, p: int, q: int, ks: Iterable[int] | None = None
+) -> Tuple[list[int], int]:
+    """B_k at alpha = p/q as integer numerators over one denominator.
 
     The scaled truncations S_n = q**n * Trunc_n[det](alpha) are the integer
     partial sums S_n = q*S_{n-1} + d_n*p**n, and
-    B_k = p**k * q**(deg - 2j) * S_{2j-k} / S_deg, with S_deg > 0.
+    B_k = p**k * q**(deg - 2j) * S_{2j-k} / S_deg, with S_deg > 0.  The
+    partial sums are built whole; only the numerators of the k in ks
+    (default 0..2j, in that order) are multiplied out, in the order of ks.
+    Raises ValueError on a k outside 0..2j.
     """
     det = _det_ints(two_j)
-    partial = []
+    partial, p_pows = [], []
     s, p_pow = 0, 1
     for d in det:
         s = s * q + d * p_pow
         partial.append(s)
+        p_pows.append(p_pow)
         p_pow *= p
-    scale = q ** (len(det) - 1 - two_j)  # p**k * q**(deg - 2j) as k runs
+    scale = q ** (len(det) - 1 - two_j)  # q**(deg - 2j), deg - 2j = 0 or 1
     nums = []
-    for k in range(two_j + 1):
-        nums.append(scale * partial[two_j - k])
-        scale *= p
+    for k in range(two_j + 1) if ks is None else ks:
+        if not 0 <= k <= two_j:
+            raise ValueError(f"k must lie in 0..{two_j}, got {k}")
+        nums.append(p_pows[k] * scale * partial[two_j - k])
     return nums, partial[-1]
 
 
-def eval_coeffs(j: HalfInt, alpha) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """All B_k(alpha) and A_k(alpha), k = 0..2j, as correctly rounded floats.
+def eval_coeffs(
+    j: HalfInt, alpha, ks: Iterable[int] | None = None
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """B_k(alpha) and A_k(alpha) as correctly rounded floats, for k in ks.
 
-    Each B_k (see scaled_b), and each A_k = 2B_k (2B_0 - 1 at k = 0), is
-    one int/int division, which rounds exactly as Fraction.__float__ does:
-    every entry is the exact table's value at alpha, rounded once.
+    ks defaults to 0..2j; the two tuples follow the order of ks.  Each B_k
+    (see scaled_b), and each A_k = 2B_k (2B_0 - 1 at k = 0), is one int/int
+    division of the same integers whichever k are asked for, and int/int
+    division rounds exactly as Fraction.__float__ does, reduced or not:
+    every entry is the exact table's value at alpha, rounded once.  Raises
+    ValueError on a k outside 0..2j.
     """
-    nums, den = scaled_b(j.two_j, *Fraction(alpha).as_integer_ratio())
+    ks = range(j.two_j + 1) if ks is None else tuple(ks)
+    nums, den = scaled_b(j.two_j, *Fraction(alpha).as_integer_ratio(), ks)
     b = tuple(num / den for num in nums)
     # A_k is divided out too: float 2*B_0 - 1 cancels, 2*B_k loses subnormal bits
-    a = ((2 * nums[0] - den) / den,) + tuple(2 * num / den for num in nums[1:])
+    a = tuple((2 * num - den if k == 0 else 2 * num) / den for k, num in zip(ks, nums))
     return b, a
 
 

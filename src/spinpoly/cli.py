@@ -183,7 +183,7 @@ def _cmd_asymp(args) -> int:
     rows = []
     for alpha in args.alpha_grid.values():
         for j in args.j_list:
-            val = cayley.eval_coeffs(j, alpha)[0][args.k] / alpha**args.k
+            val = cayley.eval_coeffs(j, alpha, (args.k,))[0][0] / alpha**args.k
             rows.append((alpha, f"j={j}", val))
         rows.append(
             (alpha, "limit", cayley.b_limit_ratio(args.j_list[0].is_integer, args.k, alpha))

@@ -34,7 +34,7 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cfn import _next_row, cfn_pair
 from .exact import Poly, i_power_parts, poly_eval
@@ -266,36 +266,46 @@ def _cfn_sum_terms(two_j: int, k: int) -> Tuple[Tuple[int, float], ...]:
     return tuple(terms)
 
 
-def a_coeff_cfn_series(j: HalfInt, k: int, thetas: Iterable[float]) -> list[float]:
-    """A_k on a grid, by the direct central-factorial sum; needs 2j - k even."""
-    if epsilon(j, k):
-        raise ValueError(f"2j - k must be even, got 2j={j.two_j}, k={k}")
-    terms = _cfn_sum_terms(j.two_j, k)
+def half_angles(thetas: Iterable[float], top: int) -> list[tuple[list[float], float]]:
+    """The grid that a_coeff_cfn_series and a_coeff_derivative_path read.
+
+    Per angle, the powers s**0..s**top of s = sin(theta/2), and
+    c = cos(theta/2); spin j needs top >= 2j.  A caller that reads many k
+    of one spin builds it once.
+    """
     out = []
     for theta in thetas:
         s = math.sin(theta / 2.0)
-        out.append(math.fsum(c * s**m for m, c in terms))
+        out.append(([s**m for m in range(top + 1)], math.cos(theta / 2.0)))
     return out
 
 
-def a_coeff_derivative_path(j: HalfInt, k: int, thetas: Iterable[float]) -> list[float]:
+def a_coeff_cfn_series(j: HalfInt, k: int, halves: Sequence) -> list[float]:
+    """A_k on a grid, by the direct central-factorial sum; needs 2j - k even.
+
+    halves is half_angles(thetas, top), top >= 2j, and each value is the
+    fsum of the terms coef * s**m.
+    """
+    if epsilon(j, k):
+        raise ValueError(f"2j - k must be even, got 2j={j.two_j}, k={k}")
+    terms = _cfn_sum_terms(j.two_j, k)
+    return [math.fsum([c * powers[m] for m, c in terms]) for powers, _ in halves]
+
+
+def a_coeff_derivative_path(j: HalfInt, k: int, halves: Sequence) -> list[float]:
     """A_{k-1} on a grid, from the derivative relation A_{k-1} = (2/k) dA_k/dtheta.
 
     Requires 2j - k even (so A_k carries the central-factorial sum); the
-    differentiation is done analytically term by term.
+    differentiation is done analytically term by term.  halves is as for
+    a_coeff_cfn_series.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if epsilon(j, k):
         raise ValueError(f"2j - k must be even, got 2j={j.two_j}, k={k}")
-    terms = _cfn_sum_terms(j.two_j, k)
-    out = []
-    for theta in thetas:
-        s = math.sin(theta / 2.0)
-        c = math.cos(theta / 2.0)
-        # (2/k) d/dtheta [coef * s**m] = (coef * m / k) * s**(m-1) * c
-        out.append(math.fsum(co * m / k * s ** (m - 1) * c for m, co in terms))
-    return out
+    # (2/k) d/dtheta [coef * s**m] = (coef * m / k) * s**(m-1) * c
+    terms = [(m - 1, co * m / k) for m, co in _cfn_sum_terms(j.two_j, k)]
+    return [math.fsum([w * powers[e] * c for e, w in terms]) for powers, c in halves]
 
 
 class ExpCoeffTable(NamedTuple):

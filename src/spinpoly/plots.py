@@ -173,9 +173,9 @@ def figure_rows(
         return header, rows
     if figure == "cayley-B12":
         for j in js:
-            bs = [cayley.eval_coeffs(j, a)[0] for a in xs]
-            for k in ks:
-                rows += [(a, f"j={j} k={k}", b[k] / a**k) for a, b in zip(xs, bs)]
+            bs = [cayley.eval_coeffs(j, a, ks)[0] for a in xs]
+            for i, k in enumerate(ks):
+                rows += [(a, f"j={j} k={k}", b[i] / a**k) for a, b in zip(xs, bs)]
         parities = {j.is_integer for j in js}
         for k in ks:
             for parity in sorted(parities):

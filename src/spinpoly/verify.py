@@ -55,16 +55,6 @@ class _Tally:
         return bad
 
 
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    if a == b:
-        return True
-    return abs(a - b) <= tol * max(abs(a), abs(b))
-
-
-def _rel_diff(a: float, b: float) -> float:
-    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
-
-
 def _check_fundamental_identity(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         rep = verify_fundamental_identity(j)
@@ -75,19 +65,26 @@ def _check_fundamental_identity(max_two_j: int, tally: _Tally) -> str | None:
 
 def _check_exp_paths(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
+        halves = expcoeffs.half_angles(_THETAS, j.two_j)  # once per spin, for every k
         for k, trunc in enumerate(zip(*expcoeffs.exp_grid(j, _THETAS))):
             if expcoeffs.epsilon(j, k) == 0:
-                op, other = "a_coeff_cfn_series", expcoeffs.a_coeff_cfn_series(j, k, _THETAS)
+                op, other = "a_coeff_cfn_series", expcoeffs.a_coeff_cfn_series(j, k, halves)
             else:
                 op = "a_coeff_derivative_path"
-                other = expcoeffs.a_coeff_derivative_path(j, k + 1, _THETAS)
-            pairs = list(zip(trunc, other))
-            bad = tally.add(
-                [not _rel_close(a, b, EXP_PATH_BOUND) for a, b in pairs],
-                [_rel_diff(a, b) for a, b in pairs],
-            )
+                other = expcoeffs.a_coeff_derivative_path(j, k + 1, halves)
+            # relative error |a - b| / max(|a|, |b|), 0 where a == b
+            fails, errs = [], []
+            for a, b in zip(trunc, other):
+                if a == b:
+                    fails.append(False)
+                    errs.append(0.0)
+                else:
+                    diff, scale = abs(a - b), max(abs(a), abs(b))
+                    fails.append(not diff <= EXP_PATH_BOUND * scale)
+                    errs.append(diff / scale)
+            bad = tally.add(fails, errs)
             if bad is not None:
-                a, b = pairs[bad]
+                a, b = trunc[bad], other[bad]
                 return f"op={op} j={j} k={k} theta={_THETAS[bad]} trunc={a} other={b}"
     return None
 

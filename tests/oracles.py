@@ -373,10 +373,11 @@ def validate_figure(figure: str) -> list[str]:
             for k in DEFAULT_KS[figure]:
                 for theta in (0.7, 2.0, math.pi, 5.5, 9.1, 11.8):
                     a = expcoeffs.a_coeff_trunc(j, k, theta)
+                    halves = expcoeffs.half_angles([theta], j.two_j)
                     if expcoeffs.epsilon(j, k) == 0:
-                        b = expcoeffs.a_coeff_cfn_series(j, k, [theta])[0]
+                        b = expcoeffs.a_coeff_cfn_series(j, k, halves)[0]
                     else:
-                        b = expcoeffs.a_coeff_derivative_path(j, k + 1, [theta])[0]
+                        b = expcoeffs.a_coeff_derivative_path(j, k + 1, halves)[0]
                     if a != b and abs(a - b) > 1e-12 * max(abs(a), abs(b)):
                         problems.append(f"exp-A j={j} k={k} theta={theta}: {a} vs {b}")
     elif figure == "cayley-B12":

@@ -12,11 +12,12 @@ from spinpoly.bridge import (
     laplace_pair,
     quadrature_check,
 )
-from spinpoly.cayley import b_coeffs
+from spinpoly.cayley import b_coeffs, eval_coeffs
 from spinpoly.exact import RationalFunction
 from spinpoly.halfint import HalfInt, half_integers
 
 from oracles import theta_from_alpha, verify_exp_equal_cayley
+from test_cayley import KS_ALPHAS
 from test_integer_identities import laplace_sin_cos_power, laplace_sin_power
 
 
@@ -87,6 +88,28 @@ def test_laplace_pair_consistency():
     pair = laplace_pair(HalfInt(3), 2, 0.45)
     assert pair.consistent
     assert pair.b_direct == pytest.approx(pair.b_via_laplace, rel=1e-12)
+
+
+@pytest.mark.parametrize("two_j, k", [(2, -1), (2, 3), (3, -1), (3, 4)])
+def test_laplace_pair_range_error(two_j, k):
+    with pytest.raises(ValueError, match=rf"^k must lie in 0\.\.{two_j}, got {k}$"):
+        laplace_pair(HalfInt(two_j), k, 0.5)
+
+
+def test_laplace_pair_rounds_each_exact_side_once():
+    # direct is the Cayley table's entry and via the exact transform, each rounded once
+    for two_j in range(61):
+        j = HalfInt(two_j)
+        for alpha in KS_ALPHAS:
+            direct = eval_coeffs(j, alpha)[0]
+            ks = range(two_j + 1)
+            if alpha == 1e-300:  # q = 2**1049: each exact transform takes milliseconds
+                ks = sorted({0, 1, 2, two_j} & set(ks))
+            for k in ks:
+                pair = laplace_pair(j, k, alpha)
+                assert pair.b_direct.hex() == direct[k].hex(), (two_j, k, alpha)
+                via = float(b_from_a_laplace(j, k, alpha))
+                assert pair.b_via_laplace.hex() == via.hex(), (two_j, k, alpha)
 
 
 def test_gauss_legendre_rule():

@@ -326,3 +326,36 @@ def test_eval_coeffs_a0_is_rounded_once():
         a0 = RationalFunction(table.A[0], table.den)
         for alpha in (1.0, math.nextafter(1.0, 2.0), 0.9999999):
             assert eval_coeffs(HalfInt(two_j), alpha)[1][0] == float(a0(F(alpha)))
+
+
+_KS_RNG = random.Random(2014)
+KS_ALPHAS = (
+    [sign * 10.0 ** _KS_RNG.uniform(-3, 3) for sign in (1, -1) for _ in range(3)]
+    + [1e-300, F(-5, 7)]  # at 1e-300 every B_k past k = 1 underflows to 0
+)
+
+
+def _hexes(b, a):
+    return [(x.hex(), y.hex()) for x, y in zip(b, a)]
+
+
+def test_eval_coeffs_at_chosen_ks_is_the_full_table_bit_for_bit():
+    # each float is one division of the same integers, however many k are asked for
+    rng = random.Random(20)
+    for two_j in range(61):
+        j = HalfInt(two_j)
+        for alpha in KS_ALPHAS:
+            full = _hexes(*eval_coeffs(j, alpha))
+            for k in range(two_j + 1):
+                assert _hexes(*eval_coeffs(j, alpha, (k,))) == [full[k]], (two_j, alpha, k)
+            ks = [rng.randrange(two_j + 1) for _ in range(two_j + 3)]  # any order, repeats
+            assert _hexes(*eval_coeffs(j, alpha, ks)) == [full[k] for k in ks]
+            assert _hexes(*eval_coeffs(j, alpha, iter(ks))) == [full[k] for k in ks]
+    assert eval_coeffs(HalfInt(4), 0.5, ()) == ((), ())
+
+
+@pytest.mark.parametrize("two_j, k", [(2, -1), (2, 3), (3, -1), (3, 4)])
+def test_eval_coeffs_refuses_a_k_outside_0_to_2j(two_j, k):
+    # at odd 2j, k = -1 would read S_deg, one past S_2j, without the check
+    with pytest.raises(ValueError, match=rf"^k must lie in 0\.\.{two_j}, got {k}$"):
+        eval_coeffs(HalfInt(two_j), 0.5, (0, k))

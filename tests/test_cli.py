@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import spinpoly
-from spinpoly import bridge, cayley, cli, expcoeffs, fixtures, verify
+from spinpoly import bridge, cayley, cli, expcoeffs, fixtures, plots, verify
 from spinpoly.halfint import HalfInt
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -281,6 +281,43 @@ def test_asymp_command(capsys):
     assert code == 0
     assert "5e-324,limit,1.0" in out.splitlines()
     assert "1e-320,limit,1.0" in out.splitlines()
+
+
+def _numerators_built(monkeypatch):
+    # one entry per scaled_b call: how many B_k numerators it multiplied out
+    built = []
+    real = cayley.scaled_b
+
+    def counted(two_j, p, q, ks=None):
+        nums, den = real(two_j, p, q, ks)
+        built.append(len(nums))
+        return nums, den
+
+    monkeypatch.setattr(cayley, "scaled_b", counted)
+    monkeypatch.setattr(bridge, "scaled_b", counted)
+    return built
+
+
+def test_commands_that_read_some_k_build_only_those_numerators(capsys, monkeypatch):
+    built = _numerators_built(monkeypatch)
+    for j, k in (("15", "22"), ("7/2", "0"), ("10", "20")):
+        built.clear()
+        assert run(capsys, "bridge", "--j", j, "--k", k, "--alpha", "0.7")[0] == 0
+        assert built == [1]
+    built.clear()
+    assert run(capsys, "asymp", "--j-list", "5,10,20", "--k", "1", "--alpha-grid", "0.5:2:4")[0] == 0
+    assert built == [1] * (3 * 4)  # per spin and alpha
+    built.clear()
+    assert run(capsys, "plotdata", "--figure", "cayley-B12")[0] == 0
+    assert built and set(built) == {len(plots.DEFAULT_KS["cayley-B12"])}
+    built.clear()
+    argv = ["--j", "7/2", "--k", "1", "--k", "2", "--alpha-grid", "0.1:3:5"]
+    assert run(capsys, "plotdata", "--figure", "cayley-B12", *argv)[0] == 0
+    assert built == [2] * 5
+    # a command that prints every k still builds the whole table
+    built.clear()
+    assert run(capsys, "coeffs", "cayley", "--j", "3", "--alpha", "0.5")[0] == 0
+    assert built == [7]
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from spinpoly.expcoeffs import (
     exp_grid,
     exp_poly,
     exp_reconstruction,
+    half_angles,
 )
 from spinpoly.halfint import HalfInt, half_integers
 
@@ -325,7 +326,8 @@ def test_spin_three_half_k1_series():
     j = HalfInt(3)
     for theta in (0.3, 1.1, 2.9):
         s = math.sin(theta / 2)
-        assert a_coeff_cfn_series(j, 1, [theta])[0] == pytest.approx(s + s**3 / 6, rel=1e-14)
+        got = a_coeff_cfn_series(j, 1, half_angles([theta], j.two_j))[0]
+        assert got == pytest.approx(s + s**3 / 6, rel=1e-14)
 
 
 def test_zero_angle_is_identity_column():
@@ -340,7 +342,7 @@ def test_cfn_series_matches_trunc():
         for k in range(j.two_j + 1):
             if epsilon(j, k):
                 continue
-            series = a_coeff_cfn_series(j, k, THETAS)
+            series = a_coeff_cfn_series(j, k, half_angles(THETAS, j.two_j))
             for theta, b in zip(THETAS, series):
                 a = a_coeff_trunc(j, k, theta)
                 assert a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (j, k, theta)
@@ -351,17 +353,40 @@ def test_derivative_path_matches_trunc():
         for k in range(1, j.two_j + 1):
             if epsilon(j, k):
                 continue
-            derived = a_coeff_derivative_path(j, k, THETAS)
+            derived = a_coeff_derivative_path(j, k, half_angles(THETAS, j.two_j))
             for theta, b in zip(THETAS, derived):
                 a = a_coeff_trunc(j, k - 1, theta)
                 assert a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (j, k, theta)
 
 
+def test_paths_are_the_fsum_of_their_per_angle_terms():
+    # at the spin's top and above it, the half angles give the fsum of
+    # coef * s**m, and of (coef * m / k) * s**(m-1) * c, bit for bit
+    thetas = THETAS + [0.0, -0.0, 1e-300]
+    for j in half_integers(20):
+        grids = [half_angles(thetas, j.two_j), half_angles(thetas, j.two_j + 5)]
+        for k in range(j.two_j % 2, j.two_j + 1, 2):
+            terms = expcoeffs._cfn_sum_terms(j.two_j, k)
+            want = [math.fsum(c * math.sin(t / 2) ** m for m, c in terms).hex() for t in thetas]
+            for halves in grids:
+                assert [x.hex() for x in a_coeff_cfn_series(j, k, halves)] == want
+            if not k:
+                continue
+            want = [
+                math.fsum(
+                    c * m / k * math.sin(t / 2) ** (m - 1) * math.cos(t / 2) for m, c in terms
+                ).hex()
+                for t in thetas
+            ]
+            for halves in grids:
+                assert [x.hex() for x in a_coeff_derivative_path(j, k, halves)] == want
+
+
 def test_derivative_path_parity_errors():
     with pytest.raises(ValueError):
-        a_coeff_derivative_path(HalfInt(2), 1, [0.1])
+        a_coeff_derivative_path(HalfInt(2), 1, half_angles([0.1], 4))
     with pytest.raises(ValueError):
-        a_coeff_cfn_series(HalfInt(2), 1, [0.1])
+        a_coeff_cfn_series(HalfInt(2), 1, half_angles([0.1], 4))
 
 
 def test_float_reconstruction_small_spins():
