@@ -26,6 +26,7 @@ from .bridge import (
 )
 from .cayley import (
     CayleyCoeffs,
+    a_coeffs,
     b_coeffs,
     b_coeffs_recursion,
     b_limit_ratio,
@@ -33,7 +34,6 @@ from .cayley import (
     det_forms,
     det_poly,
     log_det_gamma,
-    reduce_over_det,
     resolvent_coeffs,
 )
 from .exact import RationalFunction, poly, poly_eval

@@ -7,9 +7,9 @@ is the characteristic determinant det(1 - 2i*alpha*n.J).  Several
 independent generation paths are implemented: the truncation formula,
 the difference-equation recursion, the general resolvent formula, and
 (in the bridge module) a Laplace transform of the exponential
-coefficients.  Each exact table holds integer numerators over one integer
-denominator, and reduce_over_det takes an entry to lowest terms through
-the determinant's product form.  All exact tables are cached immutably.
+coefficients.  Each exact table holds integer B_k numerators over one
+integer denominator, the determinant, and is cached immutably; a_coeffs
+reads the A_k off the production table, already in lowest terms.
 
 eval_coeffs is the one float evaluator: for all k, or only the k in ks,
 it rounds scaled_b's integers at alpha = p/q, each float one int/int
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cfn import cfn_pair
@@ -110,26 +109,20 @@ def log_det_gamma(j: HalfInt, alpha: float) -> float:
 
 
 class CayleyCoeffs(NamedTuple):
-    """Resolvent coefficients B_k and Cayley coefficients A_k for one spin.
+    """Resolvent coefficients B_k for one spin.
 
-    den is the spin's integer determinant, stored once; B[k] and A[k] are
-    integer numerator tuples over it, normalized but unreduced: B_k is
-    alpha^k times the truncated determinant over den, A_k = 2 B_k, and
-    A_0 = 2 B_0 - 1.  reduce_over_det gives the lowest terms of any entry.
+    den is the spin's integer determinant, stored once; B[k] is B_k's
+    integer numerator tuple over it, alpha^k times the truncated
+    determinant.  a_coeffs gives the Cayley coefficients A_k.
     """
 
     j: HalfInt
     den: Poly
     B: Tuple[Poly, ...]
-    A: Tuple[Poly, ...]
 
 
 def _table(j: HalfInt, b_nums: Sequence[Sequence[int]], den: Sequence[int]) -> CayleyCoeffs:
-    den = poly(den)
-    b = tuple(poly(num) for num in b_nums)
-    a = [tuple(2 * c for c in num) for num in b]
-    a[0] = poly(c - d for c, d in zip_longest(a[0], den, fillvalue=0))
-    return CayleyCoeffs(j, den, b, tuple(a))
+    return CayleyCoeffs(j, poly(den), tuple(poly(num) for num in b_nums))
 
 
 def _coeffs_from_det(j: HalfInt, det: Poly) -> CayleyCoeffs:
@@ -146,6 +139,29 @@ def _b_coeffs(two_j: int) -> CayleyCoeffs:
 def b_coeffs(j: HalfInt) -> CayleyCoeffs:
     """The truncation-formula path (the production route)."""
     return _b_coeffs(j.two_j)
+
+
+def a_coeffs(j: HalfInt) -> Tuple[RationalFunction, ...]:
+    """The Cayley coefficients A_k(alpha) in lowest terms, read off b_coeffs.
+
+    A_k = 2 B_k / den for k >= 1, and A_0 = (2 B_0 - den) / den, which is 1
+    at integer j, where B_0 = den.  No other entry reduces: a factor
+    1 + M^2 alpha^2 of det = prod_{m=1..N} (1 + M_m^2 alpha^2) divides
+    Trunc_n[det] only if Trunc_n[det](i/M) = sum_{l<=L} (-1)^l e_l(u)
+    vanishes, with u_m = M_m^2/M^2 and L = floor(n/2).  One u_m is 1, so
+    e_l(u) = e_l(u') + e_{l-1}(u') over the other N - 1 ratios u' > 0, and
+    the sum telescopes to (-1)^L e_L(u') != 0 for L <= N - 1.  So only
+    n >= deg = 2N, det itself, shares a factor with det; B_k has n = 2j - k,
+    and gcd(2 B_0 - det, det) = gcd(B_0, det).  det(0) = 1 and its leading
+    coefficient is positive, so den is already the primitive denominator.
+    """
+    table = b_coeffs(j)
+    den = table.den
+    if j.is_integer:
+        a0 = RationalFunction((1,), (1,))
+    else:  # 2 B_0 - den, B_0 being den less its top term
+        a0 = RationalFunction(den[:-1] + (-den[-1],), den)
+    return (a0,) + tuple(RationalFunction([2 * c for c in num], den) for num in table.B[1:])
 
 
 def scaled_b(
@@ -227,43 +243,16 @@ def b_coeffs_recursion(j: HalfInt) -> CayleyCoeffs:
     return _table(j, b_nums, den)
 
 
-def reduce_over_det(j: HalfInt, num: Sequence[int]) -> RationalFunction:
-    """num / det(1 - 2i*alpha*n.J) in lowest terms, for an integer num.
-
-    det is the product of 1 + M^2 alpha^2 over the positive eigenvalues M
-    of 2 n.J: distinct factors, each irreducible over Q.  So gcd(num, det)
-    is the product of the factors that divide num, and a factor divides
-    num exactly when num(i/M) = 0, i.e. its even and odd parts both
-    vanish.  Each such factor leaves num and det by exact synthetic
-    division from the low end, q_i = n_i - M^2 q_{i-2}.  What is left of
-    det keeps the constant term 1 and positive coefficients, so it is the
-    unique primitive, positive-leading denominator of the reduced form.
-    """
-    num, den = poly(num), _det_ints(j.two_j)
-    for m in range(j.two_j, 0, -2):
-        re = im = 0
-        for c in num:  # Horner at -iM over the reversed list: (-i)**deg M**deg num(i/M)
-            re, im = m * im + c, -m * re
-        if not (re or im):
-            num, den = _divide_out(num, m * m), _divide_out(den, m * m)
-    return RationalFunction(num, den)
-
-
-def _divide_out(p: Sequence[int], m2: int) -> Tuple[int, ...]:
-    # p / (1 + m2 alpha^2), which divides p
-    q: list[int] = []
-    for i in range(len(p) - 2):
-        q.append(p[i] - m2 * q[i - 2] if i >= 2 else p[i])
-    return tuple(q)
-
-
 def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:
     """Matrix-polynomial coefficients of (1 - alpha*M)^-1 for any
     diagonalizable M with the given distinct eigenvalues.
 
     r_n = alpha**n * Trunc_{N-1-n}[det(1-alpha*M)] / det(1-alpha*M), with
     the determinant built as prod (1 - alpha*lambda_i).  Works for exact
-    or floating scalars alike.
+    or floating scalars alike.  r_n is homogeneous of degree 0 in the
+    determinant's coefficients, so float ones are scaled by 2**-512
+    whenever the largest passes 2**512: that moves only the overflow.
+    Exact ones are never scaled.
     """
     eigs = list(eigenvalues)
     n = len(eigs)
@@ -280,6 +269,8 @@ def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:
         for m, dm in enumerate(d):
             nxt[m] += dm
             nxt[m + 1] += -lam * dm
+        if isinstance(nxt[-1], (float, complex)) and max(map(abs, nxt)) > 2.0**512:
+            nxt = [c * 2.0**-512 for c in nxt]
         d = nxt
     powers = [alpha**m for m in range(n + 1)]
     # trunc[i] = sum of the terms d_m alpha**m below m = i, one running sum

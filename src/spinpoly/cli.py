@@ -138,8 +138,7 @@ def _cmd_coeffs_cayley(args) -> int:
         den = ", ".join(map(str, table.den))
         for k, num in enumerate(table.B):
             print(f"B_{k}: num = [{', '.join(map(str, num))}], den = [{den}]")
-        for k, num in enumerate(table.A):
-            a = cayley.reduce_over_det(j, num)
+        for k, a in enumerate(cayley.a_coeffs(j)):
             print(f"A_{k}: num = [{', '.join(map(str, a.num))}], den = [{', '.join(map(str, a.den))}]")
         return 0
     alpha = args.alpha if args.alpha is not None else 1.0

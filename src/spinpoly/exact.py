@@ -60,8 +60,8 @@ class _RationalFields(NamedTuple):
 class RationalFunction(_RationalFields):
     """A quotient of two exact polynomials, normalized but not reduced.
 
-    cayley.reduce_over_det returns one in lowest terms; calling it
-    evaluates the quotient.  Equality is structural, so two of them are
+    cayley.a_coeffs returns them in lowest terms; calling one evaluates
+    the quotient.  Equality is structural, so two of them are
     equal exactly when their coefficient tuples are.
     """
 

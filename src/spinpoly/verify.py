@@ -136,11 +136,16 @@ def _check_cayley_paths(max_two_j: int, tally: _Tally) -> str | None:
                 return f"op={op} j={j} k={bad}"
         eigs = [1j * m2 for m2 in range(j.two_j, -j.two_j - 1, -2)]
         for alpha in (0.35, -1.25):
-            res = cayley.resolvent_coeffs(eigs, alpha)
+            try:
+                res = cayley.resolvent_coeffs(eigs, alpha)
+            except ArithmeticError as exc:  # a float determinant that under- or overflows
+                tally.add([True])
+                return f"op=resolvent_coeffs j={j} alpha={alpha} error={exc!r}"
             wants = cayley.eval_coeffs(j, alpha)[0]
             rows = [(r, want, max(1.0, abs(want))) for r, want in zip(res, wants)]
+            # not <=, so that a nan or inf resolvent fails
             bad = tally.add(
-                [abs(r - want) > RESOLVENT_BOUND * scale for r, want, scale in rows],
+                [not abs(r - want) <= RESOLVENT_BOUND * scale for r, want, scale in rows],
                 [abs(r - want) / scale for r, want, scale in rows],
             )
             if bad is not None:
@@ -208,7 +213,7 @@ def _check_det_forms(max_two_j: int, tally: _Tally) -> str | None:
         logs = []
         for alpha in alphas:
             p, q = alpha.as_integer_ratio()
-            scaled = sum(c * p**i * q ** (deg - i) for i, c in enumerate(det))  # q**deg det(p/q)
+            scaled = cayley.scaled_b(j.two_j, p, q, ())[1]  # q**deg det(p/q)
             logs.append((math.log(scaled) - deg * math.log(q), cayley.log_det_gamma(j, alpha)))
         errs = [-math.expm1(-abs(lp - lg)) for lp, lg in logs]  # |a - b| / max(a, b)
         bad = tally.add([not err <= DET_BOUND for err in errs], errs)

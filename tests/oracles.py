@@ -19,6 +19,7 @@ from spinpoly import cayley, expcoeffs
 from spinpoly.bridge import alpha_from_theta
 from spinpoly.cayley import b_limit_ratio, eval_coeffs
 from spinpoly.cfn import _next_row, cfn, cfn_pair
+from spinpoly.exact import RationalFunction, poly
 from spinpoly.halfint import HalfInt
 from spinpoly.plots import DEFAULT_KS, DEFAULT_SPINS, FIGURES
 
@@ -56,6 +57,87 @@ def findumonde_entry(j: HalfInt, k: int, l: int) -> Fraction:
         * numerator
         / (math.factorial(n - l) * math.factorial(l - 1))
     )
+
+
+# ---------------------------------------------------------------------------
+# exact: the Euclidean route to lowest terms over Q
+# ---------------------------------------------------------------------------
+
+
+def poly_scale(p, c):
+    return poly(pi * c for pi in p)
+
+
+def poly_divmod(p, q):
+    p = poly(map(Fraction, p))
+    q = poly(map(Fraction, q))
+    if not q:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    if len(p) < len(q):
+        return (), p
+    rem = list(p)
+    lead = q[-1]
+    dq = len(q) - 1
+    quot = [Fraction(0)] * (len(p) - dq)
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = rem[i] / lead
+        if c:
+            quot[i - dq] = c
+            for k, qk in enumerate(q):
+                rem[i - dq + k] -= c * qk
+    return poly(quot), poly(rem[:dq])
+
+
+def poly_gcd(p, q):
+    """Monic Euclidean GCD, by primitive pseudo-remainders.
+
+    Each step divides lead(b)^e a by b over the integers and keeps the
+    primitive part of the remainder: over Q the same remainder sequence up
+    to scalars, without the growth of Fraction coefficients.
+    """
+    a, b = (_primitive(x) if x else () for x in (poly(p), poly(q)))
+    while b:
+        a, b = b, _pseudo_rem(a, b)
+    if not a:
+        return ()
+    return poly_scale(a, Fraction(1, a[-1]))
+
+
+def _pseudo_rem(a, b):
+    rem, db, lead = list(a), len(b) - 1, b[-1]
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            rem = [lead * x for x in rem]
+            for k, bk in enumerate(b):
+                rem[i - db + k] -= c * bk
+    rem = poly(rem[:db])
+    return _primitive(rem) if rem else ()
+
+
+def _primitive(p):
+    # the coprime integer multiple of p with positive leading coefficient
+    s = _primitive_scale(p)
+    return tuple(int(c * s) for c in p)
+
+
+def _primitive_scale(p):
+    # scalar s with s*p having coprime integer coefficients, positive leading
+    lcm = math.lcm(*(c.denominator for c in p))
+    gcd = math.gcd(*(abs(int(c * lcm)) for c in p))
+    s = Fraction(lcm, gcd)
+    return -s if p[-1] < 0 else s
+
+
+def canonical(rf: RationalFunction) -> RationalFunction:
+    """The reduced form whose denominator is primitive integer, positive leading."""
+    if not rf.num:
+        return RationalFunction((), (1,))
+    g = poly_gcd(rf.num, rf.den)
+    num = poly_divmod(rf.num, g)[0]
+    den = poly_divmod(rf.den, g)[0]
+    s = _primitive_scale(den)
+    return RationalFunction(poly_scale(num, s), poly_scale(den, s))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from spinpoly.cayley import (
+    a_coeffs,
     b_coeffs,
     b_coeffs_cfn,
     b_coeffs_recursion,
@@ -14,13 +19,15 @@ from spinpoly.cayley import (
     det_poly,
     eval_coeffs,
     log_det_gamma,
-    reduce_over_det,
     resolvent_coeffs,
 )
 from spinpoly.exact import RationalFunction, poly, poly_mul
 from spinpoly.halfint import HalfInt, half_integers
+from spinpoly.verify import RESOLVENT_BOUND
 
-from oracles import b_exact_gamma, limit_ratio_exact, relative_error, trigamma_int
+from oracles import b_exact_gamma, canonical, limit_ratio_exact, relative_error, trigamma_int
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def even_poly(coeffs_by_alpha_squared):
@@ -75,26 +82,28 @@ def test_b_fixture_spin_half():
     j = HalfInt(1)
     table = b_coeffs(j)
     one_plus = poly([1, 0, 1])
-    assert reduce_over_det(j, table.B[0]) == RationalFunction(poly([1]), one_plus)
-    assert reduce_over_det(j, table.B[1]) == RationalFunction(poly([0, 1]), one_plus)
-    assert reduce_over_det(j, table.A[0]) == RationalFunction(poly([1, 0, -1]), one_plus)
+    assert RationalFunction(table.B[0], table.den) == RationalFunction(poly([1]), one_plus)
+    assert RationalFunction(table.B[1], table.den) == RationalFunction(poly([0, 1]), one_plus)
+    assert a_coeffs(j)[0] == RationalFunction(poly([1, 0, -1]), one_plus)
 
 
 def test_b_fixture_spin_one():
     j = HalfInt(2)
     table = b_coeffs(j)
     den = poly([1, 0, 4])
-    assert reduce_over_det(j, table.B[0]) == RationalFunction(poly([1]), poly([1]))
-    assert reduce_over_det(j, table.B[1]) == RationalFunction(poly([0, 1]), den)
-    assert reduce_over_det(j, table.B[2]) == RationalFunction(poly([0, 0, 1]), den)
+    # B_0 = den/den is the one entry of a table that reduces
+    b0 = canonical(RationalFunction(table.B[0], table.den))
+    assert b0 == RationalFunction(poly([1]), poly([1]))
+    assert RationalFunction(table.B[1], table.den) == RationalFunction(poly([0, 1]), den)
+    assert RationalFunction(table.B[2], table.den) == RationalFunction(poly([0, 0, 1]), den)
 
 
 def test_a_fixture_spin_three_half():
     j = HalfInt(3)
-    table = b_coeffs(j)
+    a = a_coeffs(j)
     den = even_poly([1, 10, 9])
-    assert reduce_over_det(j, table.A[0]) == RationalFunction(even_poly([1, 10, -9]), den)
-    assert reduce_over_det(j, table.A[1]) == RationalFunction(poly([0, 2, 0, 20]), den)
+    assert a[0] == RationalFunction(even_poly([1, 10, -9]), den)
+    assert a[1] == RationalFunction(poly([0, 2, 0, 20]), den)
 
 
 def test_every_table_is_integers_over_the_determinant():
@@ -103,9 +112,47 @@ def test_every_table_is_integers_over_the_determinant():
         table = b_coeffs(j)
         assert b_coeffs_cfn(j) == table == b_coeffs_recursion(j), j
         assert table.den == det_poly(j), j
-        assert len(table.B) == len(table.A) == j.two_j + 1, j
-        for num in table.B + table.A + (table.den,):
+        a_nums = tuple(a.num for a in a_coeffs(j))
+        assert len(table.B) == len(a_nums) == j.two_j + 1, j
+        for num in table.B + a_nums + (table.den,):
             assert num == poly(num) and all(type(c) is int for c in num), j
+
+
+@pytest.mark.parametrize("two_j", [120, 121, 200, 201])
+def test_no_factor_of_det_divides_a_shorter_truncation(two_j):
+    # a_coeffs' lowest-terms proof at large spins: 1 + M^2 alpha^2 divides
+    # Trunc_n[det] exactly when S_n = M^n Trunc_n[det](i/M) vanishes, and S_n
+    # is the integer partial sum S_n = M S_{n-1} + i^n d_n (d_n = 0 at odd n)
+    j = HalfInt(two_j)
+    det = det_poly(j)
+    deg = len(det) - 1
+    for m in range(two_j, 0, -2):
+        s, sums = 0, []
+        for n, d in enumerate(det):
+            s = m * s + (-d if n % 4 == 2 else d)
+            sums.append(s)
+        assert all(sums[:deg]), m
+        assert sums[deg] == 0, m  # det itself has every factor
+    # so every A_k keeps den, but A_0 = 1 at integer spin
+    assert {a.den for a in a_coeffs(j)[j.is_integer :]} == {det}
+
+
+def test_a_cold_large_cayley_table_peaks_small():
+    # the table stores den and the B numerators only; A_k is read on demand
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    code = (
+        "from spinpoly.cayley import b_coeffs\n"
+        "from spinpoly.halfint import HalfInt\n"
+        "b_coeffs(HalfInt(800))\n"
+        "print([l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0].split()[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 40 * 1024  # kB: below 40 MiB
 
 
 def test_recursion_derivative_normalization():
@@ -133,18 +180,33 @@ def test_resolvent_single_eigenvalue():
 
 
 def test_resolvent_is_the_truncation_formula_exactly():
-    # r_n = alpha**n Trunc_{N-1-n}[det] / det with each truncation summed on its own
-    eigs = [F(m, 3) for m in range(-4, 5)]
-    det = [F(1)]
-    for lam in eigs:
-        det = [a - lam * b for a, b in zip(det + [0], [0] + det)]
-    n = len(eigs)
-    for alpha in (F(2, 7), F(-5, 2), F(1, 100)):
-        det_val = sum(c * alpha**m for m, c in enumerate(det))
-        want = [
-            alpha**i * sum(det[m] * alpha**m for m in range(n - i)) / det_val for i in range(n)
-        ]
-        assert resolvent_coeffs(eigs, alpha) == want
+    # r_n = alpha**n Trunc_{N-1-n}[det] / det with each truncation summed on
+    # its own; exact determinant coefficients past 2**512 are never scaled
+    for eigs in ([F(m, 3) for m in range(-4, 5)], [F(2**600), F(-(2**600)), F(3)]):
+        det = [F(1)]
+        for lam in eigs:
+            det = [a - lam * b for a, b in zip(det + [0], [0] + det)]
+        n = len(eigs)
+        for alpha in (F(2, 7), F(-5, 2), F(1, 100)):
+            det_val = sum(c * alpha**m for m, c in enumerate(det))
+            want = [
+                alpha**i * sum(det[m] * alpha**m for m in range(n - i)) / det_val
+                for i in range(n)
+            ]
+            assert resolvent_coeffs(eigs, alpha) == want
+
+
+@pytest.mark.parametrize("two_j", [163, 200, 401])
+def test_resolvent_matches_eval_coeffs_past_the_float_range(two_j):
+    # the complex determinant's coefficients pass 2**1024 from 2j = 163;
+    # scaled by 2**-512 as they grow, the quotient stays within verify's bound
+    j = HalfInt(two_j)
+    eigs = [1j * m2 for m2 in range(two_j, -two_j - 1, -2)]
+    for alpha in (0.35, -1.25):
+        got = resolvent_coeffs(eigs, alpha)
+        wants = eval_coeffs(j, alpha)[0]
+        for k, (r, want) in enumerate(zip(got, wants, strict=True)):
+            assert abs(r - want) <= RESOLVENT_BOUND * max(1.0, abs(want)), (alpha, k)
 
 
 def test_resolvent_direct_oracle():
@@ -322,8 +384,7 @@ def test_eval_coeffs_a0_is_rounded_once():
     assert eval_coeffs(HalfInt(1), 0.5)[1] == (0.6, 0.8)
     # 2*B_0 - 1 in floats would be off by an ulp here (2j = 3, alpha = 1)
     for two_j in (1, 3, 5):
-        table = b_coeffs(HalfInt(two_j))
-        a0 = RationalFunction(table.A[0], table.den)
+        a0 = a_coeffs(HalfInt(two_j))[0]
         for alpha in (1.0, math.nextafter(1.0, 2.0), 0.9999999):
             assert eval_coeffs(HalfInt(two_j), alpha)[1][0] == float(a0(F(alpha)))
 

@@ -1,26 +1,22 @@
 """Polynomial helpers, RationalFunction, and the Euclidean oracle.
 
-The Euclidean reduction below (poly_divmod, poly_gcd, canonical) is the
-general route to lowest terms over Q; it brings its own scaling and
-cross-multiplication helpers.  The library reduces its Cayley
-tables through the determinant's known factors instead
-(cayley.reduce_over_det); this oracle must agree with it on every entry.
+The Euclidean reduction (poly_divmod, poly_gcd, canonical in
+tests/oracles.py) is the general route to lowest terms over Q.  The
+library needs none: cayley.a_coeffs reads every Cayley coefficient in
+lowest terms off the table, and this oracle must agree with it on every
+entry.
 """
 
-import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spinpoly.cayley import b_coeffs, det_poly, reduce_over_det
+from spinpoly.cayley import a_coeffs, b_coeffs
 from spinpoly.exact import RationalFunction, poly, poly_eval, poly_mul
-from spinpoly.halfint import HalfInt, half_integers
+from spinpoly.halfint import half_integers
 
-
-# ---------------------------------------------------------------------------
-# Euclidean oracle over Fractions
-# ---------------------------------------------------------------------------
+from oracles import canonical, poly_divmod, poly_gcd
 
 
 def poly_add(p, q):
@@ -28,62 +24,9 @@ def poly_add(p, q):
     return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
 
 
-def poly_scale(p, c):
-    return poly(pi * c for pi in p)
-
-
 def same_function(r, s):
     """r == s as functions: the cross products of the quotients agree."""
     return poly_mul(r.num, s.den) == poly_mul(s.num, r.den)
-
-
-def poly_divmod(p, q):
-    p = poly(map(F, p))
-    q = poly(map(F, q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by the zero polynomial")
-    if len(p) < len(q):
-        return (), p
-    rem = list(p)
-    lead = q[-1]
-    dq = len(q) - 1
-    quot = [F(0)] * (len(p) - dq)
-    for i in range(len(p) - 1, dq - 1, -1):
-        c = rem[i] / lead
-        if c:
-            quot[i - dq] = c
-            for k, qk in enumerate(q):
-                rem[i - dq + k] -= c * qk
-    return poly(quot), poly(rem[:dq])
-
-
-def poly_gcd(p, q):
-    """Monic Euclidean GCD."""
-    a, b = poly(map(F, p)), poly(map(F, q))
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_scale(a, 1 / a[-1])
-
-
-def _primitive_scale(p):
-    # scalar s with s*p having coprime integer coefficients, positive leading
-    lcm = math.lcm(*(c.denominator for c in p))
-    gcd = math.gcd(*(abs(int(c * lcm)) for c in p))
-    s = F(lcm, gcd)
-    return -s if p[-1] < 0 else s
-
-
-def canonical(rf):
-    """The reduced form whose denominator is primitive integer, positive leading."""
-    if not rf.num:
-        return RationalFunction((), (1,))
-    g = poly_gcd(rf.num, rf.den)
-    num = poly_divmod(rf.num, g)[0]
-    den = poly_divmod(rf.den, g)[0]
-    s = _primitive_scale(den)
-    return RationalFunction(poly_scale(num, s), poly_scale(den, s))
 
 
 rationals = st.fractions(
@@ -160,25 +103,21 @@ def test_reduction_over_det_equals_euclidean_oracle():
     # every A_k for 2j <= 30, and B_0, which is 1/1 for integer spin
     for j in half_integers(30):
         table = b_coeffs(j)
-        for k, num in enumerate(table.A):
-            assert reduce_over_det(j, num) == canonical(RationalFunction(num, table.den)), (j, k)
-        b0 = reduce_over_det(j, table.B[0])
-        assert b0 == canonical(RationalFunction(table.B[0], table.den)), j
+        # the unreduced numerators over den: A_k = 2 B_k, A_0 = 2 B_0 - 1
+        nums = [tuple(2 * c for c in num) for num in table.B]
+        nums[0] = poly_add(nums[0], [-c for c in table.den])
+        for k, (a, num) in enumerate(zip(a_coeffs(j), nums, strict=True)):
+            assert a == canonical(RationalFunction(num, table.den)), (j, k)
         if j.is_integer:
+            b0 = canonical(RationalFunction(table.B[0], table.den))
             assert b0 == RationalFunction((1,), (1,)), j
 
 
-@given(
-    st.integers(min_value=0, max_value=9),
-    st.lists(st.integers(min_value=-9, max_value=9), max_size=5),
-    st.lists(st.booleans(), min_size=5, max_size=5),
-)
-def test_reduction_over_det_equals_oracle_on_any_numerator(two_j, rest, keep):
-    # rest times a chosen subset of det's factors 1 + M^2 alpha^2 over det
-    j = HalfInt(two_j)
-    num = tuple(rest)
-    for m, chosen in zip(range(two_j, 0, -2), keep):
-        if chosen:
-            num = poly_mul(num, (1, 0, m * m))
-    rf = RationalFunction(num, det_poly(j))
-    assert reduce_over_det(j, num) == canonical(rf)
+def test_cayley_tables_are_in_lowest_terms():
+    # each B_k over den, but B_0 = den/den at integer spin, and each A_k of
+    # a_coeffs is its own Euclidean reduced form
+    for j in half_integers(40):
+        table = b_coeffs(j)
+        rfs = [RationalFunction(num, table.den) for num in table.B[j.is_integer :]]
+        for rf in rfs + list(a_coeffs(j)):
+            assert canonical(rf) == rf, (j, rf)

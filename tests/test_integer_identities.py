@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinpoly import bridge, cayley, cli, expcoeffs
+from spinpoly import bridge, cayley, cli, expcoeffs, verify
 from spinpoly.cfn import cfn
 from spinpoly.exact import RationalFunction, poly_eval
 from spinpoly.expcoeffs import epsilon
@@ -119,7 +119,7 @@ def exp_reconstruction_fraction(j, theta):
 def cayley_reconstruction_fraction(j, alpha):
     a = F(alpha)
     table = cayley.b_coeffs(j)
-    avals = [RationalFunction(num, table.den)(a) for num in table.A]
+    avals = [rf(a) for rf in cayley.a_coeffs(j)]
     max_err = 0.0
     exact = True
     for m2 in range(j.two_j, -j.two_j - 1, -2):
@@ -314,7 +314,6 @@ def test_rescaled_recursion_table_fails_path_equality(monkeypatch, capsys, fresh
         return table._replace(
             den=twice(table.den),
             B=tuple(map(twice, table.B)),
-            A=tuple(map(twice, table.A)),
         )
 
     monkeypatch.setattr(cayley, "b_coeffs_recursion", doubled)
@@ -322,3 +321,33 @@ def test_rescaled_recursion_table_fails_path_equality(monkeypatch, capsys, fresh
     assert code == 1
     assert check["passed"] is False
     assert check["detail"] == "op=b_coeffs_recursion j=0 k=0"
+
+
+def test_nan_resolvent_fails_path_equality(monkeypatch):
+    # nan > bound is False: the check must ask not (error <= bound)
+    monkeypatch.setattr(cayley, "resolvent_coeffs", lambda eigs, alpha: [math.nan] * len(eigs))
+    entry = verify._run_check("cayley-path-equality", 6)
+    assert entry["passed"] is False
+    assert entry["detail"] == "op=resolvent_coeffs j=0 k=0 alpha=0.35 resolvent=nan direct=1.0"
+    assert entry["cases"] == 3  # the two exact tables of spin 0, then the nan
+
+
+def test_unformable_resolvent_is_a_failing_case(monkeypatch):
+    # from 2j = 756 the float determinant underflows to 0 at alpha = 0.35
+    def underflows(eigs, alpha):
+        raise ZeroDivisionError("complex division by zero")
+
+    monkeypatch.setattr(cayley, "resolvent_coeffs", underflows)
+    entry = verify._run_check("cayley-path-equality", 6)
+    assert entry["passed"] is False
+    assert entry["detail"] == (
+        "op=resolvent_coeffs j=0 alpha=0.35 error=ZeroDivisionError('complex division by zero')"
+    )
+    assert entry["cases"] == 3
+
+
+def test_path_equality_holds_past_the_float_determinants_overflow():
+    # at 2j = 163 the unscaled complex determinant overflowed: B_0 read 0j at alpha = -1.25
+    entry = verify._run_check("cayley-path-equality", 163)
+    assert entry["passed"] is True, entry["detail"]
+    assert entry["worst"] <= entry["bound"]
