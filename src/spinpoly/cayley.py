@@ -7,9 +7,9 @@ is the characteristic determinant det(1 - 2i*alpha*n.J).  Several
 independent generation paths are implemented: the truncation formula,
 the difference-equation recursion, the general resolvent formula, and
 (in the bridge module) a Laplace transform of the exponential
-coefficients.  Each exact table holds integer B_k numerators over one
-integer denominator, the determinant, and is cached immutably; a_coeffs
-reads the A_k off the production table, already in lowest terms.
+coefficients.  An exact table is the integer determinant alone, and is
+cached immutably: each B_k numerator is read off it on demand, and
+a_coeffs reads the A_k off the production table, already in lowest terms.
 
 eval_coeffs is the one float evaluator: for all k, or only the k in ks,
 it rounds scaled_b's integers at alpha = p/q, each float one int/int
@@ -109,31 +109,27 @@ def log_det_gamma(j: HalfInt, alpha: float) -> float:
 
 
 class CayleyCoeffs(NamedTuple):
-    """Resolvent coefficients B_k for one spin.
+    """Resolvent coefficients B_k for one spin, held as its determinant.
 
-    den is the spin's integer determinant, stored once; B[k] is B_k's
-    integer numerator tuple over it, alpha^k times the truncated
+    den is the spin's integer determinant, the one denominator; b_num(k)
+    reads B_k's integer numerator off it, alpha^k times the truncated
     determinant.  a_coeffs gives the Cayley coefficients A_k.
     """
 
     j: HalfInt
     den: Poly
-    B: Tuple[Poly, ...]
 
-
-def _table(j: HalfInt, b_nums: Sequence[Sequence[int]], den: Sequence[int]) -> CayleyCoeffs:
-    return CayleyCoeffs(j, poly(den), tuple(poly(num) for num in b_nums))
-
-
-def _coeffs_from_det(j: HalfInt, det: Poly) -> CayleyCoeffs:
-    # B_k = alpha**k Trunc_{2j-k}[det] / det
-    return _table(j, [(0,) * k + det[: j.two_j - k + 1] for k in range(j.two_j + 1)], det)
+    def b_num(self, k: int) -> Poly:
+        """B_k's numerator alpha^k Trunc_{2j-k}[den]; ValueError on a k outside 0..2j."""
+        two_j = self.j.two_j
+        if not 0 <= k <= two_j:
+            raise ValueError(f"k must lie in 0..{two_j}, got {k}")
+        return poly((0,) * k + self.den[: two_j - k + 1])
 
 
 @lru_cache(maxsize=None)
 def _b_coeffs(two_j: int) -> CayleyCoeffs:
-    j = HalfInt(two_j)
-    return _coeffs_from_det(j, _det_ints(two_j))
+    return CayleyCoeffs(HalfInt(two_j), _det_ints(two_j))
 
 
 def b_coeffs(j: HalfInt) -> CayleyCoeffs:
@@ -161,7 +157,8 @@ def a_coeffs(j: HalfInt) -> Tuple[RationalFunction, ...]:
         a0 = RationalFunction((1,), (1,))
     else:  # 2 B_0 - den, B_0 being den less its top term
         a0 = RationalFunction(den[:-1] + (-den[-1],), den)
-    return (a0,) + tuple(RationalFunction([2 * c for c in num], den) for num in table.B[1:])
+    nums = map(table.b_num, range(1, j.two_j + 1))
+    return (a0,) + tuple(RationalFunction([2 * c for c in num], den) for num in nums)
 
 
 def scaled_b(
@@ -216,7 +213,7 @@ def eval_coeffs(
 def b_coeffs_cfn(j: HalfInt) -> CayleyCoeffs:
     """Same contract, but the determinant comes from the central-factorial
     row rather than the product expansion."""
-    return _coeffs_from_det(j, det_cfn_poly(j))
+    return CayleyCoeffs(j, det_cfn_poly(j))
 
 
 def b_coeffs_recursion(j: HalfInt) -> CayleyCoeffs:
@@ -228,7 +225,10 @@ def b_coeffs_recursion(j: HalfInt) -> CayleyCoeffs:
     integer that vanishes exactly at the pairing steps.  So q_m is the list
     -kappa_m, ..., -kappa_0 by power, and the consistency condition
     c = alpha*b_2j gives c = alpha**(2j+1) / (1 - alpha q_2j), whence
-    B_m = (alpha**m (1 - alpha q_2j) + alpha**(2j+1) q_m) / (1 - alpha q_2j).
+    B_m = (alpha**m den + alpha**(2j+1) q_m) / den with den = 1 - alpha q_2j.
+    At alpha**(2j+1+i), 0 <= i <= m, alpha**m den has kappa_{m-i} and
+    alpha**(2j+1) q_m has -kappa_{m-i}: they cancel, so for any kappa the
+    numerator is alpha**m Trunc_{2j-m}[den], and this path derives den alone.
     """
     two_j = j.two_j
     neg_kappa = []
@@ -236,11 +236,7 @@ def b_coeffs_recursion(j: HalfInt) -> CayleyCoeffs:
         num, den = cfn_pair(two_j + 2, m + 1)
         neg_kappa.append(-_integer(abs(num) << (two_j + 1 - m), den))
     den = [1] + [-x for x in reversed(neg_kappa)]  # 1 - alpha q_2j
-    b_nums = [
-        [x + y for x, y in zip([0] * m + den, [0] * (two_j + 1) + neg_kappa[m::-1])]
-        for m in range(two_j + 1)
-    ]
-    return _table(j, b_nums, den)
+    return CayleyCoeffs(j, poly(den))
 
 
 def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:

@@ -3,7 +3,8 @@
 A thin shell over the library: every number printed here comes from a
 library call that is also unit-tested.  Exact rationals serialize as
 "p/q" strings, floats as their shortest round-trip representation.
-Exit codes: 0 pass, 1 verification failure, 2 usage error.
+Exit codes: 0 pass, 1 verification failure or a reader that closed
+stdout early, 2 usage error or a --csv path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -75,9 +77,20 @@ def _csv_lines(rows) -> list[str]:
     return [",".join(map(str, row)) + "\r\n" for row in rows]
 
 
+class _CannotWrite(Exception):
+    """A --csv path that cannot be opened for writing; main reports it as a usage error."""
+
+
+def _open_csv(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit_csv(header, lines, path: str | None) -> None:
     """The header and a sequence of formatted lines (see _csv_lines) as CSV, to path or stdout."""
-    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as out:
+    with nullcontext(sys.stdout) if path in (None, "-") else _open_csv(path) as out:
         out.write(",".join(header) + "\r\n")
         # one write per 256 lines is as fast as one join of all of them, and
         # never holds the whole text in memory twice
@@ -136,8 +149,8 @@ def _cmd_coeffs_cayley(args) -> int:
     if args.exact:
         table = cayley.b_coeffs(j)
         den = ", ".join(map(str, table.den))
-        for k, num in enumerate(table.B):
-            print(f"B_{k}: num = [{', '.join(map(str, num))}], den = [{den}]")
+        for k in range(j.two_j + 1):
+            print(f"B_{k}: num = [{', '.join(map(str, table.b_num(k)))}], den = [{den}]")
         for k, a in enumerate(cayley.a_coeffs(j)):
             print(f"A_{k}: num = [{', '.join(map(str, a.num))}], den = [{', '.join(map(str, a.den))}]")
         return 0
@@ -411,7 +424,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(*argv[:2]).parse_args(argv)
     error = _range_error(args)
-    if error:
-        print(f"spinpoly: error: {error}", file=sys.stderr)
-        return 2
-    return args.fn(args)
+    if not error:
+        try:
+            code = args.fn(args)
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+            return code
+        except _CannotWrite as exc:
+            error = str(exc)
+        except BrokenPipeError:
+            # the reader is gone: point stdout at devnull, so the flush at exit
+            # cannot fail again (the recipe of the signal module's docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 1
+    print(f"spinpoly: error: {error}", file=sys.stderr)
+    return 2

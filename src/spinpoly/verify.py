@@ -46,12 +46,14 @@ class _Tally:
 
         errs, for a check with a float bound, are the cases' errors; the
         worst counted one is kept, as if the cases had come one at a time.
+        A nan error is the worst of all: max would skip one that is not first.
         """
         bad = next((i for i, fail in enumerate(fails) if fail), None)
         n = len(fails) if bad is None else bad + 1
         self.cases += n
         if errs:
-            self.worst = max([self.worst, *errs[:n]])
+            counted = [self.worst, *errs[:n]]
+            self.worst = math.nan if any(map(math.isnan, counted)) else max(counted)
         return bad
 
 
@@ -125,12 +127,13 @@ def _check_cayley_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
 def _check_cayley_paths(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
         direct = cayley.b_coeffs(j)
+        direct_nums = list(map(direct.b_num, range(j.two_j + 1)))  # once for both routes
         for other, op in (
             (cayley.b_coeffs_recursion(j), "b_coeffs_recursion"),
             (cayley.b_coeffs_cfn(j), "b_coeffs_cfn"),
         ):
             same_den = other.den == direct.den
-            pairs = zip(other.B, direct.B, strict=True)
+            pairs = zip(map(other.b_num, range(j.two_j + 1)), direct_nums)
             bad = tally.add([not same_den or b != d for b, d in pairs])
             if bad is not None:
                 return f"op={op} j={j} k={bad}"
@@ -182,20 +185,21 @@ def _check_laplace_bridge(max_two_j: int, tally: _Tally) -> str | None:
 
 
 def _check_pairing_parity(max_two_j: int, tally: _Tally) -> str | None:
-    # B_k(-alpha) = (-1)^k B_k(alpha): den is even and B[k] has k's parity
+    # B_k(-alpha) = (-1)^k B_k(alpha): den is even and B_k's numerator has k's parity
     for j in half_integers(max_two_j):
         table = cayley.b_coeffs(j)
+        nums = list(map(table.b_num, range(j.two_j + 1)))
         odd_den = any(table.den[1::2])
-        bad = tally.add([odd_den or any(num[1 - k % 2 :: 2]) for k, num in enumerate(table.B)])
+        bad = tally.add([odd_den or any(num[1 - k % 2 :: 2]) for k, num in enumerate(nums)])
         if bad is not None:
             return f"op=parity j={j} k={bad}"
         if j.is_integer:
-            if tally.add([table.B[0] != table.den]) is not None:
+            if tally.add([nums[0] != table.den]) is not None:
                 return f"op=B0 j={j}"
             pairs = [(2 * k + 2, 2 * k + 1) for k in range(j.two_j // 2)]
         else:
             pairs = [(2 * k + 1, 2 * k) for k in range((j.two_j + 1) // 2)]
-        bad = tally.add([table.B[hi] != (0,) + table.B[lo] for hi, lo in pairs])
+        bad = tally.add([nums[hi] != (0,) + nums[lo] for hi, lo in pairs])
         if bad is not None:
             hi, lo = pairs[bad]
             return f"op=pairing j={j} B_{hi} != alpha*B_{lo}"

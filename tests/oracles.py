@@ -338,8 +338,30 @@ def recon_numerators_termwise(two_j: int, s: int, c: int, d: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# cayley: gamma closed forms and the distance to the large-j limit
+# cayley: the recursion's numerators, gamma closed forms and the distance
+# to the large-j limit
 # ---------------------------------------------------------------------------
+
+
+def recursion_numerators(two_j: int) -> list[tuple[int, ...]]:
+    """B_m's numerators from the difference equations, term by term, m = 0..2j.
+
+    With neg_kappa[m] = -kappa_m = -2**(2j+1-m) |t(2j+2, m+1)| and
+    den = 1 - alpha q_2j, the numerator is alpha**m den + alpha**(2j+1) q_m,
+    q_m being -kappa_m, ..., -kappa_0 by power; summed here as it stands,
+    with no cancellation assumed.
+    """
+    neg_kappa = []
+    for m in range(two_j + 1):
+        num, den = cfn_pair(two_j + 2, m + 1)
+        q, r = divmod(abs(num) << (two_j + 1 - m), den)
+        assert r == 0, (two_j, m)
+        neg_kappa.append(-q)
+    den = [1] + [-x for x in reversed(neg_kappa)]
+    return [
+        poly(x + y for x, y in zip([0] * m + den, [0] * (two_j + 1) + neg_kappa[m::-1]))
+        for m in range(two_j + 1)
+    ]
 
 
 def trigamma_int(j: int) -> float:

@@ -25,7 +25,14 @@ from spinpoly.exact import RationalFunction, poly, poly_mul
 from spinpoly.halfint import HalfInt, half_integers
 from spinpoly.verify import RESOLVENT_BOUND
 
-from oracles import b_exact_gamma, canonical, limit_ratio_exact, relative_error, trigamma_int
+from oracles import (
+    b_exact_gamma,
+    canonical,
+    limit_ratio_exact,
+    recursion_numerators,
+    relative_error,
+    trigamma_int,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,8 +89,8 @@ def test_b_fixture_spin_half():
     j = HalfInt(1)
     table = b_coeffs(j)
     one_plus = poly([1, 0, 1])
-    assert RationalFunction(table.B[0], table.den) == RationalFunction(poly([1]), one_plus)
-    assert RationalFunction(table.B[1], table.den) == RationalFunction(poly([0, 1]), one_plus)
+    assert RationalFunction(table.b_num(0), table.den) == RationalFunction(poly([1]), one_plus)
+    assert RationalFunction(table.b_num(1), table.den) == RationalFunction(poly([0, 1]), one_plus)
     assert a_coeffs(j)[0] == RationalFunction(poly([1, 0, -1]), one_plus)
 
 
@@ -92,10 +99,10 @@ def test_b_fixture_spin_one():
     table = b_coeffs(j)
     den = poly([1, 0, 4])
     # B_0 = den/den is the one entry of a table that reduces
-    b0 = canonical(RationalFunction(table.B[0], table.den))
+    b0 = canonical(RationalFunction(table.b_num(0), table.den))
     assert b0 == RationalFunction(poly([1]), poly([1]))
-    assert RationalFunction(table.B[1], table.den) == RationalFunction(poly([0, 1]), den)
-    assert RationalFunction(table.B[2], table.den) == RationalFunction(poly([0, 0, 1]), den)
+    assert RationalFunction(table.b_num(1), table.den) == RationalFunction(poly([0, 1]), den)
+    assert RationalFunction(table.b_num(2), table.den) == RationalFunction(poly([0, 0, 1]), den)
 
 
 def test_a_fixture_spin_three_half():
@@ -112,9 +119,10 @@ def test_every_table_is_integers_over_the_determinant():
         table = b_coeffs(j)
         assert b_coeffs_cfn(j) == table == b_coeffs_recursion(j), j
         assert table.den == det_poly(j), j
+        b_nums = tuple(map(table.b_num, range(j.two_j + 1)))
         a_nums = tuple(a.num for a in a_coeffs(j))
-        assert len(table.B) == len(a_nums) == j.two_j + 1, j
-        for num in table.B + a_nums + (table.den,):
+        assert len(b_nums) == len(a_nums) == j.two_j + 1, j
+        for num in b_nums + a_nums + (table.den,):
             assert num == poly(num) and all(type(c) is int for c in num), j
 
 
@@ -138,21 +146,36 @@ def test_no_factor_of_det_divides_a_shorter_truncation(two_j):
 
 
 def test_a_cold_large_cayley_table_peaks_small():
-    # the table stores den and the B numerators only; A_k is read on demand
+    # the table stores den alone; each B_k and A_k is read on demand
     if not Path("/proc/self/status").exists():
         pytest.skip("needs /proc/self/status")
-    code = (
-        "from spinpoly.cayley import b_coeffs\n"
-        "from spinpoly.halfint import HalfInt\n"
-        "b_coeffs(HalfInt(800))\n"
-        "print([l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0].split()[1])\n"
-    )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 40 * 1024  # kB: below 40 MiB
+    for two_j, mib in ((800, 40), (1600, 24)):
+        code = (
+            "from spinpoly.cayley import b_coeffs\n"
+            "from spinpoly.halfint import HalfInt\n"
+            f"b_coeffs(HalfInt({two_j}))\n"
+            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0].split()[1])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < mib * 1024, two_j  # kB
+
+
+def test_recursion_numerators_are_the_truncated_determinant():
+    # b_coeffs_recursion derives den alone; its numerators, summed in full, must cancel to b_num's
+    for two_j in range(61):
+        table = b_coeffs_recursion(HalfInt(two_j))
+        nums = recursion_numerators(two_j)
+        assert nums == [table.b_num(m) for m in range(two_j + 1)], two_j
+
+
+@pytest.mark.parametrize("two_j, k", [(0, -1), (0, 1), (5, -1), (5, 6), (6, -1), (6, 7)])
+def test_b_num_refuses_a_k_outside_0_to_2j(two_j, k):
+    with pytest.raises(ValueError, match=rf"^k must lie in 0\.\.{two_j}, got {k}$"):
+        b_coeffs(HalfInt(two_j)).b_num(k)
 
 
 def test_recursion_derivative_normalization():
@@ -161,7 +184,7 @@ def test_recursion_derivative_normalization():
     for j in half_integers(16):
         rec = b_coeffs_recursion(j)
         for m in range(j.two_j + 1):
-            num, den = rec.B[m], rec.den
+            num, den = rec.b_num(m), rec.den
             assert den[0] != 0, (j, m)
             assert num[:m] == (0,) * m and num[m] == den[0], (j, m)
 
@@ -171,7 +194,7 @@ def test_resolvent_reproduces_spin_half():
         got = resolvent_coeffs([1j, -1j], alpha)
         table = b_coeffs(HalfInt(1))
         for k in (0, 1):
-            want = float(RationalFunction(table.B[k], table.den)(F(alpha)))
+            want = float(RationalFunction(table.b_num(k), table.den)(F(alpha)))
             assert abs(got[k] - want) < 1e-14
 
 
@@ -302,7 +325,7 @@ def test_b_exact_gamma_matches_table():
             if k > 2 * jj:
                 continue
             for alpha in (0.3, 1.0, 2.7, -1.1):
-                direct = float(RationalFunction(table.B[k], table.den)(F(alpha))) / alpha**k
+                direct = float(RationalFunction(table.b_num(k), table.den)(F(alpha))) / alpha**k
                 assert abs(direct - b_exact_gamma(jj, k, alpha)) <= 1e-9 * max(1.0, abs(direct))
 
 
@@ -345,8 +368,8 @@ def test_highest_coefficients_are_inverse_determinant():
             continue
         table = b_coeffs(j)
         assert table.den == det_poly(j)
-        assert table.B[j.two_j] == (0,) * j.two_j + (1,), j
-        assert table.B[j.two_j - 1] == (0,) * (j.two_j - 1) + (1,), j
+        assert table.b_num(j.two_j) == (0,) * j.two_j + (1,), j
+        assert table.b_num(j.two_j - 1) == (0,) * (j.two_j - 1) + (1,), j
 
 
 def test_reconstruction_small_spins():
@@ -371,7 +394,7 @@ def test_eval_coeffs_rounds_the_exact_table(two_j):
     table = b_coeffs(j)
     for alpha in EVAL_ALPHAS:
         bs, as_ = eval_coeffs(j, alpha)
-        exact_b = [RationalFunction(num, table.den)(F(alpha)) for num in table.B]
+        exact_b = [RationalFunction(num, table.den)(F(alpha)) for num in map(table.b_num, range(j.two_j + 1))]
         # the table's A_k shares B_k's denominator: A_k = 2B_k, A_0 = 2B_0 - 1
         exact_a = [2 * exact_b[0] - 1] + [2 * b for b in exact_b[1:]]
         assert bs == tuple(map(float, exact_b)), alpha

@@ -26,11 +26,14 @@ def run(capsys, *argv):
     return code, out
 
 
-def _child(*args):
+def _child_env():
     # the child does not see pytest's pythonpath; point it at this package
     paths = [str(Path(spinpoly.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def _child(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_child_env())
 
 
 def test_module_entrypoint_help():
@@ -117,6 +120,34 @@ def test_coeffs_exp_command(capsys, tmp_path):
     assert len(lines) == 4
 
 
+EXACT_CAYLEY_STDOUT = {
+    # det = 1 + 10 alpha^2 + 9 alpha^4; B_k = alpha^k Trunc_{3-k}[det] / det
+    "3/2": (
+        "B_0: num = [1, 0, 10], den = [1, 0, 10, 0, 9]\n"
+        "B_1: num = [0, 1, 0, 10], den = [1, 0, 10, 0, 9]\n"
+        "B_2: num = [0, 0, 1], den = [1, 0, 10, 0, 9]\n"
+        "B_3: num = [0, 0, 0, 1], den = [1, 0, 10, 0, 9]\n"
+        "A_0: num = [1, 0, 10, 0, -9], den = [1, 0, 10, 0, 9]\n"
+        "A_1: num = [0, 2, 0, 20], den = [1, 0, 10, 0, 9]\n"
+        "A_2: num = [0, 0, 2], den = [1, 0, 10, 0, 9]\n"
+        "A_3: num = [0, 0, 0, 2], den = [1, 0, 10, 0, 9]\n"
+    ),
+    # det = 1 + 20 alpha^2 + 64 alpha^4; B_0 = det / det, so A_0 = 1
+    "2": (
+        "B_0: num = [1, 0, 20, 0, 64], den = [1, 0, 20, 0, 64]\n"
+        "B_1: num = [0, 1, 0, 20], den = [1, 0, 20, 0, 64]\n"
+        "B_2: num = [0, 0, 1, 0, 20], den = [1, 0, 20, 0, 64]\n"
+        "B_3: num = [0, 0, 0, 1], den = [1, 0, 20, 0, 64]\n"
+        "B_4: num = [0, 0, 0, 0, 1], den = [1, 0, 20, 0, 64]\n"
+        "A_0: num = [1], den = [1]\n"
+        "A_1: num = [0, 2, 0, 40], den = [1, 0, 20, 0, 64]\n"
+        "A_2: num = [0, 0, 2, 0, 40], den = [1, 0, 20, 0, 64]\n"
+        "A_3: num = [0, 0, 0, 2], den = [1, 0, 20, 0, 64]\n"
+        "A_4: num = [0, 0, 0, 0, 2], den = [1, 0, 20, 0, 64]\n"
+    ),
+}
+
+
 def test_coeffs_cayley_command(capsys):
     code, out = run(capsys, "coeffs", "cayley", "--j", "1", "--exact")
     assert code == 0
@@ -124,6 +155,8 @@ def test_coeffs_cayley_command(capsys):
     code, out = run(capsys, "coeffs", "cayley", "--j", "1/2", "--alpha", "1")
     assert code == 0
     assert "k=0  B_k = 0.5" in out
+    for j, want in EXACT_CAYLEY_STDOUT.items():
+        assert run(capsys, "coeffs", "cayley", "--j", j, "--exact") == (0, want), j
 
 
 def test_verify_command_json(capsys):
@@ -764,3 +797,44 @@ def test_every_csv_option_writes_its_file_or_exits_2(capsys, tmp_path):
                 assert code == 2 and not target.exists(), argv
                 assert captured.err.startswith("spinpoly: error: ")
                 assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["coeffs", "exp", "--j", "1", "--theta-grid", "0:1:2", "--csv", "{tmp}/missing/x.csv"],
+         "No such file or directory"),
+        (["basis", "--j", "1", "--csv", "{tmp}"], "Is a directory"),
+    ],
+)
+def test_an_unwritable_csv_path_exits_2_with_one_line(tmp_path, argv, reason):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    done = _child("-m", "spinpoly", *argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"spinpoly: error: cannot write {argv[-1]}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        # each prints megabytes, far past what a pipe buffers
+        (["coeffs", "cayley", "--j", "60", "--exact"], b"B_0: num = [1, 0, "),
+        (["coeffs", "exp", "--j", "5", "--theta-grid", "0:1:10000", "--csv"], b"theta,k,A_k\r\n"),
+    ],
+)
+def test_a_closed_stdout_ends_the_command_without_a_traceback(argv, head):
+    # as `spinpoly ... | head -1` does: read one line, then close the pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "spinpoly", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert first.startswith(head)
+    assert err == b""
+    assert code == 1

@@ -104,12 +104,12 @@ def test_reduction_over_det_equals_euclidean_oracle():
     for j in half_integers(30):
         table = b_coeffs(j)
         # the unreduced numerators over den: A_k = 2 B_k, A_0 = 2 B_0 - 1
-        nums = [tuple(2 * c for c in num) for num in table.B]
+        nums = [tuple(2 * c for c in num) for num in map(table.b_num, range(j.two_j + 1))]
         nums[0] = poly_add(nums[0], [-c for c in table.den])
         for k, (a, num) in enumerate(zip(a_coeffs(j), nums, strict=True)):
             assert a == canonical(RationalFunction(num, table.den)), (j, k)
         if j.is_integer:
-            b0 = canonical(RationalFunction(table.B[0], table.den))
+            b0 = canonical(RationalFunction(table.b_num(0), table.den))
             assert b0 == RationalFunction((1,), (1,)), j
 
 
@@ -118,6 +118,7 @@ def test_cayley_tables_are_in_lowest_terms():
     # a_coeffs is its own Euclidean reduced form
     for j in half_integers(40):
         table = b_coeffs(j)
-        rfs = [RationalFunction(num, table.den) for num in table.B[j.is_integer :]]
+        nums = map(table.b_num, range(j.is_integer, j.two_j + 1))
+        rfs = [RationalFunction(num, table.den) for num in nums]
         for rf in rfs + list(a_coeffs(j)):
             assert canonical(rf) == rf, (j, rf)

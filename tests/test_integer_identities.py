@@ -190,7 +190,7 @@ def test_scaled_b_matches_the_exact_table():
         for alpha in ALPHAS:
             nums, den = cayley.scaled_b(j.two_j, *alpha.as_integer_ratio())
             assert den > 0
-            want = [RationalFunction(num, table.den)(alpha) for num in table.B]
+            want = [RationalFunction(num, table.den)(alpha) for num in map(table.b_num, range(j.two_j + 1))]
             assert [F(n, den) for n in nums] == want, (j, alpha)
 
 
@@ -270,21 +270,18 @@ def test_perturbed_odd_coefficient_fails_cayley_reconstruction(monkeypatch):
 
 
 def _patch_table(monkeypatch, two_j, k, num):
-    # b_coeffs(j) reads B[k] = num at this spin; every other table is real
-    real = cayley._b_coeffs
+    # every table reads B_k's numerator as num at this spin; every other entry is real
+    real = cayley.CayleyCoeffs.b_num
 
-    def perturbed(tj):
-        table = real(tj)
-        if tj != two_j:
-            return table
-        return table._replace(B=table.B[:k] + (num,) + table.B[k + 1 :])
+    def perturbed(table, kk):
+        return num if (table.j.two_j, kk) == (two_j, k) else real(table, kk)
 
-    monkeypatch.setattr(cayley, "_b_coeffs", perturbed)
+    monkeypatch.setattr(cayley.CayleyCoeffs, "b_num", perturbed)
 
 
 def test_wrong_parity_coefficient_fails_pairing_parity(monkeypatch, capsys, fresh_caches):
     # B_1 at spin 3/2 is alpha + 10 alpha^3; an alpha^4 term breaks B_1(-alpha) = -B_1(alpha)
-    assert cayley.b_coeffs(HalfInt(3)).B[1] == (0, 1, 0, 10)
+    assert cayley.b_coeffs(HalfInt(3)).b_num(1) == (0, 1, 0, 10)
     _patch_table(monkeypatch, 3, 1, (0, 1, 0, 10, 1))
     code, check = _verify_detail(capsys, "pairing-parity")
     assert code == 1
@@ -294,7 +291,7 @@ def test_wrong_parity_coefficient_fails_pairing_parity(monkeypatch, capsys, fres
 
 def test_broken_pair_fails_pairing_parity(monkeypatch, capsys, fresh_caches):
     # B_2 at spin 1 is alpha^2 + 20 alpha^4 = alpha B_1; one more alpha^4 keeps the parity
-    assert cayley.b_coeffs(HalfInt(4)).B[2] == (0, 0, 1, 0, 20)
+    assert cayley.b_coeffs(HalfInt(4)).b_num(2) == (0, 0, 1, 0, 20)
     _patch_table(monkeypatch, 4, 2, (0, 0, 1, 0, 21))
     code, check = _verify_detail(capsys, "pairing-parity")
     assert code == 1
@@ -303,18 +300,12 @@ def test_broken_pair_fails_pairing_parity(monkeypatch, capsys, fresh_caches):
 
 
 def test_rescaled_recursion_table_fails_path_equality(monkeypatch, capsys, fresh_caches):
-    # twice the den and every numerator: the same functions, but not the same table
+    # twice the den, and so every numerator: the same functions, but not the same table
     real = cayley.b_coeffs_recursion
-
-    def twice(num):
-        return tuple(2 * c for c in num)
 
     def doubled(j):
         table = real(j)
-        return table._replace(
-            den=twice(table.den),
-            B=tuple(map(twice, table.B)),
-        )
+        return table._replace(den=tuple(2 * c for c in table.den))
 
     monkeypatch.setattr(cayley, "b_coeffs_recursion", doubled)
     code, check = _verify_detail(capsys, "cayley-path-equality")
@@ -330,6 +321,7 @@ def test_nan_resolvent_fails_path_equality(monkeypatch):
     assert entry["passed"] is False
     assert entry["detail"] == "op=resolvent_coeffs j=0 k=0 alpha=0.35 resolvent=nan direct=1.0"
     assert entry["cases"] == 3  # the two exact tables of spin 0, then the nan
+    assert math.isnan(entry["worst"])  # not the 0.0 of the cases before it
 
 
 def test_unformable_resolvent_is_a_failing_case(monkeypatch):
