@@ -11,9 +11,10 @@ coefficients.  An exact table is the integer determinant alone, and is
 cached immutably: each B_k numerator is read off it on demand, and
 a_coeffs reads the A_k off the production table, already in lowest terms.
 
-eval_coeffs is the one float evaluator: for all k, or only the k in ks,
+eval_coeffs is the table's one float evaluator: for all k, or only the k in ks,
 it rounds scaled_b's integers at alpha = p/q, each float one int/int
-division of the same numerator and denominator whichever k are asked for.
+division of the same numerator and denominator whichever k are asked for;
+inv_det rounds 1/det from scaled_b's denominator the same way.
 """
 
 from __future__ import annotations
@@ -188,6 +189,13 @@ def scaled_b(
             raise ValueError(f"k must lie in 0..{two_j}, got {k}")
         nums.append(p_pows[k] * scale * partial[two_j - k])
     return nums, partial[-1]
+
+
+def inv_det(j: HalfInt, alpha) -> float:
+    """1/det(alpha), correctly rounded: at alpha = p/q, scaled_b's denominator
+    is the integer q**deg * det(alpha), so this is one int/int division."""
+    p, q = Fraction(alpha).as_integer_ratio()
+    return q ** (len(_det_ints(j.two_j)) - 1) / scaled_b(j.two_j, p, q, ())[1]
 
 
 def eval_coeffs(

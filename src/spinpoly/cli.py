@@ -14,8 +14,9 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -81,21 +82,60 @@ class _CannotWrite(Exception):
     """A --csv path that cannot be opened for writing; main reports it as a usage error."""
 
 
+def _open_untruncated(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _open_csv(path: str):
     try:
-        return open(path, "w", newline="")
+        # "w" without O_TRUNC, so that a command that fails leaves an existing file as it was
+        return open(path, "w", newline="", opener=_open_untruncated)
     except OSError as exc:
         raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit_csv(header, lines, path: str | None) -> None:
-    """The header and a sequence of formatted lines (see _csv_lines) as CSV, to path or stdout."""
-    with nullcontext(sys.stdout) if path in (None, "-") else _open_csv(path) as out:
-        out.write(",".join(header) + "\r\n")
-        # one write per 256 lines is as fast as one join of all of them, and
-        # never holds the whole text in memory twice
-        for i in range(0, len(lines), 256):
-            out.write("".join(lines[i : i + 256]))
+@contextmanager
+def _csv_opened(args):
+    """Open --csv PATH before the command computes, so an unwritable path costs no work.
+
+    args.csv becomes the open file, which _emit_csv empties and writes to;
+    None and "-" stay as they are.  A file opened here is closed after the
+    command, and removed if the command raises and the file is new; one
+    that was there before keeps its contents until _emit_csv writes.
+    """
+    path = getattr(args, "csv", None)
+    if path in (None, "-"):
+        yield
+        return
+    created = not os.path.exists(path)
+    args.csv = _open_csv(path)
+    try:
+        with args.csv:
+            yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
+def _emit_csv(header, lines, out) -> None:
+    """The header and a sequence of formatted lines (see _csv_lines) as CSV, to out or stdout.
+
+    out is the file _csv_opened opened for --csv PATH, or None or "-" for stdout.
+    A regular file that has contents is emptied first, as opening it with
+    "w" would have; a pipe or a device is written as it is.
+    """
+    if out in (None, "-"):
+        out = sys.stdout
+    else:
+        st = os.fstat(out.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size:
+            out.truncate(0)
+    out.write(",".join(header) + "\r\n")
+    # one write per 256 lines is as fast as one join of all of them, and
+    # never holds the whole text in memory twice
+    for i in range(0, len(lines), 256):
+        out.write("".join(lines[i : i + 256]))
 
 
 def _cmd_cfn(args) -> int:
@@ -340,44 +380,30 @@ def _commands() -> dict:
     }
 
 
-def _add_commands(parser, dest, table, path) -> None:
-    """Add the table's commands to parser: path[0]'s branch, or every branch if it is None."""
-    chosen = path[0]
-    # a one-branch tree's usage still lists every command; a full tree keeps argparse's
-    # own metavar, so its errors name the argument "command" or "family" as before
-    metavar = None if chosen is None else "{%s}" % ",".join(table)
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+def _add_commands(parser, dest, table) -> None:
+    """Add every command of the table to parser, and every family below a command."""
+    sub = parser.add_subparsers(dest=dest, required=True)
     for name, (text, add_arguments) in table.items():
-        if chosen in (None, name):
-            p = sub.add_parser(name, help=text)
-            if isinstance(add_arguments, dict):
-                _add_commands(p, "family", add_arguments, path[1:])
-            else:
-                add_arguments(p)
-
-
-def build_parser(*path: str) -> argparse.ArgumentParser:
-    """The argparse tree: only the (command, family) branch path names, else every branch.
-
-    One tree per branch per process, built on first use and shared: change none.
-    argparse's own help formatter reads the terminal width when help is printed.
-    """
-    command, family, *_ = (*path, None, None)
-    table = _commands()
-    if command not in table:
-        return _parser(None, None)
-    families = table[command][1]
-    return _parser(command, family if isinstance(families, dict) and family in families else None)
+        p = sub.add_parser(name, help=text)
+        if isinstance(add_arguments, dict):
+            _add_commands(p, "family", add_arguments)
+        else:
+            add_arguments(p)
 
 
 @lru_cache(maxsize=None)
-def _parser(command: str | None, family: str | None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command.
+
+    One tree per process, built on first use and shared: change none.
+    argparse's own help formatter reads the terminal width when help is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="spinpoly",
         description="Spin matrix polynomials: exact rotation-coefficient tables, "
         "verification suites, and figure data as CSV.",
     )
-    _add_commands(parser, "command", _commands(), (command, family))
+    _add_commands(parser, "command", _commands())
     return parser
 
 
@@ -422,11 +448,12 @@ def _range_error(args) -> str | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(*argv[:2]).parse_args(argv)
+    args = build_parser().parse_args(argv)
     error = _range_error(args)
     if not error:
         try:
-            code = args.fn(args)
+            with _csv_opened(args):
+                code = args.fn(args)
             sys.stdout.flush()  # so that a closed pipe raises here, not at exit
             return code
         except _CannotWrite as exc:

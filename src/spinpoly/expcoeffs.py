@@ -199,6 +199,11 @@ def exp_grid(
     alone would, in the same order and on its own values, so every result
     is bit-identical to the one-point loop, a nan or signed-zero angle
     included.  The last len(thetas) % 4 points take that one-point loop.
+
+    Where s**k falls below 2**-1022, it would lose bits before the
+    multiply, so there the product is formed by _times_power and rounds
+    once.  Each point finds, from the exponent of s, the highest k whose
+    s**k is surely normal; every k up to it multiplies by s**k as before.
     """
     two_j = j.two_j
     ks = range(two_j + 1) if ks is None else ks
@@ -207,11 +212,13 @@ def exp_grid(
     points = []
     for theta in thetas:
         s = math.sin(theta / 2.0)
-        points.append((s, math.cos(theta / 2.0), s * s))
+        # |s| >= 2**(e - 1), so s**k is normal while k * (1 - e) <= 1022; e = 1 iff |s| = 1
+        e = math.frexp(s)[1]
+        points.append((s, math.cos(theta / 2.0), s * s, 1022 // (1 - e) if e < 1 else two_j))
     out = []
     quads = len(points) - len(points) % 4
     for i in range(0, quads, 4):
-        (s0, c0, x0), (s1, c1, x1), (s2, c2, x2), (s3, c3, x3) = points[i : i + 4]
+        (s0, c0, x0, n0), (s1, c1, x1, n1), (s2, c2, x2, n2), (s3, c3, x3, n3) = points[i : i + 4]
         row0, row1, row2, row3 = [], [], [], []
         for k, odd, coeffs in plan:
             a0, a1, a2, a3 = 0 * x0, 0 * x1, 0 * x2, 0 * x3
@@ -220,10 +227,10 @@ def exp_grid(
                 a1 = a1 * x1 + co
                 a2 = a2 * x2 + co
                 a3 = a3 * x3 + co
-            a0 *= s0**k
-            a1 *= s1**k
-            a2 *= s2**k
-            a3 *= s3**k
+            a0 = a0 * s0**k if k <= n0 else _times_power(a0, s0, k)
+            a1 = a1 * s1**k if k <= n1 else _times_power(a1, s1, k)
+            a2 = a2 * s2**k if k <= n2 else _times_power(a2, s2, k)
+            a3 = a3 * s3**k if k <= n3 else _times_power(a3, s3, k)
             if odd:
                 a0 *= c0
                 a1 *= c1
@@ -234,18 +241,39 @@ def exp_grid(
             row2.append(a2)
             row3.append(a3)
         out += (tuple(row0), tuple(row1), tuple(row2), tuple(row3))
-    for s, c, x in points[quads:]:
+    for s, c, x, n in points[quads:]:
         row = []
         for k, odd, coeffs in plan:
             acc = 0 * x
             for co in coeffs:
                 acc = acc * x + co
-            acc *= s**k
+            acc = acc * s**k if k <= n else _times_power(acc, s, k)
             if odd:
                 acc *= c
             row.append(acc)
         out.append(tuple(row))
     return out
+
+
+def _times_power(acc: float, s: float, k: int) -> float:
+    """acc * s**k, rounded once where s**k alone would fall below 2**-1022.
+
+    There the product is exact as integers, acc = a/b and s = m/n with b
+    and n powers of two, and the one int/int division a * m**k / (b * n**k)
+    rounds it, into the subnormal range as well; a product surely below
+    2**-1075, half the least subnormal, is the signed 0 it rounds to
+    without it.  Where s**k is normal, or s or acc is 0, or acc is not
+    finite, it is acc * s**k.
+    """
+    p = s**k
+    if not (abs(p) < 2.0**-1022 and s and acc and math.isfinite(acc)):
+        return acc * p
+    # |acc| < 2**ea and |s| < 2**es (frexp), so |acc * s**k| < 2**(ea + es*k)
+    if math.frexp(acc)[1] + math.frexp(s)[1] * k <= -1075:
+        return math.copysign(0.0, acc * p)
+    a, b = acc.as_integer_ratio()
+    m, n = s.as_integer_ratio()
+    return a * m**k / (b << (n.bit_length() - 1) * k)
 
 
 def a_coeff_trunc(j: HalfInt, k: int, theta: float) -> float:

@@ -187,13 +187,6 @@ def figure_rows(
                 ]
         return header, rows
     for j in js:
-        ms = range(j.two_j, 0, -2)  # the positive eigenvalues M of 2 n.J
-        for a in xs:
-            # det(a) = prod (1 + M^2 a^2), so at a = p/q the integer
-            # prod (q^2 + M^2 p^2) is q**(2 * len(ms)) * det(a): one int/int
-            # division rounds 1/det(a) correctly, and no coefficient becomes
-            # a float
-            p, q = a.as_integer_ratio()
-            det_num = math.prod(q * q + m * m * p * p for m in ms)
-            rows.append((a, f"j={j}", q ** (2 * len(ms)) / det_num))
+        # rounded once from integers, so right where det(a) is past the float range
+        rows += [(a, f"j={j}", cayley.inv_det(j, a)) for a in xs]
     return header, rows

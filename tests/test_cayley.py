@@ -385,6 +385,8 @@ EVAL_ALPHAS = (
     + [_RNG.choice((1, -1)) * 10.0 ** _RNG.uniform(-3, 3) for _ in range(4)]
     # B_2 is subnormal here, and twice its rounded value is not 2*B_2 rounded
     + [7e-157, 1.1e-158]
+    # B_1 is about alpha: normal below 2**-1021, at 2**-1021, subnormal
+    + [1.5 * 2.0**-1022, 2.0**-1021, 3e-320]
 )
 
 

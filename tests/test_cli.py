@@ -59,7 +59,7 @@ def test_import_builds_no_parser():
     proc = _child(
         "-c",
         "import spinpoly.cli as cli; "
-        "print(cli._commands.cache_info().currsize, cli._parser.cache_info().currsize, "
+        "print(cli._commands.cache_info().currsize, cli.build_parser.cache_info().currsize, "
         "hasattr(cli, 'shutil'))",
     )
     assert proc.returncode == 0, proc.stderr
@@ -529,17 +529,6 @@ def _workload_ops(monkeypatch, outdir):
     return [op for w in workloads.WORKLOADS for op in workloads.generate(w, 1, outdir)]
 
 
-def test_chosen_branch_parses_like_the_full_tree(capsys, monkeypatch, tmp_path):
-    argvs = [list(op.argv) for op in _workload_ops(monkeypatch, tmp_path)] + USAGE_ARGVS
-    for argv in argvs:
-        chosen = _parse(cli.build_parser(*argv[:2]), argv, capsys)
-        full = _parse(cli.build_parser(), argv, capsys)
-        assert chosen == full, argv
-    # the top-level usage of a one-branch tree still lists every command
-    code, _, err = _parse(cli.build_parser("verify"), ["verify", "--bogus"], capsys)
-    assert code == 2 and "{%s}" % ",".join(cli._commands()) in err
-
-
 def _replay(capsys, calls, cleared):
     """(exit code, stdout, stderr, CSV bytes) of each (argv, csv path) run through main in turn.
 
@@ -548,7 +537,7 @@ def _replay(capsys, calls, cleared):
     out = []
     for argv, path in calls:
         if cleared:
-            cli._parser.cache_clear()
+            cli.build_parser.cache_clear()
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -574,22 +563,24 @@ def test_cached_trees_print_what_fresh_trees_print(capsys, monkeypatch, tmp_path
     once = _replay(capsys, calls, cleared=False)
     assert once == _replay(capsys, calls, cleared=True)
     assert {code for (code, *_), (argv, _) in zip(once, calls) if argv not in USAGE_ARGVS} == {0}
-    args = cli.build_parser("plotdata").parse_args(plot)
+    args = cli.build_parser().parse_args(plot)
     assert args.j is None and args.k is None
 
 
 @pytest.mark.parametrize("path", list(_command_paths()), ids="-".join)
 def test_help_is_the_same_from_both_trees(capsys, path):
+    # the cached tree prints the help of a tree built fresh for this call
     argv = path + ["--help"]
-    chosen = _parse(cli.build_parser(*path), argv, capsys)
-    full = _parse(cli.build_parser(), argv, capsys)
-    assert chosen == full
-    code, out, err = chosen
+    cli.build_parser.cache_clear()
+    cached = _parse(cli.build_parser(), argv, capsys)
+    fresh = _parse(cli.build_parser.__wrapped__(), argv, capsys)
+    assert cached == fresh
+    code, out, err = cached
     assert code == 0 and out.startswith(f"usage: spinpoly {' '.join(path)} [-h]") and not err
 
 
-def test_main_builds_only_the_chosen_command(capsys, monkeypatch):
-    cli._parser.cache_clear()
+def test_main_builds_every_branch_once_per_process(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -598,28 +589,18 @@ def test_main_builds_only_the_chosen_command(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    # the first call builds every command and family once; later calls build nothing
     assert run(capsys, "fixtures")[0] == 0
-    assert built == ["fixtures"]
-    built.clear()
     assert run(capsys, "coeffs", "cayley", "--j", "1/2")[0] == 0
-    assert built == ["coeffs", "cayley"]
+    assert sorted(built) == sorted(path[-1] for path in _command_paths())
     built.clear()
-    # a branch is built once per process: a second call of it builds nothing
     assert run(capsys, "coeffs", "cayley", "--j", "1")[0] == 0
     assert run(capsys, "fixtures")[0] == 0
     assert built == []
-    cli.build_parser()
-    assert len(built) == len(list(_command_paths()))
-    built.clear()
-    # tokens that name no branch select an existing tree, never a new one
-    for path, branch in [
-        (["nope"], []), (["--help", "coeffs"], []), (["cfn", "exp"], ["cfn"]),
-        (["coeffs", "nope"], ["coeffs"]), (["coeffs", "exp", "--j"], ["coeffs", "exp"]),
-    ]:
-        assert cli.build_parser(*path) is cli.build_parser(*branch), path
-    for path in _command_paths():
-        cli.build_parser(*path)
-    assert cli._parser.cache_info().currsize == 1 + len(list(_command_paths()))
+    assert cli.build_parser.cache_info().currsize == 1
+    # the tree's top-level usage lists every command
+    code, _, err = _parse(cli.build_parser(), ["verify", "--bogus"], capsys)
+    assert code == 2 and "{%s}" % ",".join(cli._commands()) in err
 
 
 def _parsers(parser):
@@ -633,20 +614,18 @@ def _parsers(parser):
 
 @pytest.mark.parametrize("columns", ["60", "200"])
 def test_help_text_is_argparse_own_at_the_terminal_width(monkeypatch, columns):
-    # the trees are built at one width and print help at another: a cached tree
+    # the tree is built at one width and prints help at another: the cached tree
     # must wrap as a tree built at the width in force when help is printed
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "200" if columns == "60" else "60")
-    paths = [[]] + list(_command_paths())
-    cached = [list(_parsers(cli.build_parser(*path))) for path in paths]
+    cached = list(_parsers(cli.build_parser()))
     monkeypatch.setenv("COLUMNS", columns)
-    for path, parsers in zip(paths, cached):
-        fresh = _parsers(cli._parser.__wrapped__(*(path + [None, None])[:2]))
-        for parser, other in itertools.zip_longest(parsers, fresh):
-            assert parser.formatter_class is argparse.HelpFormatter, path
-            assert (parser.format_help(), parser.format_usage()) == (
-                other.format_help(), other.format_usage()
-            ), path
+    fresh = _parsers(cli.build_parser.__wrapped__())
+    for parser, other in itertools.zip_longest(cached, fresh):
+        assert parser.formatter_class is argparse.HelpFormatter, parser.prog
+        assert (parser.format_help(), parser.format_usage()) == (
+            other.format_help(), other.format_usage()
+        ), parser.prog
 
 
 def test_a_cached_branch_reads_no_terminal_width(capsys, monkeypatch):
@@ -660,9 +639,9 @@ def test_a_cached_branch_reads_no_terminal_width(capsys, monkeypatch):
         return size(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counting)
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     assert run(capsys, "coeffs", "exp", "--j", "1")[0] == 0
-    assert calls  # building the branch formats each argument once
+    assert calls  # building the tree formats each argument once
     calls.clear()
     assert run(capsys, "coeffs", "exp", "--j", "1/2")[0] == 0
     assert calls == []
@@ -781,9 +760,8 @@ CSV_ARGVS = {
 
 def test_every_csv_option_writes_its_file_or_exits_2(capsys, tmp_path):
     takes_csv = {
-        tuple(path) for path in _command_paths()
-        for parser in _parsers(cli.build_parser(*path))
-        if parser.prog == " ".join(["spinpoly", *path]) and "--csv" in parser._option_string_actions
+        tuple(parser.prog.split()[1:]) for parser in _parsers(cli.build_parser())
+        if "--csv" in parser._option_string_actions
     }
     assert set(CSV_ARGVS) == takes_csv
     for path, argvs in CSV_ARGVS.items():
@@ -813,6 +791,57 @@ def test_an_unwritable_csv_path_exits_2_with_one_line(tmp_path, argv, reason):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"spinpoly: error: cannot write {argv[-1]}: {reason}\n"
+
+
+# each grid command and the evaluator it computes with
+GRID_EVALUATORS = [
+    (["coeffs", "exp", "--j", "2", "--theta-grid", "0:1:3"], "spinpoly.expcoeffs.exp_grid"),
+    (["coeffs", "cayley", "--j", "2", "--alpha-grid", "1:2:3"], "spinpoly.cayley.eval_coeffs"),
+    (["basis", "--j", "2"], "spinpoly.cli.vandermonde"),
+    (["cfn", "--n", "4", "--table"], "spinpoly.cli.cfn"),
+    (["asymp", "--j-list", "2", "--alpha-grid", "1:2:3"], "spinpoly.cayley.eval_coeffs"),
+    (["plotdata", "--figure", "inv-det"], "spinpoly.plots.figure_rows"),
+]
+GRID_IDS = ["-".join(argv[:2] if argv[0] == "coeffs" else argv[:1]) for argv, _ in GRID_EVALUATORS]
+
+
+@pytest.mark.parametrize("argv, evaluator", GRID_EVALUATORS, ids=GRID_IDS)
+def test_an_unwritable_csv_path_is_refused_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, evaluator
+):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the --csv path was opened")
+
+    monkeypatch.setattr(evaluator, computed)
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.main([*argv, "--csv", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"spinpoly: error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, evaluator", GRID_EVALUATORS, ids=GRID_IDS)
+def test_a_command_that_raises_leaves_no_new_csv_file(monkeypatch, tmp_path, argv, evaluator):
+    def failing(*args, **kwargs):
+        raise RuntimeError("evaluator failed")
+
+    monkeypatch.setattr(evaluator, failing)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for path in (new, old):
+        with pytest.raises(RuntimeError, match="evaluator failed"):
+            cli.main([*argv, "--csv", str(path)])
+    # the file the command created is gone; one that was there before stays as it was
+    assert not new.exists() and old.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in GRID_EVALUATORS], ids=GRID_IDS)
+def test_a_csv_file_that_exists_is_overwritten(capsys, tmp_path, argv):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("a longer line than any of the rows written here\n" * 1000)
+    for path in (new, old):
+        assert cli.main([*argv, "--csv", str(path)]) == 0
+    assert old.read_bytes() == new.read_bytes()
+    assert not capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -565,6 +565,64 @@ def test_four_lane_grid_with_a_nan_angle_and_k_subsets():
     assert not any(math.isnan(a) for a in row[0] + row[2] + row[3])
 
 
+def test_exp_grid_rounds_once_where_s_to_the_k_is_subnormal():
+    # at 2j = 1000, s = 0.455, k = 940, s**k is 3.4e-322 while A_k is a normal 7.94e-308,
+    # which a product through the rounded s**k misses by 0.44%; at s = 0.45, s**k underflows
+    # to 0 at k = 934 and 940, while A_k is a nonzero subnormal (2.59e-310 at k = 934).
+    # Five points, alternating: the four lanes and the one-point loop each meet both.
+    # A child process, so the exact rows of 2j = 1000 are not cached here.
+    code = (
+        "import math\n"
+        "from fractions import Fraction\n"
+        "from spinpoly import expcoeffs\n"
+        "from spinpoly.halfint import HalfInt\n"
+        "thetas = [2 * math.asin(s) for s in (0.455, 0.45, 0.455, 0.45, 0.455)]\n"
+        "ks = (940, 934)\n"
+        "for theta, row in zip(thetas, expcoeffs.exp_grid(HalfInt(1000), thetas, ks)):\n"
+        "    s, c = (Fraction(f(theta / 2)) for f in (math.sin, math.cos))\n"
+        "    for k, got in zip(ks, row):\n"
+        "        acc = 0\n"
+        "        for co in reversed(expcoeffs._series(1000, k)):\n"
+        "            acc = acc * s * s + co\n"
+        "        want = acc * s**k * (c if k % 2 else 1)\n"
+        "        print(float(s), k, got.hex(), float(want).hex())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.split("\n")[:-1]
+    assert len(lines) == 10
+    subnormal = 0
+    for line in lines:
+        s, k, got, want = line.split()
+        got, want = float.fromhex(got), float.fromhex(want)
+        if want >= 2.0**-1022:
+            assert abs(got - want) <= 1e-12 * want, line
+        else:
+            # the product rounds once; the float Horner sum may still be an ulp off
+            assert 0 < got and abs(got - want) <= math.ulp(want), line
+            subnormal += 1
+    assert subnormal == 4  # both ks at s = 0.45, where s**k underflows to 0
+
+
+@pytest.mark.parametrize(
+    "acc, s, k",
+    [(3e10, 0.5, 1030), (3.0, 0.7, 2000), (3.0, -0.7, 2001), (1e17, 0.84, 4300),
+     (1e5, 0.6, 1400), (1.7, 0.3, 700), (-1.0, -2.4e-16, 21), (-1.0, -2.4e-16, 22),
+     (1.0, -2.4e-16, 103), (2.0, 0.0, 1500), (2.0, 0.9, 10)],
+)
+def test_times_power_is_the_product_rounded_once(acc, s, k):
+    # subnormal, or rounding to a signed 0; where s**k is normal, or s is 0,
+    # the product is the plain acc * s**k
+    got = expcoeffs._times_power(acc, s, k)
+    want = float(Fraction(acc) * Fraction(s) ** k)  # a 0 keeps the exact sign
+    assert got.hex() == want.hex()
+    if not abs(s**k) < 2.0**-1022 or not s:
+        assert got.hex() == (acc * s**k).hex()
+
+
 @pytest.mark.parametrize("two_j, k", [(0, 1), (4, 5), (4, -1), (7, 8), (7, -3)])
 def test_k_outside_the_spin_is_refused(two_j, k):
     j = HalfInt(two_j)
