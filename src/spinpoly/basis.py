@@ -27,16 +27,9 @@ def spectrum(j: HalfInt) -> Tuple[int, ...]:
     return tuple(range(j.two_j, -j.two_j - 1, -2))
 
 
-@lru_cache(maxsize=None)
-def _vandermonde(two_j: int) -> IntMatrix:
-    return tuple(
-        tuple(e**p for p in range(two_j + 1)) for e in spectrum(HalfInt(two_j))
-    )
-
-
 def vandermonde(j: HalfInt) -> IntMatrix:
     """Row k holds the powers 0..2j of the k-th eigenvalue of S."""
-    return _vandermonde(j.two_j)
+    return tuple(tuple(e**p for p in range(j.two_j + 1)) for e in spectrum(j))
 
 
 @lru_cache(maxsize=None)

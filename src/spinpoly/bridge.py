@@ -137,23 +137,25 @@ def gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
-def quadrature_check(
-    j: HalfInt, k: int, alpha: float, T: float = 40.0, panels: int = 64
-) -> float:
+QUADRATURE_T = 40.0
+QUADRATURE_PANELS = 64
+
+
+def quadrature_check(j: HalfInt, k: int, alpha: float) -> float:
     """Composite Gauss-Legendre value of (1/k!) int_0^T e^{-t} A_k(2*alpha*t) dt.
 
-    With the default T the dropped tail is below e^-40 ~ 4e-18 times the
-    integrand scale; agreement with b_from_a_laplace within 1e-7 + e^-T is
-    the acceptance bar.
+    T is QUADRATURE_T, cut into QUADRATURE_PANELS panels of 8 nodes each.
+    The dropped tail is below e^-T ~ 4e-18 times the integrand scale;
+    agreement with b_from_a_laplace within 1e-7 + e^-T is the acceptance
+    bar.  A_k is evaluated at points up to 2*|alpha|*T, so that product
+    must be finite.
     """
-    if T <= 0 or panels < 1:
-        raise ValueError("need T > 0 and at least one panel")
     nodes, weights = gauss_legendre(8)
     kfact = math.factorial(k)
-    h = T / panels
+    h = QUADRATURE_T / QUADRATURE_PANELS
     points = [
         ((p + 0.5) * h + 0.5 * h * x, w)
-        for p in range(panels)
+        for p in range(QUADRATURE_PANELS)
         for x, w in zip(nodes, weights)
     ]
     values = exp_grid(j, [2.0 * alpha * t for t, _ in points], (k,))

@@ -4,7 +4,8 @@ A thin shell over the library: every number printed here comes from a
 library call that is also unit-tested.  Exact rationals serialize as
 "p/q" strings, floats as their shortest round-trip representation.
 Exit codes: 0 pass, 1 verification failure or a reader that closed
-stdout early, 2 usage error or a --csv path that cannot be opened.
+stdout early, 2 usage error or a --csv file or stdout that cannot be
+opened or written.
 """
 
 from __future__ import annotations
@@ -79,19 +80,14 @@ def _csv_lines(rows) -> list[str]:
 
 
 class _CannotWrite(Exception):
-    """A --csv path that cannot be opened for writing; main reports it as a usage error."""
+    """A --csv path that cannot be opened or written; main reports it as a usage error."""
+
+    def __init__(self, path: str, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _open_untruncated(path: str, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
-def _open_csv(path: str):
-    try:
-        # "w" without O_TRUNC, so that a command that fails leaves an existing file as it was
-        return open(path, "w", newline="", opener=_open_untruncated)
-    except OSError as exc:
-        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 @contextmanager
@@ -101,20 +97,28 @@ def _csv_opened(args):
     args.csv becomes the open file, which _emit_csv empties and writes to;
     None and "-" stay as they are.  A file opened here is closed after the
     command, and removed if the command raises and the file is new; one
-    that was there before keeps its contents until _emit_csv writes.
+    that was there before keeps its contents until _emit_csv writes.  An
+    OSError while the file is open is a failed write or close of it (the
+    command does no other I/O): it becomes _CannotWrite.
     """
     path = getattr(args, "csv", None)
     if path in (None, "-"):
         yield
         return
     created = not os.path.exists(path)
-    args.csv = _open_csv(path)
+    try:
+        # "w" without O_TRUNC, so that a command that fails leaves an existing file as it was
+        args.csv = open(path, "w", newline="", opener=_open_untruncated)
+    except OSError as exc:
+        raise _CannotWrite(path, exc) from None
     try:
         with args.csv:
             yield
-    except BaseException:
+    except BaseException as exc:
         if created:
             os.remove(path)
+        if isinstance(exc, OSError):
+            raise _CannotWrite(path, exc) from None
         raise
 
 
@@ -194,10 +198,9 @@ def _cmd_coeffs_cayley(args) -> int:
         for k, a in enumerate(cayley.a_coeffs(j)):
             print(f"A_{k}: num = [{', '.join(map(str, a.num))}], den = [{', '.join(map(str, a.den))}]")
         return 0
-    alpha = args.alpha if args.alpha is not None else 1.0
     if args.alpha_grid is not None or args.csv is not None:
         # --csv without a grid writes the one-point grid at --alpha
-        alphas = [alpha] if args.alpha_grid is None else args.alpha_grid.values()
+        alphas = [args.alpha] if args.alpha_grid is None else args.alpha_grid.values()
         lines = []
         for alpha in alphas:
             t = repr(alpha)  # formatted once per grid point
@@ -207,7 +210,7 @@ def _cmd_coeffs_cayley(args) -> int:
             ]
         _emit_csv(("alpha", "k", "B_k", "A_k"), lines, args.csv)
         return 0
-    for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, alpha))):
+    for k, (b, a) in enumerate(zip(*cayley.eval_coeffs(j, args.alpha))):
         print(f"k={k}  B_k = {b!r}  A_k = {a!r}")
     return 0
 
@@ -253,7 +256,7 @@ def _cmd_bridge(args) -> int:
     if args.quadrature:
         q = bridge.quadrature_check(args.j, args.k, args.alpha)
         print(f"B_{args.k}[{args.j}]({args.alpha}) quadrature  = {q!r}")
-        ok = ok and abs(q - pair.b_direct) <= 1e-7 + math.exp(-40.0)
+        ok = ok and abs(q - pair.b_direct) <= 1e-7 + math.exp(-bridge.QUADRATURE_T)
     return 0 if ok else 1
 
 
@@ -292,103 +295,10 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-# option specs that several commands share
+# option keywords that several commands share
 _J = {"type": _parse_j, "required": True}
 _CSV = {"nargs": "?", "const": "-", "default": None, "metavar": "PATH"}
 _GRID = {"type": _parse_grid, "default": None, "metavar": "A:B:N"}
-_FLAG = {"action": "store_true"}
-
-
-def _options(fn, options):
-    """A command's add_arguments: each (flag, keywords) option in turn, fn as its handler.
-
-    A tuple of flags is a mutually exclusive group, its value the tuple of their keywords.
-    """
-    def add_arguments(parser):
-        for flags, keywords in options.items():
-            if isinstance(flags, str):
-                parser.add_argument(flags, **keywords)
-                continue
-            group = parser.add_mutually_exclusive_group()
-            for flag, kw in zip(flags, keywords):
-                group.add_argument(flag, **kw)
-        parser.set_defaults(fn=fn)
-    return add_arguments
-
-
-@lru_cache(maxsize=None)
-def _commands() -> dict:
-    """name -> (help, add_arguments); coeffs -> its families. Built once: no default is mutable."""
-    return {
-        "cfn": ("central factorial numbers, exact p/q values", _options(_cmd_cfn, {
-            "--n": {"type": int, "required": True},
-            "--k": {"type": int, "default": None},
-            "--table": dict(_FLAG, help="CSV rows (n, k, numerator, denominator)"),
-            "--csv": _CSV,
-        })),
-        "basis": ("Vandermonde matrix, exact inverse, dual diagonals", _options(_cmd_basis, {
-            "--j": _J,
-            ("--inverse", "--duals"): (_FLAG, _FLAG),
-            "--csv": _CSV,
-        })),
-        "coeffs": ("coefficient tables", {
-            "exp": ("exponential rotation coefficients A_k(theta)", _options(_cmd_coeffs_exp, {
-                "--j": _J,
-                ("--theta", "--theta-grid"): ({"type": _parse_float_token, "default": 0.0}, _GRID),
-                "--k": {"type": int, "default": None},
-                "--csv": _CSV,
-            })),
-            "cayley": ("Cayley coefficients B_k, A_k", _options(_cmd_coeffs_cayley, {
-                "--j": _J,
-                ("--exact", "--alpha", "--alpha-grid"): (
-                    dict(_FLAG, help="print exact numerator/denominator lists"),
-                    {"type": _parse_float_token, "default": None},
-                    _GRID,
-                ),
-                "--csv": _CSV,
-            })),
-        }),
-        "verify": ("cross-module invariant suite (JSON report)", _options(_cmd_verify, {
-            "--fi": dict(_FLAG, help="fundamental identity only"),
-            "--max-two-j": {"type": int, "default": 10},
-        })),
-        "fixtures": ("compare against embedded golden values", _options(_cmd_fixtures, {})),
-        "asymp": ("B_k/alpha^k curves against the large-j limit", _options(_cmd_asymp, {
-            "--j-list": {"type": _parse_j_list, "required": True},
-            "--k": {"type": int, "default": 1},
-            "--alpha-grid": dict(_GRID, required=True),
-            "--csv": _CSV,
-        })),
-        "bridge": ("Laplace-transform consistency at one (j, k, alpha)", _options(_cmd_bridge, {
-            "--j": _J,
-            "--k": {"type": int, "required": True},
-            "--alpha": {"type": _parse_float_token, "required": True},
-            "--quadrature": _FLAG,
-        })),
-        "shear": ("per-|M| alpha(theta) values for one spin", _options(_cmd_shear, {
-            "--j": _J,
-            "--theta": {"type": _parse_float_token, "required": True},
-        })),
-        "plotdata": ("figure data as long-format CSV", _options(_cmd_plotdata, {
-            "--figure": {"required": True, "choices": plots.FIGURES},
-            "--j": {"type": _parse_j, "action": "append", "default": None},
-            "--k": {"type": int, "action": "append", "default": None},
-            "--theta-grid": _GRID,
-            "--alpha-grid": _GRID,
-            "--csv": _CSV,
-        })),
-    }
-
-
-def _add_commands(parser, dest, table) -> None:
-    """Add every command of the table to parser, and every family below a command."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (text, add_arguments) in table.items():
-        p = sub.add_parser(name, help=text)
-        if isinstance(add_arguments, dict):
-            _add_commands(p, "family", add_arguments)
-        else:
-            add_arguments(p)
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +313,80 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spin matrix polynomials: exact rotation-coefficient tables, "
         "verification suites, and figure data as CSV.",
     )
-    _add_commands(parser, "command", _commands())
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    p = commands.add_parser("cfn", help="central factorial numbers, exact p/q values")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--table", action="store_true", help="CSV rows (n, k, numerator, denominator)")
+    p.add_argument("--csv", **_CSV)
+    p.set_defaults(fn=_cmd_cfn)
+
+    p = commands.add_parser("basis", help="Vandermonde matrix, exact inverse, dual diagonals")
+    p.add_argument("--j", **_J)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--inverse", action="store_true")
+    group.add_argument("--duals", action="store_true")
+    p.add_argument("--csv", **_CSV)
+    p.set_defaults(fn=_cmd_basis)
+
+    coeffs = commands.add_parser("coeffs", help="coefficient tables")
+    families = coeffs.add_subparsers(dest="family", required=True)
+    p = families.add_parser("exp", help="exponential rotation coefficients A_k(theta)")
+    p.add_argument("--j", **_J)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--theta", type=_parse_float_token, default=0.0)
+    group.add_argument("--theta-grid", **_GRID)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--csv", **_CSV)
+    p.set_defaults(fn=_cmd_coeffs_exp)
+
+    p = families.add_parser("cayley", help="Cayley coefficients B_k, A_k")
+    p.add_argument("--j", **_J)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(
+        "--exact", action="store_true", help="print exact numerator/denominator lists"
+    )
+    group.add_argument("--alpha", type=_parse_float_token, default=1.0)
+    group.add_argument("--alpha-grid", **_GRID)
+    p.add_argument("--csv", **_CSV)
+    p.set_defaults(fn=_cmd_coeffs_cayley)
+
+    p = commands.add_parser("verify", help="cross-module invariant suite (JSON report)")
+    p.add_argument("--fi", action="store_true", help="fundamental identity only")
+    p.add_argument("--max-two-j", type=int, default=10)
+    p.set_defaults(fn=_cmd_verify)
+
+    p = commands.add_parser("fixtures", help="compare against embedded golden values")
+    p.set_defaults(fn=_cmd_fixtures)
+
+    p = commands.add_parser("asymp", help="B_k/alpha^k curves against the large-j limit")
+    p.add_argument("--j-list", type=_parse_j_list, required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--alpha-grid", **_GRID, required=True)
+    p.add_argument("--csv", **_CSV)
+    p.set_defaults(fn=_cmd_asymp)
+
+    p = commands.add_parser("bridge", help="Laplace-transform consistency at one (j, k, alpha)")
+    p.add_argument("--j", **_J)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--alpha", type=_parse_float_token, required=True)
+    p.add_argument("--quadrature", action="store_true")
+    p.set_defaults(fn=_cmd_bridge)
+
+    p = commands.add_parser("shear", help="per-|M| alpha(theta) values for one spin")
+    p.add_argument("--j", **_J)
+    p.add_argument("--theta", type=_parse_float_token, required=True)
+    p.set_defaults(fn=_cmd_shear)
+
+    p = commands.add_parser("plotdata", help="figure data as long-format CSV")
+    p.add_argument("--figure", required=True, choices=plots.FIGURES)
+    p.add_argument("--j", type=_parse_j, action="append", default=None)
+    p.add_argument("--k", type=int, action="append", default=None)
+    p.add_argument("--theta-grid", **_GRID)
+    p.add_argument("--alpha-grid", **_GRID)
+    p.add_argument("--csv", **_CSV)
+    p.set_defaults(fn=_cmd_plotdata)
     return parser
 
 
@@ -418,6 +401,13 @@ def _range_error(args) -> str | None:
         return "coeffs cayley --exact prints numerator/denominator lists, not CSV; drop --csv"
     if args.command == "verify" and args.max_two_j < 0:
         return f"verify needs --max-two-j >= 0, got {args.max_two_j}"
+    if getattr(args, "quadrature", False) and not math.isfinite(
+        2 * abs(args.alpha) * bridge.QUADRATURE_T
+    ):
+        return (
+            f"--quadrature evaluates A_k at up to 2|alpha| * {bridge.QUADRATURE_T!r}, "
+            f"which overflows at --alpha {args.alpha!r}"
+        )
     for name in ("alpha", "theta", "alpha_grid", "theta_grid"):
         value = getattr(args, name, None)
         flag = "--" + name.replace("_", "-")
@@ -458,11 +448,14 @@ def main(argv=None) -> int:
             return code
         except _CannotWrite as exc:
             error = str(exc)
-        except BrokenPipeError:
-            # the reader is gone: point stdout at devnull, so the flush at exit
-            # cannot fail again (the recipe of the signal module's docs)
+        except OSError as exc:
+            # a write to stdout failed (the command does no other I/O): point
+            # stdout at devnull, so that the flush at exit cannot fail again
+            # (the recipe of the signal module's docs)
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
-            return 1
+            if isinstance(exc, BrokenPipeError):
+                return 1  # the reader is gone
+            error = f"cannot write stdout: {exc.strerror or exc}"
     print(f"spinpoly: error: {error}", file=sys.stderr)
     return 2

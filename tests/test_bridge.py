@@ -121,7 +121,7 @@ def test_gauss_legendre_rule():
 
 
 def test_quadrature_check_values():
-    assert quadrature_check(HalfInt(1), 1, 1.0, T=40.0) == pytest.approx(0.5, abs=1e-7)
+    assert quadrature_check(HalfInt(1), 1, 1.0) == pytest.approx(0.5, abs=1e-7)
     # alpha = 0 collapses to the k = 0 Kronecker column
     assert quadrature_check(HalfInt(4), 0, 0.0) == pytest.approx(1.0, abs=1e-9)
     assert quadrature_check(HalfInt(4), 2, 0.0) == pytest.approx(0.0, abs=1e-12)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import itertools
 import json
@@ -59,11 +60,10 @@ def test_import_builds_no_parser():
     proc = _child(
         "-c",
         "import spinpoly.cli as cli; "
-        "print(cli._commands.cache_info().currsize, cli.build_parser.cache_info().currsize, "
-        "hasattr(cli, 'shutil'))",
+        "print(cli.build_parser.cache_info().currsize, hasattr(cli, 'shutil'))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 0 False"
+    assert proc.stdout.strip() == "0 False"
 
 
 def test_usage_error_exits_2():
@@ -377,6 +377,27 @@ def test_bridge_command(capsys):
     assert "consistent: True" in out
 
 
+def test_bridge_quadrature_refuses_an_alpha_whose_nodes_overflow(capsys):
+    # the quadrature evaluates A_k at 2 alpha t for t up to T: past
+    # |alpha| ~ 2.247e306 that product is inf, and the sin of inf raises
+    argv = ["bridge", "--j", "1", "--k", "1", "--quadrature"]
+    for alpha in ("3e306", "-3e306"):
+        assert cli.main([*argv, f"--alpha={alpha}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "spinpoly: error: --quadrature evaluates A_k at up to 2|alpha| * 40.0, "
+            f"which overflows at --alpha {float(alpha)!r}\n"
+        )
+    # inside the range the quadrature runs as before: at 2.2e306 it is far
+    # off the exact value, which fails the check, at 1 it agrees
+    for alpha, want in ((2.2e306, 1), (1.0, 0)):
+        code, out = run(capsys, *argv, "--alpha", repr(alpha))
+        q = bridge.quadrature_check(HalfInt(2), 1, alpha)
+        assert code == want
+        assert out.splitlines()[-1] == f"B_1[1]({alpha}) quadrature  = {q!r}"
+
+
 def test_shear_command(capsys):
     code, out = run(capsys, "shear", "--j", "3/2", "--theta", "1")
     assert code == 0
@@ -504,12 +525,20 @@ def _parse(parser, argv, capsys):
         return exc.code, captured.out, captured.err
 
 
+def _parsers(parser):
+    """parser and every parser below it in the tree."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
 def _command_paths():
-    table = cli._commands()
-    for name, (_, entry) in table.items():
-        yield [name]
-        if isinstance(entry, dict):
-            yield from ([name, family] for family in entry)
+    """The names that select each command and family, as lists, in the order of the tree."""
+    for parser in _parsers(cli.build_parser.__wrapped__()):
+        if parser.prog != "spinpoly":
+            yield parser.prog.split()[1:]
 
 
 # help, usage and error argvs: each exits through argparse
@@ -580,6 +609,7 @@ def test_help_is_the_same_from_both_trees(capsys, path):
 
 
 def test_main_builds_every_branch_once_per_process(capsys, monkeypatch):
+    paths = list(_command_paths())
     cli.build_parser.cache_clear()
     built = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -592,7 +622,7 @@ def test_main_builds_every_branch_once_per_process(capsys, monkeypatch):
     # the first call builds every command and family once; later calls build nothing
     assert run(capsys, "fixtures")[0] == 0
     assert run(capsys, "coeffs", "cayley", "--j", "1/2")[0] == 0
-    assert sorted(built) == sorted(path[-1] for path in _command_paths())
+    assert sorted(built) == sorted(path[-1] for path in paths)
     built.clear()
     assert run(capsys, "coeffs", "cayley", "--j", "1")[0] == 0
     assert run(capsys, "fixtures")[0] == 0
@@ -600,16 +630,7 @@ def test_main_builds_every_branch_once_per_process(capsys, monkeypatch):
     assert cli.build_parser.cache_info().currsize == 1
     # the tree's top-level usage lists every command
     code, _, err = _parse(cli.build_parser(), ["verify", "--bogus"], capsys)
-    assert code == 2 and "{%s}" % ",".join(cli._commands()) in err
-
-
-def _parsers(parser):
-    """parser and every parser below it in the tree."""
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _parsers(sub)
+    assert code == 2 and "{%s}" % ",".join(path[0] for path in paths if len(path) == 1) in err
 
 
 @pytest.mark.parametrize("columns", ["60", "200"])
@@ -867,3 +888,40 @@ def test_a_closed_stdout_ends_the_command_without_a_traceback(argv, head):
     assert first.startswith(head)
     assert err == b""
     assert code == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["cfn", "--n", "3", "--table", "--csv", "/dev/full"], "/dev/full"),
+        (["coeffs", "exp", "--j", "1", "--theta-grid", "0:1:3", "--csv", "/dev/full"],
+         "/dev/full"),
+        (["cfn", "--n", "3"], "stdout"),
+        (["coeffs", "exp", "--j", "5", "--theta-grid", "0:1:10000", "--csv"], "stdout"),
+    ],
+)
+def test_a_failed_write_exits_2_with_one_line(argv, target):
+    # /dev/full opens, and every write or flush to it fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "spinpoly", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+    assert done.stderr == f"spinpoly: error: cannot write {target}: No space left on device\n"
+    assert done.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in GRID_EVALUATORS], ids=GRID_IDS)
+def test_a_failed_csv_write_exits_2_and_leaves_no_new_file(capsys, monkeypatch, tmp_path, argv):
+    def full(header, lines, out):
+        out.write(",".join(header))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_emit_csv", full)
+    path = tmp_path / "new.csv"
+    assert cli.main([*argv, "--csv", str(path)]) == 2
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spinpoly: error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
