@@ -4,15 +4,18 @@ Everything is built in the basis where the doubled spin component
 S = 2*J3 is diagonal with integer eigenvalues [2j, 2j-2, ..., -2j].
 Storage is 0-based tuples; the closed-form entry at 1-based (k, l), the
 independent check of V^-1, is findumonde_entry in tests/oracles.py.  The
-nodes, V and every Lagrange factor are integers; only the entries of V^-1
-are Fractions, one integer ratio each.
+nodes, V and every Lagrange factor are integers, and the cache of V^-1
+holds those integers: each entry is one integer ratio, a coefficient of a
+Lagrange factor over the factor's value at its node.  vandermonde_inverse
+makes the Fractions on each call; the CLI prints the ratios without them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence, Tuple
+from math import gcd
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 from .cfn import cfn_pair
 from .exact import poly_eval
@@ -33,19 +36,40 @@ def vandermonde(j: HalfInt) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde_inverse(two_j: int) -> Matrix:
-    # column m holds the Lagrange basis polynomial of the m-th node, the
-    # deflated node polynomial over its value at that node
-    columns = [
-        tuple(Fraction(c, denom) for c in quotient)
-        for quotient, denom in _lagrange_factors(spectrum(HalfInt(two_j)))
-    ]
-    return tuple(zip(*columns))
+def _vandermonde_inverse(two_j: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    # column m of V^-1 is the Lagrange basis polynomial of the m-th node, the
+    # deflated node polynomial q_m over its value at that node, so the entry
+    # at (n, m) is q_m[n] / q_m(lambda_m); both stay integers
+    return tuple(_lagrange_factors(spectrum(HalfInt(two_j))))
 
 
 def vandermonde_inverse(j: HalfInt) -> Matrix:
-    """Exact inverse; vandermonde(j) @ vandermonde_inverse(j) == identity."""
-    return _vandermonde_inverse(j.two_j)
+    """Exact inverse; vandermonde(j) @ vandermonde_inverse(j) == identity.
+
+    The Fractions are made from the cached integers on each call.
+    """
+    factors = _vandermonde_inverse(j.two_j)
+    return tuple(tuple(Fraction(q[n], d) for q, d in factors) for n in range(j.two_j + 1))
+
+
+def vandermonde_inverse_text(j: HalfInt) -> Iterator[list[str]]:
+    """The rows of vandermonde_inverse(j), each entry as its str: "n" or "n/d".
+
+    Each is written from the cached integer ratio in lowest terms, the
+    sign on the numerator, as str(Fraction) writes it, with no Fraction made.
+    """
+    factors = _vandermonde_inverse(j.two_j)
+    for n in range(j.two_j + 1):
+        yield [_ratio_text(q[n], d) for q, d in factors]
+
+
+def _ratio_text(num: int, den: int) -> str:
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num //= g
+    den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def dual_matrices(j: HalfInt) -> Matrix:

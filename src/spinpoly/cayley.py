@@ -125,7 +125,13 @@ class CayleyCoeffs(NamedTuple):
         two_j = self.j.two_j
         if not 0 <= k <= two_j:
             raise ValueError(f"k must lie in 0..{two_j}, got {k}")
-        return poly((0,) * k + self.den[: two_j - k + 1])
+        # den is ints by construction, so the slice needs no poly(): only
+        # its trailing zeros go
+        num = (0,) * k + self.den[: two_j - k + 1]
+        end = len(num)
+        while end and not num[end - 1]:
+            end -= 1
+        return num[:end]
 
 
 @lru_cache(maxsize=None)

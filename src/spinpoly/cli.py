@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bridge, cayley, expcoeffs, plots, verify
-from .basis import dual_matrices, vandermonde, vandermonde_inverse
+from .basis import vandermonde, vandermonde_inverse_text
 from .cfn import cfn
 from .halfint import HalfInt
 from .plots import GridSpec
@@ -157,10 +157,9 @@ def _cmd_cfn(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    if args.duals:
-        rows = dual_matrices(args.j)
-    elif args.inverse:
-        rows = vandermonde_inverse(args.j)
+    if args.duals or args.inverse:
+        # the diagonal of the dual T_n is row n of V^-1: both print V^-1
+        rows = vandermonde_inverse_text(args.j)
     else:
         rows = vandermonde(args.j)
     _emit_csv(tuple(f"c{i}" for i in range(args.j.two_j + 1)), _csv_lines(rows), args.csv)
@@ -256,7 +255,14 @@ def _cmd_bridge(args) -> int:
     if args.quadrature:
         q = bridge.quadrature_check(args.j, args.k, args.alpha)
         print(f"B_{args.k}[{args.j}]({args.alpha}) quadrature  = {q!r}")
-        ok = ok and abs(q - pair.b_direct) <= 1e-7 + math.exp(-bridge.QUADRATURE_T)
+        miss, bar = abs(q - pair.b_direct), 1e-7 + math.exp(-bridge.QUADRATURE_T)
+        if not miss <= bar:
+            print(
+                f"spinpoly: quadrature misses the direct value by {miss!r}, "
+                f"above the bar 1e-7 + e^-{bridge.QUADRATURE_T!r} = {bar!r}",
+                file=sys.stderr,
+            )
+            ok = False
     return 0 if ok else 1
 
 

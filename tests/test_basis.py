@@ -78,6 +78,15 @@ def test_inverse_exact_up_to_two_j_40():
                 assert sum(a * b for a, b in zip(scaled, col)) == d * (r == c), (j, r, c)
 
 
+def test_the_cached_inverse_holds_integers_only():
+    # the cache keeps each node's Lagrange factor and its value at the
+    # node; the Fractions are made per call, never cached
+    for two_j in range(41):
+        for quotient, value in basis._vandermonde_inverse(two_j):
+            assert len(quotient) == two_j + 1 and value != 0, two_j
+            assert all(type(c) is int for c in (*quotient, value)), two_j
+
+
 def test_findumonde_matches_elimination_high_rows():
     for two_j in range(0, 9):
         j = HalfInt(two_j)
@@ -150,6 +159,31 @@ def test_projection_constant_and_monomial():
     j1 = HalfInt(2)
     fvals = [F(m) ** 2 for m in spectrum(j1)]
     assert project_coefficients(j1, fvals) == [0, 0, 1]
+
+
+def _bits(x):
+    # exact values compare as they are, floats and complexes by their bits
+    if isinstance(x, complex):
+        return (x.real.hex(), x.imag.hex())
+    return x.hex() if isinstance(x, float) else (type(x), x)
+
+
+def test_projection_is_the_fraction_matrix_formula_bit_for_bit():
+    rng = random.Random(25)
+    for j in half_integers(12):
+        n = j.two_j + 1
+        vinv = vandermonde_inverse(j)
+        samples = {
+            "int": [rng.randrange(-50, 51) for _ in range(n)],
+            "Fraction": [F(rng.randrange(-50, 51), rng.randrange(1, 30)) for _ in range(n)],
+            "float": [rng.uniform(-5, 5) for _ in range(n)],
+            "complex": [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)],
+        }
+        for kind, fvals in samples.items():
+            want = [sum(row[i] * fvals[i] for i in range(n)) for row in vinv]
+            got = project_coefficients(j, fvals)
+            assert got == want, (j, kind)
+            assert list(map(_bits, got)) == list(map(_bits, want)), (j, kind)
 
 
 def test_projection_length_mismatch():

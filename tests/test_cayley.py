@@ -172,6 +172,18 @@ def test_recursion_numerators_are_the_truncated_determinant():
         assert nums == [table.b_num(m) for m in range(two_j + 1)], two_j
 
 
+def test_b_num_is_the_normalized_slice_of_the_determinant():
+    # b_num slices den without poly(); the slice must be what poly() would
+    # make of it, ints with the trailing zeros stripped
+    for two_j in range(61):
+        table = b_coeffs(HalfInt(two_j))
+        for k in range(two_j + 1):
+            num = table.b_num(k)
+            assert num == poly((0,) * k + table.den[: two_j - k + 1]), (two_j, k)
+            assert type(num) is tuple and all(type(c) is int for c in num), (two_j, k)
+            assert num[-1] != 0, (two_j, k)
+
+
 @pytest.mark.parametrize("two_j, k", [(0, -1), (0, 1), (5, -1), (5, 6), (6, -1), (6, 7)])
 def test_b_num_refuses_a_k_outside_0_to_2j(two_j, k):
     with pytest.raises(ValueError, match=rf"^k must lie in 0\.\.{two_j}, got {k}$"):

@@ -16,7 +16,8 @@ import pytest
 
 import spinpoly
 from spinpoly import bridge, cayley, cli, expcoeffs, fixtures, plots, verify
-from spinpoly.halfint import HalfInt
+from spinpoly.basis import vandermonde_inverse
+from spinpoly.halfint import HalfInt, half_integers
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +104,13 @@ def test_basis_command(capsys):
     code, out = run(capsys, "basis", "--j", "1/2", "--duals")
     assert code == 0
     assert out.strip().splitlines()[1:] == ["1/2,1/2", "1/2,-1/2"]
+    # both print V^-1 from its integer cache; the bytes are those of the
+    # Fraction matrix written field by field with str
+    for j in half_integers(60):
+        header = ",".join(f"c{i}" for i in range(j.two_j + 1)) + "\r\n"
+        want = header + "".join(cli._csv_lines(vandermonde_inverse(j)))
+        for flag in ("--inverse", "--duals"):
+            assert run(capsys, "basis", "--j", str(j), flag) == (0, want), (j, flag)
 
 
 def test_coeffs_exp_command(capsys, tmp_path):
@@ -390,12 +398,18 @@ def test_bridge_quadrature_refuses_an_alpha_whose_nodes_overflow(capsys):
             f"which overflows at --alpha {float(alpha)!r}\n"
         )
     # inside the range the quadrature runs as before: at 2.2e306 it is far
-    # off the exact value, which fails the check, at 1 it agrees
+    # off the exact value, which fails the check with one stderr line giving
+    # the miss and the bar; at 1 it agrees and stderr stays empty
     for alpha, want in ((2.2e306, 1), (1.0, 0)):
-        code, out = run(capsys, *argv, "--alpha", repr(alpha))
+        assert cli.main([*argv, "--alpha", repr(alpha)]) == want
+        captured = capsys.readouterr()
         q = bridge.quadrature_check(HalfInt(2), 1, alpha)
-        assert code == want
-        assert out.splitlines()[-1] == f"B_1[1]({alpha}) quadrature  = {q!r}"
+        assert captured.out.splitlines()[-1] == f"B_1[1]({alpha}) quadrature  = {q!r}"
+        miss = abs(q - bridge.laplace_pair(HalfInt(2), 1, alpha).b_direct)
+        assert captured.err == want * (
+            f"spinpoly: quadrature misses the direct value by {miss!r}, "
+            f"above the bar 1e-7 + e^-40.0 = {1e-7 + math.exp(-40)!r}\n"
+        )
 
 
 def test_shear_command(capsys):
