@@ -3,13 +3,13 @@
 The rational rotation (1 + 2i*alpha*n.J)/(1 - 2i*alpha*n.J) for spin j
 reduces to sum_k A_k(alpha) (2i n.J)**k, driven by the resolvent
 coefficients B_k(alpha) = alpha**k * Trunc_{2j-k}[det] / det, where det
-is the characteristic determinant det(1 - 2i*alpha*n.J).  Several
-independent generation paths are implemented: the truncation formula,
-the difference-equation recursion, the general resolvent formula, and
-(in the bridge module) a Laplace transform of the exponential
-coefficients.  An exact table is the integer determinant alone, and is
-cached immutably: each B_k numerator is read off it on demand, and
-a_coeffs reads the A_k off the production table, already in lowest terms.
+is the characteristic determinant det(1 - 2i*alpha*n.J).  The truncation
+formula is the production route.  The general resolvent, run exactly at a
+real beta where it is the table at alpha**2 = -beta**2, is verify's check
+on it; the recursion, the central-factorial determinant and the bridge
+module's Laplace transform are further routes.  An exact table is the
+integer determinant alone, cached immutably: each B_k numerator is read
+off it on demand, and a_coeffs reads the A_k off it in lowest terms.
 
 eval_coeffs is the table's one float evaluator: for all k, or only the k in ks,
 it rounds scaled_b's integers at alpha = p/q, each float one int/int
@@ -180,7 +180,14 @@ def scaled_b(
     (default 0..2j, in that order) are multiplied out, in the order of ks.
     Raises ValueError on a k outside 0..2j.
     """
-    det = _det_ints(two_j)
+    return _scaled_truncations(_det_ints(two_j), two_j, p, q, ks)
+
+
+def _scaled_truncations(
+    det: Sequence[int], two_j: int, p: int, q: int, ks: Iterable[int] | None = None
+) -> Tuple[list[int], int]:
+    # scaled_b's arithmetic for any integer det of degree 2j or 2j + 1;
+    # verify feeds it den at alpha**2 = -beta**2
     partial, p_pows = [], []
     s, p_pow = 0, 1
     for d in det:
@@ -259,17 +266,15 @@ def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:
 
     r_n = alpha**n * Trunc_{N-1-n}[det(1-alpha*M)] / det(1-alpha*M), with
     the determinant built as prod (1 - alpha*lambda_i).  Works for exact
-    or floating scalars alike.  r_n is homogeneous of degree 0 in the
-    determinant's coefficients, so float ones are scaled by 2**-512
-    whenever the largest passes 2**512: that moves only the overflow.
-    Exact ones are never scaled.
+    or floating scalars alike.  Float inputs are not rescaled: a float
+    determinant that over- or underflows gives inf, nan or
+    ZeroDivisionError, so large spectra want exact scalars.
     """
     eigs = list(eigenvalues)
     n = len(eigs)
-    for i in range(n):
-        for k in range(i + 1, n):
-            if eigs[i] == eigs[k]:
-                raise ValueError(f"duplicate eigenvalue {eigs[i]!r}")
+    for i, lam in enumerate(eigs):
+        if lam in eigs[i + 1 :]:
+            raise ValueError(f"duplicate eigenvalue {lam!r}")
     for lam in eigs:
         if 1 - alpha * lam == 0:
             raise ValueError(f"singular resolvent: alpha*lambda = 1 at lambda={lam!r}")
@@ -279,8 +284,6 @@ def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:
         for m, dm in enumerate(d):
             nxt[m] += dm
             nxt[m + 1] += -lam * dm
-        if isinstance(nxt[-1], (float, complex)) and max(map(abs, nxt)) > 2.0**512:
-            nxt = [c * 2.0**-512 for c in nxt]
         d = nxt
     powers = [alpha**m for m in range(n + 1)]
     # trunc[i] = sum of the terms d_m alpha**m below m = i, one running sum
@@ -302,15 +305,19 @@ def b_limit_ratio(is_integer_spin: bool, k: int, alpha: float) -> float:
     _tail_share where a term of the float sum overflows or where the
     partial sum passes half of F, so that 1 - partial/F would cancel.
     Where x is infinite (alpha = 0, or pi/(2|alpha|) overflows) it is the
-    x -> inf limit, 1.
+    x -> inf limit, 1; where x is 0 (alpha infinite) it is the x -> 0
+    limit, 0.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     s = 1 if is_integer_spin else 0
     count = (k + 2 - s) // 2
-    x = math.pi / (2.0 * abs(alpha)) if alpha else math.inf
+    # not pi / (2|alpha|): 2|alpha| overflows above about 8.99e307
+    x = (math.pi / 2) / abs(alpha) if alpha else math.inf
     if not count or x == math.inf:
         return 1.0
+    if x == 0:
+        return 0.0
     if x < 700.0:
         try:
             partial = math.fsum(x ** (2 * n) / math.factorial(2 * n + s) for n in range(count))

@@ -20,17 +20,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bridge, cayley, expcoeffs
-from .basis import verify_fundamental_identity
-from .halfint import half_integers
+from .basis import spectrum, verify_fundamental_identity
+from .halfint import HalfInt, half_integers
 
 _THETAS = [(-2.0 + 4.0 * i / 24) * math.pi for i in range(25)]
 _RECON_THETAS = [-3.5 * math.pi, -math.pi, 0.4, 1.7, math.pi, 2 * math.pi, 3 * math.pi, 11.0]
 _ALPHAS = [Fraction(n, 7) for n in range(-10, 11, 3) if n] + [Fraction(1, 2), Fraction(3)]
+# the exact resolvent's real parameter: its numerator 3 keeps it off every +-1/M
+BETA = Fraction(3, 7)
 
 EXP_PATH_BOUND = 1e-12       # relative, truncated series against the other paths
 EXP_RECON_BOUND = 1e-9       # absolute, per eigenvalue against exp
 CAYLEY_RECON_BOUND = 1e-10   # absolute, per eigenvalue against the Cayley form
-RESOLVENT_BOUND = 1e-11      # relative to max(1, |B_k|)
 DET_BOUND = 1e-10            # relative, polynomial against gamma form
 
 
@@ -124,39 +125,25 @@ def _check_cayley_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
     return None
 
 
+def _resolvent_fails(j: HalfInt) -> list[bool]:
+    """Whether each exact resolvent coefficient r_n of 2n.J at BETA misses the table.
+
+    prod (1 - BETA M) over the spectrum is den at alpha**2 = -BETA**2, den
+    with the sign of each power 2 mod 4 flipped, so r_n is B_n's integer
+    pair from scaled_b's arithmetic on that den.  Equality at every n pins
+    den up to a common factor, which determinant-forms and den(0) = 1 fix.
+    """
+    flipped = [-d if i % 4 == 2 else d for i, d in enumerate(cayley.b_coeffs(j).den)]
+    nums, s_deg = cayley._scaled_truncations(flipped, j.two_j, *BETA.as_integer_ratio())
+    res = cayley.resolvent_coeffs(spectrum(j), BETA)
+    return [r.numerator * s_deg != num * r.denominator for r, num in zip(res, nums)]
+
+
 def _check_cayley_paths(max_two_j: int, tally: _Tally) -> str | None:
     for j in half_integers(max_two_j):
-        direct = cayley.b_coeffs(j)
-        direct_nums = list(map(direct.b_num, range(j.two_j + 1)))  # once for both routes
-        for other, op in (
-            (cayley.b_coeffs_recursion(j), "b_coeffs_recursion"),
-            (cayley.b_coeffs_cfn(j), "b_coeffs_cfn"),
-        ):
-            same_den = other.den == direct.den
-            pairs = zip(map(other.b_num, range(j.two_j + 1)), direct_nums)
-            bad = tally.add([not same_den or b != d for b, d in pairs])
-            if bad is not None:
-                return f"op={op} j={j} k={bad}"
-        eigs = [1j * m2 for m2 in range(j.two_j, -j.two_j - 1, -2)]
-        for alpha in (0.35, -1.25):
-            try:
-                res = cayley.resolvent_coeffs(eigs, alpha)
-            except ArithmeticError as exc:  # a float determinant that under- or overflows
-                tally.add([True])
-                return f"op=resolvent_coeffs j={j} alpha={alpha} error={exc!r}"
-            wants = cayley.eval_coeffs(j, alpha)[0]
-            rows = [(r, want, max(1.0, abs(want))) for r, want in zip(res, wants)]
-            # not <=, so that a nan or inf resolvent fails
-            bad = tally.add(
-                [not abs(r - want) <= RESOLVENT_BOUND * scale for r, want, scale in rows],
-                [abs(r - want) / scale for r, want, scale in rows],
-            )
-            if bad is not None:
-                r, want, _ = rows[bad]
-                return (
-                    f"op=resolvent_coeffs j={j} k={bad} alpha={alpha} "
-                    f"resolvent={r} direct={want}"
-                )
+        bad = tally.add(_resolvent_fails(j))
+        if bad is not None:
+            return f"op=resolvent_coeffs j={j} k={bad} beta={BETA}"
     return None
 
 
@@ -236,7 +223,7 @@ _CHECKS = {
     "exp-path-equality": (_check_exp_paths, EXP_PATH_BOUND, ", rel 1e-12"),
     "exp-reconstruction": (_check_exp_reconstruction, EXP_RECON_BOUND, ", < 1e-9"),
     "cayley-reconstruction": (_check_cayley_reconstruction, CAYLEY_RECON_BOUND, ", < 1e-10"),
-    "cayley-path-equality": (_check_cayley_paths, RESOLVENT_BOUND, ""),
+    "cayley-path-equality": (_check_cayley_paths, None, ", exact"),
     "laplace-bridge": (_check_laplace_bridge, None, ", exact"),
     "pairing-parity": (_check_pairing_parity, None, ", exact"),
     "determinant-forms": (_check_det_forms, DET_BOUND, ""),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from spinpoly.basis import spectrum
 from spinpoly.cayley import (
     a_coeffs,
     b_coeffs,
@@ -23,7 +24,6 @@ from spinpoly.cayley import (
 )
 from spinpoly.exact import RationalFunction, poly, poly_mul
 from spinpoly.halfint import HalfInt, half_integers
-from spinpoly.verify import RESOLVENT_BOUND
 
 from oracles import (
     b_exact_gamma,
@@ -232,16 +232,18 @@ def test_resolvent_is_the_truncation_formula_exactly():
 
 
 @pytest.mark.parametrize("two_j", [163, 200, 401])
-def test_resolvent_matches_eval_coeffs_past_the_float_range(two_j):
-    # the complex determinant's coefficients pass 2**1024 from 2j = 163;
-    # scaled by 2**-512 as they grow, the quotient stays within verify's bound
-    j = HalfInt(two_j)
-    eigs = [1j * m2 for m2 in range(two_j, -two_j - 1, -2)]
-    for alpha in (0.35, -1.25):
-        got = resolvent_coeffs(eigs, alpha)
-        wants = eval_coeffs(j, alpha)[0]
-        for k, (r, want) in enumerate(zip(got, wants, strict=True)):
-            assert abs(r - want) <= RESOLVENT_BOUND * max(1.0, abs(want)), (alpha, k)
+def test_exact_resolvent_is_the_table_at_imaginary_alpha(two_j):
+    # prod (1 - beta M) over the spectrum of 2n.J is den at alpha**2 = -beta**2,
+    # so the exact resolvent is the truncation formula there, past every
+    # float range; the truncations are summed here in Fractions
+    beta = F(3, 7)
+    den = b_coeffs(HalfInt(two_j)).den
+    trunc, total = [], F(0)
+    for m, d in enumerate(den):
+        total += d * (-1) ** (m // 2) * beta**m
+        trunc.append(total)
+    want = [beta**n * trunc[two_j - n] / total for n in range(two_j + 1)]
+    assert resolvent_coeffs(spectrum(HalfInt(two_j)), beta) == want
 
 
 def test_resolvent_direct_oracle():
@@ -280,6 +282,18 @@ def test_asymp_limits_and_monotinicity():
     assert b_limit_ratio(True, 1, 1e-310) == 1.0
     assert b_limit_ratio(False, 2, 1e-310) == 1.0
     assert b_limit_ratio(True, 1, 5e-324) == 1.0
+
+
+@pytest.mark.parametrize("is_integer_spin", [True, False])
+def test_limit_ratio_where_twice_alpha_overflows(is_integer_spin):
+    # above about 8.99e307, 2|alpha| is inf: x = pi/(2|alpha|) must not read 0
+    for alpha in (1e308, -1e308, sys.float_info.max):
+        assert b_limit_ratio(is_integer_spin, 1, alpha) == 0.0
+        assert b_limit_ratio(is_integer_spin, 2, alpha) == 0.0
+    # x = 0, for an infinite alpha, is the x -> 0 limit
+    assert b_limit_ratio(is_integer_spin, 1, math.inf) == 0.0
+    # and just below the overflow, where 2|alpha| is finite
+    assert b_limit_ratio(is_integer_spin, 1, 8.9e307) == 0.0
 
 
 def test_asymp_fermionic_values():

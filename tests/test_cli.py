@@ -179,9 +179,10 @@ def test_verify_command_json(capsys):
         "exp-path-equality": 1e-12,
         "exp-reconstruction": 1e-9,
         "cayley-reconstruction": 1e-10,
-        "cayley-path-equality": 1e-11,
         "determinant-forms": 1e-10,
     }
+    (paths,) = [c for c in report["checks"] if c["name"] == "cayley-path-equality"]
+    assert paths["detail"] == "2j <= 4, exact"
     for check in report["checks"]:
         assert check["cases"] > 0, check
         assert check["seconds"] >= 0, check
@@ -223,7 +224,20 @@ def test_verify_case_counts_per_check():
     # every comparison is counted once, however a check batches its work
     checks = verify.run_verify(9)["checks"]
     assert [c["name"] for c in checks] == list(verify._CHECKS)
-    assert [c["cases"] for c in checks] == [10, 1375, 80, 80, 220, 330, 85, 60]
+    assert [c["cases"] for c in checks] == [10, 1375, 80, 80, 55, 330, 85, 60]
+
+
+def test_readme_case_counts_are_the_suites():
+    # the README's "verify --max-two-j 9 counts ..." sentence, read as the
+    # counts and check names it lists, is what run_verify(9) reports
+    text = " ".join((ROOT / "README.md").read_text().split())
+    match = re.search(r"`verify --max-two-j 9` counts (.+?) cases for (.+?), the order of the report", text)
+    assert match, "README lost its verify case-count sentence"
+    counts = [int(n) for n in re.findall(r"\d+", match.group(1))]
+    names = re.findall(r"`([a-z-]+)`", match.group(2))
+    checks = verify.run_verify(9)["checks"]
+    assert names == [c["name"] for c in checks]
+    assert counts == [c["cases"] for c in checks]
 
 
 def _perturbed_terms(monkeypatch, two_j, k, index):
@@ -322,6 +336,37 @@ def test_asymp_command(capsys):
     assert code == 0
     assert "5e-324,limit,1.0" in out.splitlines()
     assert "1e-320,limit,1.0" in out.splitlines()
+
+
+@pytest.mark.parametrize("j", ["1", "1/2"])
+def test_limit_curves_where_twice_alpha_overflows(capsys, j):
+    # above about 8.99e307, 2|alpha| overflows; B_k/alpha^k and its limit are 0 there
+    code, out = run(capsys, "asymp", "--j-list", j, "--k", "1", "--alpha-grid", "1e308:1e308:1", "--csv")
+    assert (code, out) == (0, f"alpha,series,value\r\n1e+308,j={j},0.0\r\n1e+308,limit,0.0\r\n")
+    argv = ["plotdata", "--figure", "cayley-B12", "--j", j, "--alpha-grid=-1e308:-1e308:1", "--csv"]
+    code, out = run(capsys, *argv)
+    assert (code, out) == (
+        0, f"alpha,series,value\r\n-1e+308,j={j} k=1,0.0\r\n-1e+308,limit k=1,0.0\r\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymp", "--j-list", "1", "--k", "1", "--alpha-grid", "-5:5:4"],
+        ["coeffs", "exp", "--j", "1", "--theta-grid", "-pi:pi:3"],
+    ],
+)
+def test_a_negative_grid_start_needs_the_equals_form(capsys, argv):
+    # argparse reads a separate "-5:5:4" as an option, as the README says
+    flag, grid = argv[-2:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    code, out = run(capsys, *argv[:-2], f"{flag}={grid}")
+    assert code == 0
+    assert out.splitlines()[1].startswith(("-5.0,", "-3.141592653589793,"))
 
 
 def _numerators_built(monkeypatch):

@@ -299,47 +299,53 @@ def test_broken_pair_fails_pairing_parity(monkeypatch, capsys, fresh_caches):
     assert check["detail"] == "op=pairing j=2 B_2 != alpha*B_1"
 
 
-def test_rescaled_recursion_table_fails_path_equality(monkeypatch, capsys, fresh_caches):
-    # twice the den, and so every numerator: the same functions, but not the same table
-    real = cayley.b_coeffs_recursion
+def test_perturbed_determinant_fails_path_equality(monkeypatch, capsys, fresh_caches):
+    # one coefficient of den at spin 5/2 off by 1: the exact resolvent, built
+    # from the spectrum alone, no longer matches the table's partial sums
+    real = cayley._det_ints
 
-    def doubled(j):
-        table = real(j)
-        return table._replace(den=tuple(2 * c for c in table.den))
+    def perturbed(two_j):
+        det = real(two_j)
+        return det[:2] + (det[2] + 1,) + det[3:] if two_j == 5 else det
 
-    monkeypatch.setattr(cayley, "b_coeffs_recursion", doubled)
+    monkeypatch.setattr(cayley, "_det_ints", perturbed)
     code, check = _verify_detail(capsys, "cayley-path-equality")
     assert code == 1
     assert check["passed"] is False
-    assert check["detail"] == "op=b_coeffs_recursion j=0 k=0"
+    assert check["detail"] == "op=resolvent_coeffs j=5/2 k=0 beta=3/7"
+    assert check["cases"] == sum(range(1, 6)) + 1  # every case of 2j < 5, then k = 0
+    assert "worst" not in check and "bound" not in check
 
 
-def test_nan_resolvent_fails_path_equality(monkeypatch):
-    # nan > bound is False: the check must ask not (error <= bound)
-    monkeypatch.setattr(cayley, "resolvent_coeffs", lambda eigs, alpha: [math.nan] * len(eigs))
-    entry = verify._run_check("cayley-path-equality", 6)
-    assert entry["passed"] is False
-    assert entry["detail"] == "op=resolvent_coeffs j=0 k=0 alpha=0.35 resolvent=nan direct=1.0"
-    assert entry["cases"] == 3  # the two exact tables of spin 0, then the nan
-    assert math.isnan(entry["worst"])  # not the 0.0 of the cases before it
+def test_doubled_determinant_fails_determinant_forms(monkeypatch, capsys, fresh_caches):
+    # r_n is homogeneous of degree 0 in den, so twice den passes the path
+    # equality; determinant-forms is what pins den's scale
+    real = cayley._det_ints
+    monkeypatch.setattr(cayley, "_det_ints", lambda two_j: tuple(2 * c for c in real(two_j)))
+    code, check = _verify_detail(capsys, "cayley-path-equality")
+    assert code == 1
+    assert check["passed"] is True
+    code, check = _verify_detail(capsys, "determinant-forms")
+    assert check["passed"] is False
+    assert check["detail"] == "op=det_cfn_poly j=0"
 
 
-def test_unformable_resolvent_is_a_failing_case(monkeypatch):
-    # from 2j = 756 the float determinant underflows to 0 at alpha = 0.35
-    def underflows(eigs, alpha):
-        raise ZeroDivisionError("complex division by zero")
-
-    monkeypatch.setattr(cayley, "resolvent_coeffs", underflows)
-    entry = verify._run_check("cayley-path-equality", 6)
-    assert entry["passed"] is False
-    assert entry["detail"] == (
-        "op=resolvent_coeffs j=0 alpha=0.35 error=ZeroDivisionError('complex division by zero')"
+def test_nan_gamma_form_fails_determinant_forms(monkeypatch):
+    # nan > bound is False: the check must ask not (error <= bound), and a
+    # nan error is the worst even after cases with real errors
+    real = cayley.log_det_gamma
+    monkeypatch.setattr(
+        cayley, "log_det_gamma", lambda j, alpha: math.nan if j.two_j == 1 else real(j, alpha)
     )
-    assert entry["cases"] == 3
+    entry = verify._run_check("determinant-forms", 6)
+    assert entry["passed"] is False
+    assert entry["detail"].startswith("op=det_gamma j=1/2 alpha=-2.0 ")
+    assert entry["cases"] == 6 + 2  # spin 0's six cases, then spin 1/2's table and alpha = -2
+    assert math.isnan(entry["worst"])
 
 
 def test_path_equality_holds_past_the_float_determinants_overflow():
-    # at 2j = 163 the unscaled complex determinant overflowed: B_0 read 0j at alpha = -1.25
-    entry = verify._run_check("cayley-path-equality", 163)
-    assert entry["passed"] is True, entry["detail"]
-    assert entry["worst"] <= entry["bound"]
+    # a complex-float resolvent overflows from 2j = 163 and its determinant
+    # sums to 0 from 756; the exact one matches the table at every n there
+    for two_j in (756, 757):
+        assert verify._resolvent_fails(HalfInt(two_j)) == [False] * (two_j + 1)
