@@ -38,13 +38,11 @@ from .cayley import (
 )
 from .exact import RationalFunction, poly, poly_eval
 from .expcoeffs import (
-    ExpCoeffTable,
     a_coeff_cfn_series,
     a_coeff_derivative_path,
     a_coeff_trunc,
     epsilon,
     exp_grid,
-    exp_poly,
     exp_reconstruction,
 )
 from .halfint import HalfInt, half_integers

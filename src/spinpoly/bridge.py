@@ -169,7 +169,7 @@ def alpha_from_theta(m_eig: float, theta: float) -> float:
     """alpha(theta) = tan(m*theta/2) / (2m) for the eigenvalue m of n.J."""
     if m_eig == 0:
         raise ValueError("the m = 0 eigenstate fixes no relation between the parameters")
-    c = math.cos(m_eig * theta / 2.0)
-    if abs(c) < 1e-15:
-        raise ValueError(f"tan pole: m*theta/2 = {m_eig * theta / 2} is an odd multiple of pi/2")
-    return math.tan(m_eig * theta / 2.0) / (2.0 * m_eig)
+    half = (m_eig / 2.0) * theta  # halving m first, so m*theta cannot overflow alone
+    if abs(math.cos(half)) < 1e-15:
+        raise ValueError(f"tan pole: m*theta/2 = {half} is an odd multiple of pi/2")
+    return math.tan(half) / (2.0 * m_eig)

@@ -29,20 +29,25 @@ from .plots import GridSpec
 
 
 def _parse_float_token(text: str) -> float:
-    """Floats with an optional pi factor: '0', '1.5', 'pi', '4pi', 'pi/2'."""
+    """Floats with an optional pi factor: '0', '1.5', 'pi', '4pi', 'pi/2'.
+
+    Any other token raises argparse.ArgumentTypeError, "cannot parse 'TEXT'".
+    """
     t = text.strip().lower().replace("π", "pi")
-    if "pi" in t:
-        head, _, tail = t.partition("pi")
+    head, pi, tail = t.partition("pi")
+    try:
+        if not pi:
+            return float(t)
         value = math.pi * (float(head) if head and head not in "+-" else float(head + "1"))
         if tail.startswith("/"):
-            divisor = float(tail[1:])
-            if not divisor:
-                raise argparse.ArgumentTypeError(f"cannot parse {text!r}: division by zero")
-            value /= divisor
+            value /= float(tail[1:])
         elif tail:
-            raise argparse.ArgumentTypeError(f"cannot parse {text!r}")
-        return value
-    return float(t)
+            raise ValueError
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}: division by zero") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+    return value
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -168,21 +173,20 @@ def _cmd_basis(args) -> int:
 
 def _cmd_coeffs_exp(args) -> int:
     j = args.j
+    # --csv without a grid writes the one-point grid at --theta
+    thetas = [args.theta] if args.theta_grid is None else args.theta_grid.values()
+    ks = range(j.two_j + 1) if args.k is None else (args.k,)
+    rows = expcoeffs.exp_grid(j, thetas, ks)
     if args.theta_grid is not None or args.csv is not None:
-        # --csv without a grid writes the one-point grid at --theta
-        thetas = [args.theta] if args.theta_grid is None else args.theta_grid.values()
-        ks = range(j.two_j + 1) if args.k is None else (args.k,)
         lines = []
-        for theta, values in zip(thetas, expcoeffs.exp_grid(j, thetas, ks)):
+        for theta, values in zip(thetas, rows):
             t = repr(theta)  # formatted once per grid point
             lines += [f"{t},{k},{a!r}\r\n" for k, a in zip(ks, values)]
         _emit_csv(("theta", "k", "A_k"), lines, args.csv)
-        return 0
-    table = expcoeffs.exp_poly(j, args.theta)
-    if args.k is not None:
-        print(repr(table.A[args.k]))
+    elif args.k is not None:
+        print(repr(rows[0][0]))
     else:
-        for k, a in enumerate(table.A):
+        for k, a in enumerate(rows[0]):
             print(f"A_{k} = {a!r}")
     return 0
 
@@ -403,6 +407,8 @@ def _range_error(args) -> str | None:
     # a command that prints other than CSV refuses --csv rather than drop it
     if args.command == "cfn" and args.csv is not None and not args.table:
         return "cfn --csv writes the --table rows; add --table"
+    if args.command == "cfn" and args.table and args.k is not None:
+        return "cfn --table writes the whole row n; drop --k"
     if getattr(args, "exact", False) and args.csv is not None:
         return "coeffs cayley --exact prints numerator/denominator lists, not CSV; drop --csv"
     if args.command == "verify" and args.max_two_j < 0:
@@ -425,6 +431,9 @@ def _range_error(args) -> str | None:
                 return f"{flag} span {span} overflows"
         elif value is not None and not math.isfinite(value):
             return f"{flag} must be finite, got {value!r}"
+    # shear's largest half-angle, |M| theta / 2 at |M| = j
+    if args.command == "shear" and not math.isfinite(args.j.two_j / 4 * args.theta):
+        return f"shear's half-angle j * theta / 2 overflows at --theta {args.theta!r}"
     spins, ks, grid = [], [], None
     if args.command in ("coeffs", "bridge") and getattr(args, "k", None) is not None:
         spins, ks = [args.j], [args.k]

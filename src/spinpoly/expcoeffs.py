@@ -10,8 +10,8 @@ when 2j - k is even, column k + 1 when it is odd, through the identity
 generation paths are provided (truncated series, direct central-factorial
 sum, derivative relation); they must agree and are tested against each
 other.  The truncated series is the production path: exp_grid evaluates
-it over a grid of angles, and a_coeff_trunc and exp_poly are exp_grid at
-one point.
+it over a grid of angles, coeffs exp at one angle included, and
+a_coeff_trunc is exp_grid at one point.
 
 Coefficient r of column col sits in row col + 2r, and every column a
 spin reads has the parity of 2j, so the float series of all spins of one
@@ -189,16 +189,17 @@ def exp_grid(
     fetched once per call; per point, the half-angle sine s and cosine c
     are taken once, and each A_k is Horner in s*s from the top coefficient
     down, starting from 0 * s*s, then times s**k, times c when 2j - k is
-    odd.  a_coeff_trunc, exp_poly and every grid of the truncated series
+    odd.  a_coeff_trunc, coeffs exp and every grid of the truncated series
     come through here, so they agree bit for bit.  Raises ValueError on a
     k outside 0..2j.
 
     The points run four at a time, in lanes 0..3: one pass over a series
     steps all four Horner sums, so the loop over coefficients is paid once
     per four angles.  Each lane performs exactly the operations a point
-    alone would, in the same order and on its own values, so every result
-    is bit-identical to the one-point loop, a nan or signed-zero angle
-    included.  The last len(thetas) % 4 points take that one-point loop.
+    alone would, in the same order and on its own values, so a result does
+    not depend on its neighbours, a nan or signed-zero angle included.
+    The last group is padded with copies of its last point and their rows
+    dropped, which costs at most 3 extra lanes per call.
 
     Where s**k falls below 2**-1022, it would lose bits before the
     multiply, so there the product is formed by _times_power and rounds
@@ -215,9 +216,10 @@ def exp_grid(
         # |s| >= 2**(e - 1), so s**k is normal while k * (1 - e) <= 1022; e = 1 iff |s| = 1
         e = math.frexp(s)[1]
         points.append((s, math.cos(theta / 2.0), s * s, 1022 // (1 - e) if e < 1 else two_j))
+    count = len(points)
+    points += points[-1:] * (-count % 4)
     out = []
-    quads = len(points) - len(points) % 4
-    for i in range(0, quads, 4):
+    for i in range(0, count, 4):
         (s0, c0, x0, n0), (s1, c1, x1, n1), (s2, c2, x2, n2), (s3, c3, x3, n3) = points[i : i + 4]
         row0, row1, row2, row3 = [], [], [], []
         for k, odd, coeffs in plan:
@@ -241,17 +243,7 @@ def exp_grid(
             row2.append(a2)
             row3.append(a3)
         out += (tuple(row0), tuple(row1), tuple(row2), tuple(row3))
-    for s, c, x, n in points[quads:]:
-        row = []
-        for k, odd, coeffs in plan:
-            acc = 0 * x
-            for co in coeffs:
-                acc = acc * x + co
-            acc = acc * s**k if k <= n else _times_power(acc, s, k)
-            if odd:
-                acc *= c
-            row.append(acc)
-        out.append(tuple(row))
+    del out[count:]
     return out
 
 
@@ -334,19 +326,6 @@ def a_coeff_derivative_path(j: HalfInt, k: int, halves: Sequence) -> list[float]
     # (2/k) d/dtheta [coef * s**m] = (coef * m / k) * s**(m-1) * c
     terms = [(m - 1, co * m / k) for m, co in _cfn_sum_terms(j.two_j, k)]
     return [math.fsum([w * powers[e] * c for e, w in terms]) for powers, c in halves]
-
-
-class ExpCoeffTable(NamedTuple):
-    """A_0..A_2j at a fixed angle."""
-
-    j: HalfInt
-    theta: float
-    A: Tuple[float, ...]
-
-
-def exp_poly(j: HalfInt, theta: float) -> ExpCoeffTable:
-    """Full coefficient table at one angle: exp_grid at one point."""
-    return ExpCoeffTable(j, theta, exp_grid(j, (theta,))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,16 @@ class GridSpec(_GridFields):
         return cls(*iterable)
 
     def values(self) -> list[float]:
+        """start + i * step for i = 0..count - 1, where a point rounded up to inf is stop.
+
+        The true points lie in start..stop, so only rounding at the top of
+        the float range, as in 0:1.7976931348623157e308:4, can make one inf.
+        """
         if self.count == 1:
             return [self.start]
         step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count)]
+        points = (self.start + i * step for i in range(self.count))
+        return [x if x != math.inf else self.stop for x in points]
 
 
 # the grid a figure is drawn over when none is given: theta for exp-A, else alpha

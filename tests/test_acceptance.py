@@ -15,7 +15,7 @@ from spinpoly.basis import verify_fundamental_identity
 from spinpoly.cayley import b_coeffs, b_coeffs_cfn, b_coeffs_recursion
 from spinpoly.cfn import cfn
 from spinpoly.exact import RationalFunction
-from spinpoly.expcoeffs import exp_poly, exp_reconstruction
+from spinpoly.expcoeffs import exp_grid, exp_reconstruction
 from spinpoly.halfint import HalfInt, half_integers
 
 from oracles import cfn_t2, relative_error, validate_figure, verify_exp_equal_cayley
@@ -67,7 +67,7 @@ def test_criterion_3_exponential_reconstruction():
     for j in half_integers(25):
         rep = exp_reconstruction(j, 2 * math.pi)
         assert rep.max_error < 1e-9
-        sign = exp_poly(j, 2 * math.pi).A[0]
+        sign = exp_grid(j, [2 * math.pi])[0][0]
         want = 1.0 if j.is_integer else -1.0
         assert abs(sign - want) < 1e-9, (j, sign)
     _report(3, f"50 angles, 2j <= 25, worst per-eigenvalue error {worst:.2e} (exact identity)")

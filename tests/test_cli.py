@@ -470,6 +470,31 @@ def test_shear_command(capsys):
     assert out == "no nonzero |M| in the spectrum: no alpha <-> theta map is fixed\n"
 
 
+def test_shear_where_m_times_theta_overflows(capsys):
+    # m * theta overflows at 1e308 and |M| = 5/2, while the half-angle 1.25e308 is finite
+    code, out = run(capsys, "shear", "--j", "5/2", "--theta", "1e308")
+    assert code == 0
+    assert "nan" not in out
+    assert f"|M|=5/2: alpha(theta=1e+308) = {math.tan(1.25e308) / 5.0!r}" in out.splitlines()
+    assert bridge.alpha_from_theta(2.5, 1e308) == math.tan(1.25e308) / 5.0
+    # where the largest half-angle j * theta / 2 overflows, shear refuses
+    for theta in ("1.7e308", "-1.7e308"):
+        assert cli.main(["shear", "--j", "5/2", f"--theta={theta}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "spinpoly: error: shear's half-angle j * theta / 2 overflows "
+            f"at --theta {float(theta)!r}\n"
+        )
+    # spin 1/2's half-angle theta / 4 stays finite at the largest theta
+    assert cli.main(["shear", "--j", "1/2", "--theta", "1.7976931348623157e308"]) == 0
+    capsys.readouterr()
+    # a true pole still prints nan: cos(theta / 2) at theta = pi is below 1e-15
+    code, out = run(capsys, "shear", "--j", "1", "--theta", "pi")
+    assert code == 0
+    assert out.splitlines()[0] == "|M|=1: alpha(theta=3.141592653589793) = nan"
+
+
 def test_plotdata_command_and_determinism(capsys):
     code, first = run(
         capsys, "plotdata", "--figure", "inv-det", "--alpha-grid", "0:2:5"
@@ -545,6 +570,7 @@ def test_plotdata_inv_det_past_the_float_range_of_det(capsys, j):
         ["plotdata", "--figure", "cayley-B12", "--j", "0"],
         ["coeffs", "cayley", "--j", "1", "--exact", "--csv", "-"],
         ["cfn", "--n", "4", "--csv", "-"],
+        ["cfn", "--n", "3", "--k", "1", "--table"],
     ],
 )
 def test_out_of_range_arguments_exit_2_with_one_line(capsys, argv):
@@ -573,6 +599,26 @@ def test_grid_parsing_rejects_bad_spec():
     assert cli._parse_float_token("2pi") == pytest.approx(6.283185307179586)
     assert cli._parse_float_token("pi/2") == pytest.approx(1.5707963267948966)
     assert cli._parse_float_token("-pi") == pytest.approx(-3.141592653589793)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, token",
+    [
+        (["coeffs", "exp", "--j", "1", "--theta", "abc"], "--theta", "abc"),
+        (["coeffs", "exp", "--j", "1", "--theta", "xpi"], "--theta", "xpi"),
+        (["coeffs", "cayley", "--j", "1", "--alpha", "1.5.2"], "--alpha", "1.5.2"),
+        (["bridge", "--j", "1", "--k", "1", "--alpha", "pi/x"], "--alpha", "pi/x"),
+        (["coeffs", "exp", "--j", "1", "--theta-grid", "abc:1:3"], "--theta-grid", "abc"),
+        (["asymp", "--j-list", "1", "--alpha-grid", "0:2pix:3"], "--alpha-grid", "2pix"),
+    ],
+)
+def test_an_unparsable_float_names_the_token_not_the_parser(capsys, argv, flag, token):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: cannot parse {token!r}")
+    assert "_parse_float_token" not in err
 
 
 def _parse(parser, argv, capsys):

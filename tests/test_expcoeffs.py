@@ -22,7 +22,6 @@ from spinpoly.expcoeffs import (
     a_coeff_trunc,
     epsilon,
     exp_grid,
-    exp_poly,
     exp_reconstruction,
     half_angles,
 )
@@ -299,9 +298,9 @@ def test_a_cold_large_spin_peaks_small(tmp_path):
     if not status.exists():
         pytest.skip("needs /proc/self/status")
     code = (
-        "from spinpoly.expcoeffs import exp_poly\n"
+        "from spinpoly.expcoeffs import exp_grid\n"
         "from spinpoly.halfint import HalfInt\n"
-        "exp_poly(HalfInt(1000), 1.0)\n"
+        "exp_grid(HalfInt(1000), [1.0])\n"
         "print([l for l in open('/proc/self/status') if l.startswith('VmHWM:')][0].split()[1])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -332,9 +331,9 @@ def test_spin_three_half_k1_series():
 
 def test_zero_angle_is_identity_column():
     for j in half_integers(9):
-        table = exp_poly(j, 0.0)
-        assert table.A[0] == 1.0
-        assert all(a == 0.0 for a in table.A[1:])
+        table = exp_grid(j, [0.0])[0]
+        assert table[0] == 1.0
+        assert all(a == 0.0 for a in table[1:])
 
 
 def test_cfn_series_matches_trunc():
@@ -393,10 +392,10 @@ def test_float_reconstruction_small_spins():
     thetas = [(-4.0 + 8.0 * i / 49) * math.pi for i in range(50)]
     for j in half_integers(10):
         for theta in thetas:
-            table = exp_poly(j, theta)
+            table = exp_grid(j, [theta])[0]
             for m2 in spectrum(j):
                 got = sum(
-                    a * (1j * m2) ** k / math.factorial(k) for k, a in enumerate(table.A)
+                    a * (1j * m2) ** k / math.factorial(k) for k, a in enumerate(table)
                 )
                 assert abs(got - cmath.exp(1j * theta * m2 / 2)) < 1e-9, (j, theta, m2)
 
@@ -432,30 +431,30 @@ def test_reconstruction_at_a_given_point_is_the_same_report():
 
 def test_two_pi_rotation_signs():
     # +identity for integer spin, -identity for semi-integer spin
-    table_int = exp_poly(HalfInt(10), 2 * math.pi)
-    assert table_int.A[0] == pytest.approx(1.0, abs=1e-12)
-    table_half = exp_poly(HalfInt(5), 2 * math.pi)
-    assert table_half.A[0] == pytest.approx(-1.0, abs=1e-12)
+    table_int = exp_grid(HalfInt(10), [2 * math.pi])[0]
+    assert table_int[0] == pytest.approx(1.0, abs=1e-12)
+    table_half = exp_grid(HalfInt(5), [2 * math.pi])[0]
+    assert table_half[0] == pytest.approx(-1.0, abs=1e-12)
     for two_j in (5, 10):
         rep = exp_reconstruction(HalfInt(two_j), 2 * math.pi)
         assert rep.max_error < 1e-12
 
 
 def test_table_is_the_single_coefficient_path_bit_for_bit():
-    # exp_poly takes sin and cos once per angle; every entry must still be
+    # exp_grid takes sin and cos once per angle; every entry must still be
     # exactly what a_coeff_trunc returns, so grid CSVs do not depend on --k
     for two_j in (0, 1, 6, 9, 40, 137):
         j = HalfInt(two_j)
         for theta in THETAS[::7] + [0.0, 2 * math.pi, 11.0]:
             want = tuple(a_coeff_trunc(j, k, theta) for k in range(two_j + 1))
-            assert exp_poly(j, theta).A == want, (two_j, theta)
+            assert exp_grid(j, [theta])[0] == want, (two_j, theta)
 
 
 def test_periodicity_4pi():
     for j in half_integers(9):
         for theta in (0.4, 2.0, -1.3):
-            before = exp_poly(j, theta).A
-            after = exp_poly(j, theta + 4 * math.pi).A
+            before = exp_grid(j, [theta])[0]
+            after = exp_grid(j, [theta + 4 * math.pi])[0]
             assert all(abs(a - b) < 1e-9 for a, b in zip(before, after))
 
 
@@ -466,17 +465,17 @@ def test_matches_basis_projection():
         for theta in (0.8, 2.4):
             fvals = [cmath.exp(1j * theta * m2 / 2) for m2 in spectrum(j)]
             projected = project_coefficients(j, fvals)
-            table = exp_poly(j, theta)
-            for k, (fk, ak) in enumerate(zip(projected, table.A)):
+            table = exp_grid(j, [theta])[0]
+            for k, (fk, ak) in enumerate(zip(projected, table)):
                 want = 1j**k * ak / math.factorial(k)
                 assert abs(fk - want) < 1e-10, (two_j, theta, k)
 
 
 def test_matrix_coefficients_euler_rodrigues():
     theta = 1.37
-    table = exp_poly(HalfInt(2), theta)
+    table = exp_grid(HalfInt(2), [theta])[0]
     # coefficients of (n.J)**k: (1/k!) A_k (2i)**k
-    c0, c1, c2 = (a * (2j) ** k / math.factorial(k) for k, a in enumerate(table.A))
+    c0, c1, c2 = (a * (2j) ** k / math.factorial(k) for k, a in enumerate(table))
     assert abs(c0 - 1.0) < 1e-15
     assert abs(c1 - 1j * math.sin(theta)) < 1e-15
     assert abs(c2 - (math.cos(theta) - 1.0)) < 1e-15
@@ -569,7 +568,7 @@ def test_exp_grid_rounds_once_where_s_to_the_k_is_subnormal():
     # at 2j = 1000, s = 0.455, k = 940, s**k is 3.4e-322 while A_k is a normal 7.94e-308,
     # which a product through the rounded s**k misses by 0.44%; at s = 0.45, s**k underflows
     # to 0 at k = 934 and 940, while A_k is a nonzero subnormal (2.59e-310 at k = 934).
-    # Five points, alternating: the four lanes and the one-point loop each meet both.
+    # Five points, alternating: the four lanes and the padded last group each meet both.
     # A child process, so the exact rows of 2j = 1000 are not cached here.
     code = (
         "import math\n"

@@ -1,6 +1,6 @@
 import pytest
 
-from spinpoly import plots
+from spinpoly import cli, plots
 from spinpoly.halfint import HalfInt
 
 GRID = plots.GridSpec(0.5, 1.0, 2)
@@ -90,3 +90,13 @@ def test_a_figure_left_without_a_default_k_is_refused():
         plots.figure_rows("cayley-B12", [HalfInt(0)], alpha_grid=GRID)
     header, rows = plots.figure_rows("cayley-B12", [HalfInt(0)], [0], alpha_grid=GRID)
     assert rows
+
+
+def test_a_grid_point_rounded_past_the_largest_float_is_stop():
+    # 3 * (max / 3) rounds up to inf; the true point is stop itself
+    top = 1.7976931348623157e308
+    assert plots.GridSpec(0.0, top, 4).values() == [0.0, top / 3 * 1, top / 3 * 2, top]
+    assert plots.GridSpec(-3.66, 0.58, 3).values()[-1] == 0.5800000000000001  # rounding kept
+    for argv in (["coeffs", "exp", "--j", "1"], ["coeffs", "cayley", "--j", "1"]):
+        flag = "--theta-grid" if argv[1] == "exp" else "--alpha-grid"
+        assert cli.main([*argv, f"{flag}=0:{top!r}:4", "--csv"]) == 0

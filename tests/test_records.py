@@ -87,7 +87,6 @@ def _records():
         RationalFunction((1,), (1, 1)),
         cayley.b_coeffs(j),
         cayley.cayley_reconstruction(j, F(1, 2)),
-        expcoeffs.exp_poly(j, 0.5),
         expcoeffs.exp_reconstruction(j, 0.5),
         basis.verify_fundamental_identity(j),
         bridge.laplace_pair(j, 1, 0.5),
