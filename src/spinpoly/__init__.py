@@ -4,10 +4,14 @@ Rotations of a spin-j system, written either as exponentials or as Cayley
 rational forms, reduce to polynomials in the spin matrix.  This package
 computes the polynomial coefficients exactly — rational arithmetic
 throughout, floats only at final evaluation — and cross-validates every
-table through independent generation paths.  The names exported here are
-the ones the CLI, ``verify`` and the fixtures run, plus the general entry
-point project_coefficients; the closed-form references that only tests
-compare against live in tests/oracles.py.
+table through independent generation paths.  Most names exported here
+are ones the CLI, ``verify`` or the fixtures run, with the exact
+polynomial helpers poly and poly_eval under them.  The rest no command
+runs: the general entry point project_coefficients, and b_coeffs_recursion,
+b_from_a_laplace and a_coeff_trunc, which the tests compare and the
+benchmark's tracer times.  The README's Public API table says what
+reaches each name; the closed-form references that only tests compare
+against live in tests/oracles.py.
 """
 
 from .basis import (

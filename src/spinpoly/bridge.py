@@ -95,7 +95,8 @@ class LaplacePair(NamedTuple):
 
     @property
     def consistent(self) -> bool:
-        return abs(self.b_direct - self.b_via_laplace) <= 1e-9 * max(1.0, abs(self.b_direct))
+        # each side is the exact B_k(alpha) rounded once: any gap is a fault
+        return self.b_direct == self.b_via_laplace
 
 
 def laplace_pair(j: HalfInt, k: int, alpha: float) -> LaplacePair:

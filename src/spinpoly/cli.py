@@ -424,11 +424,9 @@ def _range_error(args) -> str | None:
         value = getattr(args, name, None)
         flag = "--" + name.replace("_", "-")
         if isinstance(value, GridSpec):
-            span = f"{value.start!r}:{value.stop!r}"
-            if not (math.isfinite(value.start) and math.isfinite(value.stop)):
-                return f"{flag} needs finite endpoints, got {span}"
-            if value.count > 1 and not math.isfinite(value.stop - value.start):
-                return f"{flag} span {span} overflows"
+            error = value.span_error()
+            if error:
+                return f"{flag} {error}"
         elif value is not None and not math.isfinite(value):
             return f"{flag} must be finite, got {value!r}"
     # shear's largest half-angle, |M| theta / 2 at |M| = j

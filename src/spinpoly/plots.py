@@ -49,14 +49,29 @@ class GridSpec(_GridFields):
         # NamedTuple's _replace builds through _make: check the fields here too
         return cls(*iterable)
 
+    def span_error(self) -> str | None:
+        """Why the grid's points are not all finite, if they are not: a
+        non-finite endpoint, or a span that overflows between two or more points."""
+        span = f"{self.start!r}:{self.stop!r}"
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            return f"needs finite endpoints, got {span}"
+        if self.count > 1 and not math.isfinite(self.stop - self.start):
+            return f"span {span} overflows"
+        return None
+
     def values(self) -> list[float]:
         """start + i * step for i = 0..count - 1, where a point rounded up to inf is stop.
 
         The true points lie in start..stop, so only rounding at the top of
         the float range, as in 0:1.7976931348623157e308:4, can make one inf.
+        A one-point grid is [start]; a longer one raises ValueError where
+        span_error gives a reason, as the CLI refuses it.
         """
         if self.count == 1:
             return [self.start]
+        error = self.span_error()
+        if error:
+            raise ValueError(f"grid {error}")
         step = (self.stop - self.start) / (self.count - 1)
         points = (self.start + i * step for i in range(self.count))
         return [x if x != math.inf else self.stop for x in points]

@@ -1,15 +1,17 @@
 """Cross-module invariant suite, reported machine-readably.
 
-Each check covers all spins up to a caller-chosen 2j and returns a dict
-with pass/fail plus enough context (operation, j, k, alpha/theta) to
-locate the first violation.  Every entry also reports its margins: the
-number of cases compared and the seconds taken, and for a check with a
-float bound the worst error seen next to that bound.  The CLI serializes
-the result as JSON.
-
-A check runs each oracle path once per grid (all angles, all alphas or
-all k of a spin) and then compares the cases in order, so the count, the
-worst error and the first failure are those of one case at a time.
+Each check is a generator over the spins up to a caller-chosen 2j.  Per
+batch (one spin, one (j, k) or one column) it runs each oracle path once
+over the batch's grid and yields the batch's cases: whether each fails,
+each one's float error if the check has a float bound, and a callable
+that maps a failing index to its detail (operation, j, k, alpha/theta).
+One driver, _run_check, judges every check alike.  It counts the cases
+up to the first failure, keeps the worst counted error (nan once any is
+nan) and stops there, so the count, the worst error and the first
+failure are those of one case at a time.  Each entry gives pass/fail,
+the detail, the cases compared and the seconds taken, and for a check
+with a float bound the worst error next to that bound.  The CLI
+serializes the result as JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bridge, cayley, expcoeffs
 from .basis import spectrum, verify_fundamental_identity
@@ -34,39 +36,20 @@ EXP_RECON_BOUND = 1e-9       # absolute, per eigenvalue against exp
 CAYLEY_RECON_BOUND = 1e-10   # absolute, per eigenvalue against the Cayley form
 DET_BOUND = 1e-10            # relative, polynomial against gamma form
 
-
-class _Tally:
-    """Cases compared by one check, and the worst float error among them."""
-
-    def __init__(self) -> None:
-        self.cases = 0
-        self.worst = 0.0
-
-    def add(self, fails: Sequence[bool], errs: Sequence[float] = ()) -> int | None:
-        """Count a batch of cases up to its first failing one; return that index, or None.
-
-        errs, for a check with a float bound, are the cases' errors; the
-        worst counted one is kept, as if the cases had come one at a time.
-        A nan error is the worst of all: max would skip one that is not first.
-        """
-        bad = next((i for i, fail in enumerate(fails) if fail), None)
-        n = len(fails) if bad is None else bad + 1
-        self.cases += n
-        if errs:
-            counted = [self.worst, *errs[:n]]
-            self.worst = math.nan if any(map(math.isnan, counted)) else max(counted)
-        return bad
+# one batch of cases: whether each fails, each one's float error (empty for
+# an exact check), and the failing index's detail
+_Batch = tuple[Sequence[bool], Sequence[float], Callable[[int], str]]
 
 
-def _check_fundamental_identity(max_two_j: int, tally: _Tally) -> str | None:
+def _check_fundamental_identity(max_two_j: int) -> Iterator[_Batch]:
     for j in half_integers(max_two_j):
         rep = verify_fundamental_identity(j)
-        if tally.add([not rep.passed]) is not None:
-            return f"op=verify_fundamental_identity j={j} eigenvalue={rep.failing_eigenvalue}"
-    return None
+        yield [not rep.passed], (), lambda bad: (
+            f"op=verify_fundamental_identity j={j} eigenvalue={rep.failing_eigenvalue}"
+        )
 
 
-def _check_exp_paths(max_two_j: int, tally: _Tally) -> str | None:
+def _check_exp_paths(max_two_j: int) -> Iterator[_Batch]:
     for j in half_integers(max_two_j):
         halves = expcoeffs.half_angles(_THETAS, j.two_j)  # once per spin, for every k
         for k, trunc in enumerate(zip(*expcoeffs.exp_grid(j, _THETAS))):
@@ -75,54 +58,38 @@ def _check_exp_paths(max_two_j: int, tally: _Tally) -> str | None:
             else:
                 op = "a_coeff_derivative_path"
                 other = expcoeffs.a_coeff_derivative_path(j, k + 1, halves)
-            # relative error |a - b| / max(|a|, |b|), 0 where a == b
-            fails, errs = [], []
-            for a, b in zip(trunc, other):
-                if a == b:
-                    fails.append(False)
-                    errs.append(0.0)
-                else:
-                    diff, scale = abs(a - b), max(abs(a), abs(b))
-                    fails.append(not diff <= EXP_PATH_BOUND * scale)
-                    errs.append(diff / scale)
-            bad = tally.add(fails, errs)
-            if bad is not None:
-                a, b = trunc[bad], other[bad]
-                return f"op={op} j={j} k={k} theta={_THETAS[bad]} trunc={a} other={b}"
-    return None
+            # |a - b| / max(|a|, |b|), 0 where a == b; nan, and so failing, where one is inf
+            errs = [
+                0.0 if a == b else abs(a - b) / max(abs(a), abs(b)) for a, b in zip(trunc, other)
+            ]
+            yield [not err <= EXP_PATH_BOUND for err in errs], errs, lambda bad: (
+                f"op={op} j={j} k={k} theta={_THETAS[bad]} trunc={trunc[bad]} other={other[bad]}"
+            )
 
 
-def _check_exp_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
+def _reconstruction_batch(op: str, j: HalfInt, reps, bound: float, at: str) -> _Batch:
+    # each rep's exactness and its worst error per eigenvalue, at its theta or alpha
+    return (
+        [not (rep.exact and rep.max_error < bound) for rep in reps],
+        [rep.max_error for rep in reps],
+        lambda bad: (
+            f"op={op} j={j} {at}={getattr(reps[bad], at)} "
+            f"max_error={reps[bad].max_error} exact={reps[bad].exact}"
+        ),
+    )
+
+
+def _check_exp_reconstruction(max_two_j: int) -> Iterator[_Batch]:
     points = [expcoeffs.quarter_tan(theta) for theta in _RECON_THETAS]  # once per check
     for j in half_integers(max_two_j):
         reps = [expcoeffs.exp_reconstruction(j, t, pt) for t, pt in zip(_RECON_THETAS, points)]
-        bad = tally.add(
-            [not rep.exact or rep.max_error >= EXP_RECON_BOUND for rep in reps],
-            [rep.max_error for rep in reps],
-        )
-        if bad is not None:
-            rep = reps[bad]
-            return (
-                f"op=exp_reconstruction j={j} theta={rep.theta} "
-                f"max_error={rep.max_error} exact={rep.exact}"
-            )
-    return None
+        yield _reconstruction_batch("exp_reconstruction", j, reps, EXP_RECON_BOUND, "theta")
 
 
-def _check_cayley_reconstruction(max_two_j: int, tally: _Tally) -> str | None:
+def _check_cayley_reconstruction(max_two_j: int) -> Iterator[_Batch]:
     for j in half_integers(max_two_j):
         reps = [cayley.cayley_reconstruction(j, alpha) for alpha in _ALPHAS[:8]]
-        bad = tally.add(
-            [not rep.exact or rep.max_error >= CAYLEY_RECON_BOUND for rep in reps],
-            [rep.max_error for rep in reps],
-        )
-        if bad is not None:
-            rep = reps[bad]
-            return (
-                f"op=cayley_reconstruction j={j} alpha={rep.alpha} "
-                f"max_error={rep.max_error} exact={rep.exact}"
-            )
-    return None
+        yield _reconstruction_batch("cayley_reconstruction", j, reps, CAYLEY_RECON_BOUND, "alpha")
 
 
 def _resolvent_fails(j: HalfInt) -> list[bool]:
@@ -139,15 +106,12 @@ def _resolvent_fails(j: HalfInt) -> list[bool]:
     return [r.numerator * s_deg != num * r.denominator for r, num in zip(res, nums)]
 
 
-def _check_cayley_paths(max_two_j: int, tally: _Tally) -> str | None:
+def _check_cayley_paths(max_two_j: int) -> Iterator[_Batch]:
     for j in half_integers(max_two_j):
-        bad = tally.add(_resolvent_fails(j))
-        if bad is not None:
-            return f"op=resolvent_coeffs j={j} k={bad} beta={BETA}"
-    return None
+        yield _resolvent_fails(j), (), lambda k: f"op=resolvent_coeffs j={j} k={k} beta={BETA}"
 
 
-def _check_laplace_bridge(max_two_j: int, tally: _Tally) -> str | None:
+def _check_laplace_bridge(max_two_j: int) -> Iterator[_Batch]:
     alphas = _ALPHAS[:6]
     ratios = [alpha.as_integer_ratio() for alpha in alphas]
     for j in half_integers(max_two_j):
@@ -159,47 +123,46 @@ def _check_laplace_bridge(max_two_j: int, tally: _Tally) -> str | None:
         for k in range(two_j + 1):
             column = columns[k + (two_j - k) % 2]
             vias = [bridge.scaled_laplace(two_j, k, column, p, q) for p, q in ratios]
-            bad = tally.add(
-                [num * den != nums[k] * v_den for (num, v_den), (nums, den) in zip(vias, tables)]
-            )
-            if bad is not None:
-                nums, den = tables[bad]
-                return (
+            directs = [(nums[k], den) for nums, den in tables]
+            yield (
+                [num * den != d_num * v_den for (num, v_den), (d_num, den) in zip(vias, directs)],
+                (),
+                lambda bad: (
                     f"op=b_from_a_laplace j={j} k={k} alpha={alphas[bad]} "
-                    f"laplace={Fraction(*vias[bad])} direct={Fraction(nums[k], den)}"
-                )
-    return None
+                    f"laplace={Fraction(*vias[bad])} direct={Fraction(*directs[bad])}"
+                ),
+            )
 
 
-def _check_pairing_parity(max_two_j: int, tally: _Tally) -> str | None:
+def _check_pairing_parity(max_two_j: int) -> Iterator[_Batch]:
     # B_k(-alpha) = (-1)^k B_k(alpha): den is even and B_k's numerator has k's parity
     for j in half_integers(max_two_j):
         table = cayley.b_coeffs(j)
         nums = list(map(table.b_num, range(j.two_j + 1)))
         odd_den = any(table.den[1::2])
-        bad = tally.add([odd_den or any(num[1 - k % 2 :: 2]) for k, num in enumerate(nums)])
-        if bad is not None:
-            return f"op=parity j={j} k={bad}"
+        yield (
+            [odd_den or any(num[1 - k % 2 :: 2]) for k, num in enumerate(nums)],
+            (),
+            lambda k: f"op=parity j={j} k={k}",
+        )
         if j.is_integer:
-            if tally.add([nums[0] != table.den]) is not None:
-                return f"op=B0 j={j}"
+            yield [nums[0] != table.den], (), lambda bad: f"op=B0 j={j}"
             pairs = [(2 * k + 2, 2 * k + 1) for k in range(j.two_j // 2)]
         else:
             pairs = [(2 * k + 1, 2 * k) for k in range((j.two_j + 1) // 2)]
-        bad = tally.add([nums[hi] != (0,) + nums[lo] for hi, lo in pairs])
-        if bad is not None:
-            hi, lo = pairs[bad]
-            return f"op=pairing j={j} B_{hi} != alpha*B_{lo}"
-    return None
+        yield (
+            [nums[hi] != (0,) + nums[lo] for hi, lo in pairs],
+            (),
+            lambda bad: "op=pairing j={} B_{} != alpha*B_{}".format(j, *pairs[bad]),
+        )
 
 
-def _check_det_forms(max_two_j: int, tally: _Tally) -> str | None:
+def _check_det_forms(max_two_j: int) -> Iterator[_Batch]:
     # as logs, since det(2) passes the float range near 2j = 150
     alphas = (-2.0, -0.5, 0.5, 1.0, 2.0)
     for j in half_integers(max_two_j):
         det, cfn_det = cayley.det_forms(j)
-        if tally.add([det != cfn_det]) is not None:
-            return f"op=det_cfn_poly j={j}"
+        yield [det != cfn_det], (), lambda bad: f"op=det_cfn_poly j={j}"
         deg = len(det) - 1
         logs = []
         for alpha in alphas:
@@ -207,14 +170,10 @@ def _check_det_forms(max_two_j: int, tally: _Tally) -> str | None:
             scaled = cayley.scaled_b(j.two_j, p, q, ())[1]  # q**deg det(p/q)
             logs.append((math.log(scaled) - deg * math.log(q), cayley.log_det_gamma(j, alpha)))
         errs = [-math.expm1(-abs(lp - lg)) for lp, lg in logs]  # |a - b| / max(a, b)
-        bad = tally.add([not err <= DET_BOUND for err in errs], errs)
-        if bad is not None:
-            log_poly, log_gamma = logs[bad]
-            return (
-                f"op=det_gamma j={j} alpha={alphas[bad]} "
-                f"log_poly={log_poly} log_gamma={log_gamma}"
-            )
-    return None
+        yield [not err <= DET_BOUND for err in errs], errs, lambda bad: (
+            f"op=det_gamma j={j} alpha={alphas[bad]} "
+            f"log_poly={logs[bad][0]} log_gamma={logs[bad][1]}"
+        )
 
 
 # name -> (check, float bound or None, note after "2j <= N" in a passing detail)
@@ -232,25 +191,36 @@ _CHECKS = {
 
 def _run_check(name: str, max_two_j: int) -> dict:
     check, bound, note = _CHECKS[name]
-    tally = _Tally()
+    cases, worst, failure = 0, 0.0, None
     start = time.perf_counter()
-    failure = check(max_two_j, tally)
+    for fails, errs, detail in check(max_two_j):
+        bad = next((i for i, fail in enumerate(fails) if fail), None)
+        n = len(fails) if bad is None else bad + 1
+        cases += n
+        if errs:
+            # max would skip a nan that is not first: a nan error is the worst of all
+            counted = [worst, *errs[:n]]
+            worst = math.nan if any(map(math.isnan, counted)) else max(counted)
+        if bad is not None:
+            # detail reads the check's loop variables: call it before the
+            # generator resumes, while they still hold this batch
+            failure = detail(bad)
+            break
     entry = {
         "name": name,
         "passed": failure is None,
         "detail": failure or f"2j <= {max_two_j}{note}",
-        "cases": tally.cases,
+        "cases": cases,
         "seconds": round(time.perf_counter() - start, 6),
     }
     if bound is not None:
-        entry["worst"] = tally.worst
+        entry["worst"] = worst
         entry["bound"] = bound
     return entry
 
 
-def run_verify(max_two_j: int) -> dict:
-    """Run the whole invariant suite up to the given 2j."""
-    checks = [_run_check(name, max_two_j) for name in _CHECKS]
+def _report(max_two_j: int, names: Iterable[str]) -> dict:
+    checks = [_run_check(name, max_two_j) for name in names]
     return {
         "max_two_j": max_two_j,
         "passed": all(c["passed"] for c in checks),
@@ -258,7 +228,11 @@ def run_verify(max_two_j: int) -> dict:
     }
 
 
+def run_verify(max_two_j: int) -> dict:
+    """Run the whole invariant suite up to the given 2j."""
+    return _report(max_two_j, _CHECKS)
+
+
 def run_verify_fi(max_two_j: int) -> dict:
     """Fundamental-identity suite only."""
-    check = _run_check("fundamental-identity", max_two_j)
-    return {"max_two_j": max_two_j, "passed": check["passed"], "checks": [check]}
+    return _report(max_two_j, ["fundamental-identity"])

@@ -215,9 +215,9 @@ def test_verify_failure_exit_code_and_context(capsys, monkeypatch):
 
 def test_verify_determinant_forms_past_the_float_range_of_det():
     # det(2) passes the float range at 2j = 150; the check compares logs
-    tally = verify._Tally()
-    assert verify._check_det_forms(160, tally) is None
-    assert tally.cases == 161 * 6 and tally.worst < verify.DET_BOUND
+    entry = verify._run_check("determinant-forms", 160)
+    assert entry["passed"] is True
+    assert entry["cases"] == 161 * 6 and entry["worst"] < verify.DET_BOUND
 
 
 def test_verify_case_counts_per_check():
@@ -238,6 +238,58 @@ def test_readme_case_counts_are_the_suites():
     checks = verify.run_verify(9)["checks"]
     assert names == [c["name"] for c in checks]
     assert counts == [c["cases"] for c in checks]
+
+
+def test_readme_exact_checks_are_the_unbounded_ones():
+    # the README's "The exact checks (...) have no `worst` or `bound`" list
+    # names the checks whose bound is None
+    text = " ".join((ROOT / "README.md").read_text().split())
+    match = re.search(r"The exact checks \((.+?)\) have no `worst` or `bound`", text)
+    assert match, "README lost its list of exact checks"
+    names = set(re.findall(r"`([a-z-]+)`", match.group(1)))
+    assert names == {name for name, (_, bound, _) in verify._CHECKS.items() if bound is None}
+
+
+def test_exp_path_equality_fails_on_an_infinite_value(monkeypatch):
+    # |inf - a| <= 1e-12 * inf holds: the check must judge the relative error,
+    # nan here, and so fail at the first case whose oracle is inf
+    real = expcoeffs.a_coeff_cfn_series
+
+    def series(j, k, halves):
+        values = real(j, k, halves)
+        if (j.two_j, k) == (4, 2):
+            values[3] = math.inf
+        return values
+
+    monkeypatch.setattr(expcoeffs, "a_coeff_cfn_series", series)
+    entry = verify._run_check("exp-path-equality", 6)
+    assert entry["passed"] is False
+    assert entry["detail"].startswith("op=a_coeff_cfn_series j=2 k=2 theta=")
+    assert entry["detail"].endswith(" other=inf")
+    assert math.isnan(entry["worst"])
+
+
+@pytest.mark.parametrize(
+    "module, attr, name",
+    [
+        (expcoeffs, "exp_reconstruction", "exp-reconstruction"),
+        (cayley, "cayley_reconstruction", "cayley-reconstruction"),
+    ],
+)
+def test_reconstruction_fails_on_a_nan_error(monkeypatch, module, attr, name):
+    # nan >= bound is False: a nan error must fail the case, not pass it
+    real = getattr(module, attr)
+
+    def reconstruction(j, *args):
+        rep = real(j, *args)
+        return rep._replace(max_error=math.nan) if j.two_j == 3 else rep
+
+    monkeypatch.setattr(module, attr, reconstruction)
+    entry = verify._run_check(name, 6)
+    assert entry["passed"] is False
+    assert entry["detail"].startswith(f"op={attr} j=3/2 ")
+    assert "max_error=nan" in entry["detail"]
+    assert math.isnan(entry["worst"])
 
 
 def _perturbed_terms(monkeypatch, two_j, k, index):
@@ -428,6 +480,20 @@ def test_bridge_command(capsys):
     code, out = run(capsys, "bridge", "--j", "3/2", "--k", "1", "--alpha", "0.4")
     assert code == 0
     assert "consistent: True" in out
+
+
+def test_bridge_fails_on_a_laplace_value_off_by_one_part_in_1e12(capsys, monkeypatch):
+    # both sides are the same exact B_k(alpha) rounded once: any gap is a fault
+    real = bridge._laplace_ints
+
+    def laplace_ints(*args):
+        num, den = real(*args)
+        return num * (10**12 + 1), den * 10**12
+
+    monkeypatch.setattr(bridge, "_laplace_ints", laplace_ints)
+    code, out = run(capsys, "bridge", "--j", "3/2", "--k", "1", "--alpha", "0.4")
+    assert code == 1
+    assert "consistent: False" in out
 
 
 def test_bridge_quadrature_refuses_an_alpha_whose_nodes_overflow(capsys):

@@ -4,18 +4,25 @@ Hypothesis draws argvs for `coeffs exp`, `coeffs cayley`, `asymp`, `bridge`,
 `shear` and `plotdata`: spins 2j <= 40, ks just past 0..2j on both sides,
 and float tokens from across the finite range (±0, subnormals, the largest
 floats, multiples of pi/d that land on the poles of alpha_from_theta) as
-plain values, pi tokens and grid endpoints.  Every option is written in its
-`--flag=value` form, so a negative value is never read as an option.
+plain values, pi tokens and grid endpoints.  A second test, with its own
+example budget, draws `cfn` (n and k from -2 to about 40, with and without
+`--table` and `--csv`), `basis` (2j <= 30, `--inverse`, `--duals` or both)
+and `verify` (`--fi` or not, `--max-two-j` from -3 to 6).  Every option is
+written in its `--flag=value` form, so a negative value is never read as
+an option.
 
 A run may exit 0, 1 or 2 and raises nothing; argparse's own usage errors
 leave main through SystemExit(2).  A refusal of _range_error is exactly one
 `spinpoly: error:` line on stderr and nothing on stdout, exit 1 comes only
-from `bridge`, no CSV field is nan or inf, and `shear` prints nan only at a
-true pole, where cos(|M| theta / 2) is below the 1e-15 it tests.
+from `bridge`, no CSV field is nan or inf, `shear` prints nan only at a
+true pole, where cos(|M| theta / 2) is below the 1e-15 it tests, `basis`
+writes 2j + 1 rows of 2j + 1 fields, and `verify` prints a passing report
+of the 2j it was given.
 """
 
 import contextlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -96,12 +103,35 @@ COMMANDS = {
     ),
 }
 
-argvs = st.one_of(
-    [
-        parts.map(lambda p, name=name: [*name.split(), *(a for part in p for a in part)])
-        for name, parts in COMMANDS.items()
-    ]
-)
+# cheap to run but for verify, whose 2j stays small
+MORE_COMMANDS = {
+    "cfn": st.tuples(
+        _flag("--n", st.integers(-2, 40).map(str)),
+        _maybe(_flag("--k", st.integers(-2, 42).map(str))),
+        _maybe(st.just(["--table"])),
+        _csv,
+    ),
+    "basis": st.tuples(
+        _flag("--j", st.integers(0, 30).map(lambda two_j: f"{two_j}/2")),
+        _maybe(st.sampled_from([["--inverse"], ["--duals"], ["--inverse", "--duals"]])),
+        _csv,
+    ),
+    "verify": st.tuples(
+        _maybe(st.just(["--fi"])), _flag("--max-two-j", st.integers(-3, 6).map(str))
+    ),
+}
+
+
+def _argvs(commands):
+    return st.one_of(
+        [
+            parts.map(lambda p, name=name: [*name.split(), *(a for part in p for a in part)])
+            for name, parts in commands.items()
+        ]
+    )
+
+
+argvs = _argvs(COMMANDS)
 
 
 def _run(argv):
@@ -114,9 +144,7 @@ def _run(argv):
             return exc.code, False, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(argvs)
-def test_commands_end_cleanly_over_their_documented_range(argv):
+def _assert_ends_cleanly(argv):
     code, parsed, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code)
     if not parsed:
@@ -136,3 +164,24 @@ def test_commands_end_cleanly_over_their_documented_range(argv):
             if line.endswith("= nan"):
                 m = float(Fraction(line[4 : line.index(":")]))
                 assert abs(math.cos(m / 2 * theta)) < 1e-15, (argv, line)
+    if argv[0] == "basis":
+        two_j = int(argv[1].partition("=")[2].partition("/")[0])
+        rows = out.split("\r\n")[1:-1]
+        assert len(rows) == two_j + 1, argv
+        assert all(len(row.split(",")) == two_j + 1 for row in rows), argv
+    if argv[0] == "verify":
+        report = json.loads(out)
+        assert report["passed"] is True, argv
+        assert report["max_two_j"] == int(argv[-1].partition("=")[2]), argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(argvs)
+def test_commands_end_cleanly_over_their_documented_range(argv):
+    _assert_ends_cleanly(argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_argvs(MORE_COMMANDS))
+def test_cfn_basis_and_verify_end_cleanly_over_their_documented_range(argv):
+    _assert_ends_cleanly(argv)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from spinpoly import cli, plots
@@ -100,3 +102,28 @@ def test_a_grid_point_rounded_past_the_largest_float_is_stop():
     for argv in (["coeffs", "exp", "--j", "1"], ["coeffs", "cayley", "--j", "1"]):
         flag = "--theta-grid" if argv[1] == "exp" else "--alpha-grid"
         assert cli.main([*argv, f"{flag}=0:{top!r}:4", "--csv"]) == 0
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (plots.GridSpec(-1e308, 1e308, 3), r"span -1e\+308:1e\+308 overflows"),
+        (plots.GridSpec(-1.7976931348623157e308, 1.7976931348623157e308, 2), "overflows"),
+        (plots.GridSpec(math.nan, 1.0, 3), "needs finite endpoints"),
+        (plots.GridSpec(0.0, math.inf, 2), "needs finite endpoints"),
+        (plots.GridSpec(-math.inf, math.inf, 4), "needs finite endpoints"),
+    ],
+)
+def test_a_grid_without_finite_points_is_refused(capsys, grid, message):
+    # no nan or inf point: values() refuses the grids whose span is not finite
+    with pytest.raises(ValueError, match=message):
+        grid.values()
+    # a one-point grid is its start
+    assert repr(plots.GridSpec(grid.start, grid.stop, 1).values()) == repr([grid.start])
+    # the CLI refuses the same grid with its one error line
+    flag = f"--alpha-grid={grid.start!r}:{grid.stop!r}:{grid.count}"
+    assert cli.main(["coeffs", "cayley", "--j", "1", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("spinpoly: error: --alpha-grid ")
+    assert len(captured.err.splitlines()) == 1
