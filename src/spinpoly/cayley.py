@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cfn import cfn_pair
-from .exact import Poly, RationalFunction, i_power_parts, poly, poly_eval
+from .exact import Poly, RationalFunction, i_spectrum, poly
 from .halfint import HalfInt
 
 
@@ -373,12 +373,9 @@ def cayley_reconstruction(j: HalfInt, alpha) -> CayleyReconstruction:
     nums, den = scaled_b(j.two_j, p, q)
     coeffs = [2 * num for num in nums]
     coeffs[0] -= den
-    even, odd = i_power_parts(coeffs)
     max_err = 0.0
     exact = True
-    for m2 in range(j.two_j % 2, j.two_j + 1, 2):  # |M| = |2m|
-        re = poly_eval(even, m2 * m2)
-        im = m2 * poly_eval(odd, m2 * m2)
+    for m2, re, im in i_spectrum(coeffs, j.two_j):  # |M| = |2m|
         pm, qq = p * p * m2 * m2, q * q
         tden = qq + pm
         dre = re * tden - den * (qq - pm)

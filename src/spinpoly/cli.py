@@ -11,7 +11,6 @@ opened or written.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -120,8 +119,8 @@ def _csv_opened(args):
         with args.csv:
             yield
     except BaseException as exc:
-        if created:
-            os.remove(path)
+        if created:  # the file the open made, not a dangling link to it
+            os.remove(os.path.realpath(path))
         if isinstance(exc, OSError):
             raise _CannotWrite(path, exc) from None
         raise
@@ -432,21 +431,19 @@ def _range_error(args) -> str | None:
     # shear's largest half-angle, |M| theta / 2 at |M| = j
     if args.command == "shear" and not math.isfinite(args.j.two_j / 4 * args.theta):
         return f"shear's half-angle j * theta / 2 overflows at --theta {args.theta!r}"
-    spins, ks, grid = [], [], None
-    if args.command in ("coeffs", "bridge") and getattr(args, "k", None) is not None:
-        spins, ks = [args.j], [args.k]
-    elif args.command == "asymp":
+    if args.command == "asymp":
         if not args.j_list:
             return "--j-list names no spin"
         if len({j.is_integer for j in args.j_list}) > 1:
             return "--j-list mixes integer and semi-integer spins, whose limits differ"
-        spins, ks, grid = args.j_list, [args.k], args.alpha_grid
-    elif args.command == "plotdata":
+        # asymp draws cayley-B12's curves, so it takes that figure's rules
+        return plots.figure_error("cayley-B12", args.j_list, [args.k], None, args.alpha_grid)
+    if args.command == "plotdata":
         return plots.figure_error(args.figure, args.j, args.k, args.theta_grid, args.alpha_grid)
-    for j, k in itertools.product(spins, ks):
-        if not 0 <= k <= j.two_j:
-            return f"--k {k} is outside 0..2j = 0..{j.two_j} for j = {j}"
-    return None if grid is None else plots.alpha_power_error(ks, grid.values())
+    k = getattr(args, "k", None)
+    if args.command in ("coeffs", "bridge") and k is not None and not 0 <= k <= args.j.two_j:
+        return f"--k {k} is outside 0..2j = 0..{args.j.two_j} for j = {args.j}"
+    return None
 
 
 def main(argv=None) -> int:

@@ -3,14 +3,15 @@
 Scalars are exact: ints or ``fractions.Fraction``.  A polynomial is a tuple
 of them indexed by power, with no trailing zeros; the zero polynomial is
 the empty tuple.  The helpers normalize, multiply and evaluate such
-tuples, and integer polynomials stay integer through each of them.
+tuples, also at i*M over a spin's spectrum, and integer polynomials
+stay integer through each of them.
 Everything is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
 
 Poly = Tuple[Union[int, Fraction], ...]
 Scalar = Union[Fraction, int, float, complex]
@@ -44,12 +45,16 @@ def poly_eval(p: Sequence, x: Scalar):
     return acc
 
 
-def i_power_parts(coeffs: Iterable) -> tuple[list, list]:
-    """(E, O) with sum_k coeffs[k] (i*x)**k = E(x**2) + i*x*O(x**2), real coeffs."""
-    even, odd = [], []
-    for k, c in enumerate(coeffs):
-        (odd if k % 2 else even).append(-c if k % 4 > 1 else c)
-    return even, odd
+def i_spectrum(coeffs: Sequence, two_j: int) -> Iterator[tuple[int, int, int]]:
+    """(M, re, im) with sum_k coeffs[k] (i*M)**k = re + i*im, for M = 2j mod 2, ..., 2j.
+
+    For real coeffs the sum at -M is re - i*im, the conjugate.  It is split
+    as E(M**2) + i*M*O(M**2), the even and odd powers with i**k's sign.
+    """
+    even = [-c if i % 2 else c for i, c in enumerate(coeffs[::2])]  # k = 2i: i**k = (-1)**i
+    odd = [-c if i % 2 else c for i, c in enumerate(coeffs[1::2])]  # k = 2i + 1: i (-1)**i
+    for m in range(two_j % 2, two_j + 1, 2):
+        yield m, poly_eval(even, m * m), m * poly_eval(odd, m * m)
 
 
 class _RationalFields(NamedTuple):

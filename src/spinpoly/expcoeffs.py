@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cfn import _next_row, cfn_pair
-from .exact import Poly, i_power_parts, poly_eval
+from .exact import Poly, i_spectrum
 from .halfint import HalfInt
 
 
@@ -338,11 +338,15 @@ def a_coeff_derivative_path(j: HalfInt, k: int, halves: Sequence) -> list[float]
 # unit circle (t = tan(theta/4) = a/b), where
 # sum_k (1/k!) A_k (i*M)**k == (c + i s)**M holds per eigenvalue M of S.
 # Scaled by L * (a^2 + b^2)**2j, with L the common denominator of the
-# series coefficients, both sides are Gaussian integers.  Floats appear only
-# in the final comparison against exp, each one int/int division.
+# series coefficients, both sides are Gaussian integers, summed over the
+# spectrum by exact.i_spectrum.  M and -M give conjugate sides, and so one
+# error: each |M| is checked once.  Floats appear only in the final
+# comparison against exp, each one int/int division.  quarter_tan is cached, so a caller checking
+# many spins at one theta finds its point once per process.
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def quarter_tan(theta: float) -> tuple[int, int]:
     """t = tan(theta/4) as a/b in lowest terms, b > 0: the rational point of theta."""
     return Fraction(math.tan(theta / 4.0)).limit_denominator(10**12).as_integer_ratio()
@@ -397,36 +401,26 @@ class ExpReconstruction(NamedTuple):
     exact: bool        # whether the rational identity held bit-exactly
 
 
-def exp_reconstruction(
-    j: HalfInt, theta: float, point: tuple[int, int] | None = None
-) -> ExpReconstruction:
-    """Check sum_k (1/k!) A_k (2i m)**k == e^{i theta m} on the spectrum.
-
-    point is quarter_tan(theta), taken when not given; a caller checking
-    many spins at one theta passes it to find it once.
-    """
+def exp_reconstruction(j: HalfInt, theta: float) -> ExpReconstruction:
+    """Check sum_k (1/k!) A_k (2i m)**k == e^{i theta m} on the spectrum."""
     two_j = j.two_j
     lcm = _recon_weights(two_j)[0]
-    a, b = quarter_tan(theta) if point is None else point
+    a, b = quarter_tan(theta)
     s, c, d = 2 * a * b, b * b - a * a, a * a + b * b  # (sin, cos)(theta/2) * d
     d2_pow = [1]
     for _ in range(two_j // 2):
         d2_pow.append(d2_pow[-1] * d * d)
-    even, odd = i_power_parts(_recon_numerators(two_j, s, c, d))
     den = lcm * d**two_j
     max_err = 0.0
     exact = True
     # |M| = 2|m| runs up from 0 or 1; the target is L (c + i s)**|M| d**(2j-|M|)
     ere, eim = (c, s) if two_j % 2 else (1, 0)
     step = (c * c - s * s, 2 * c * s)
-    for m in range(two_j % 2, two_j + 1, 2):
-        re = poly_eval(even, m * m)
-        im = m * poly_eval(odd, m * m)
+    for m, re, im in i_spectrum(_recon_numerators(two_j, s, c, d), two_j):
         scale = lcm * d2_pow[(two_j - m) // 2]
         if re != scale * ere or im != scale * eim:
             exact = False
-        for m2 in (m, -m) if m else (m,):  # M and -M share re and -im
-            got = complex(re / den, (im if m2 > 0 else -im) / den)
-            max_err = max(max_err, abs(got - cmath.exp(1j * theta * m2 / 2.0)))
+        got = complex(re / den, im / den)
+        max_err = max(max_err, abs(got - cmath.exp(1j * theta * m / 2.0)))
         ere, eim = ere * step[0] - eim * step[1], ere * step[1] + eim * step[0]
     return ExpReconstruction(j, theta, max_err, exact)

@@ -80,9 +80,8 @@ def _reconstruction_batch(op: str, j: HalfInt, reps, bound: float, at: str) -> _
 
 
 def _check_exp_reconstruction(max_two_j: int) -> Iterator[_Batch]:
-    points = [expcoeffs.quarter_tan(theta) for theta in _RECON_THETAS]  # once per check
     for j in half_integers(max_two_j):
-        reps = [expcoeffs.exp_reconstruction(j, t, pt) for t, pt in zip(_RECON_THETAS, points)]
+        reps = [expcoeffs.exp_reconstruction(j, theta) for theta in _RECON_THETAS]
         yield _reconstruction_batch("exp_reconstruction", j, reps, EXP_RECON_BOUND, "theta")
 
 

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -248,6 +249,20 @@ def test_readme_exact_checks_are_the_unbounded_ones():
     assert match, "README lost its list of exact checks"
     names = set(re.findall(r"`([a-z-]+)`", match.group(1)))
     assert names == {name for name, (_, bound, _) in verify._CHECKS.items() if bound is None}
+
+
+def test_readme_public_api_table_names_the_exports():
+    # the first column of the README's Public API table names what
+    # `import spinpoly` exports, and the one module-qualified name it documents
+    section = (ROOT / "README.md").read_text().partition("\n## Public API\n")[2]
+    rows = [line for line in section.partition("\n## ")[0].splitlines() if line.startswith("|")]
+    assert rows[:2] == ["| Names | Reached by |", "|---|---|"], "README lost its Public API table"
+    names = {name for row in rows[2:] for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+    exports = {
+        name for name, value in vars(spinpoly).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == exports | {"cayley.b_coeffs_cfn"}
 
 
 def test_exp_path_equality_fails_on_an_infinite_value(monkeypatch):
@@ -1096,3 +1111,30 @@ def test_a_failed_csv_write_exits_2_and_leaves_no_new_file(capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"spinpoly: error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("failure", ["raises", "write"])
+def test_a_failed_command_keeps_a_dangling_csv_link(capsys, monkeypatch, tmp_path, failure):
+    # as after `ln -s target link`: the open creates target through the link,
+    # so a failure removes target, the file it made, and leaves the link
+    def raising(*args, **kwargs):
+        raise RuntimeError("evaluator failed")
+
+    def full(header, lines, out):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    link, target = tmp_path / "link", tmp_path / "target"
+    os.symlink("target", link)
+    argv = ["coeffs", "cayley", "--j", "1", "--alpha-grid", "1:2:2", "--csv", str(link)]
+    if failure == "raises":
+        monkeypatch.setattr(cayley, "eval_coeffs", raising)
+        with pytest.raises(RuntimeError, match="evaluator failed"):
+            cli.main(argv)
+    else:
+        monkeypatch.setattr(cli, "_emit_csv", full)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"spinpoly: error: cannot write {link}: {os.strerror(errno.ENOSPC)}\n"
+        )
+    assert os.readlink(link) == "target"
+    assert not target.exists()

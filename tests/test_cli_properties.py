@@ -6,10 +6,12 @@ and float tokens from across the finite range (±0, subnormals, the largest
 floats, multiples of pi/d that land on the poles of alpha_from_theta) as
 plain values, pi tokens and grid endpoints.  A second test, with its own
 example budget, draws `cfn` (n and k from -2 to about 40, with and without
-`--table` and `--csv`), `basis` (2j <= 30, `--inverse`, `--duals` or both)
-and `verify` (`--fi` or not, `--max-two-j` from -3 to 6).  Every option is
-written in its `--flag=value` form, so a negative value is never read as
-an option.
+`--table` and `--csv`), `basis` (2j <= 30, `--inverse`, `--duals` or both),
+`verify` (`--fi` or not, `--max-two-j` from -3 to 6) and `fixtures`.  Every
+option is written in its `--flag=value` form, so a negative value is never
+read as an option.  Each command's parts are keyed by the options they
+draw, and a third test holds those to the commands and options of
+cli.build_parser()'s tree, `-h` aside.
 
 A run may exit 0, 1 or 2 and raises nothing; argparse's own usage errors
 leave main through SystemExit(2).  A refusal of _range_error is exactly one
@@ -20,6 +22,7 @@ writes 2j + 1 rows of 2j + 1 fields, and `verify` prints a passing report
 of the 2j it was given.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -66,66 +69,87 @@ def _maybe(strategy):
 _csv = _maybe(st.just(["--csv"]))
 _k = _maybe(_flag("--k", ks))
 
+# each command's parts, keyed by the options a part may draw
 COMMANDS = {
-    "coeffs exp": st.tuples(
-        _flag("--j", spins),
-        _maybe(st.one_of(_flag("--theta", values), _flag("--theta-grid", grids))),
-        _k,
-        _csv,
-    ),
-    "coeffs cayley": st.tuples(
-        _flag("--j", spins),
-        _maybe(
+    "coeffs exp": {
+        ("--j",): _flag("--j", spins),
+        ("--theta", "--theta-grid"): _maybe(
+            st.one_of(_flag("--theta", values), _flag("--theta-grid", grids))
+        ),
+        ("--k",): _k,
+        ("--csv",): _csv,
+    },
+    "coeffs cayley": {
+        ("--j",): _flag("--j", spins),
+        ("--alpha", "--alpha-grid", "--exact"): _maybe(
             st.one_of(
                 _flag("--alpha", values), _flag("--alpha-grid", grids), st.just(["--exact"])
             )
         ),
-        _csv,
-    ),
-    "asymp": st.tuples(
-        _flag("--j-list", st.lists(spins, min_size=1, max_size=3).map(",".join)),
-        _k,
-        _flag("--alpha-grid", grids),
-        _csv,
-    ),
-    "bridge": st.tuples(
-        _flag("--j", spins),
-        _flag("--k", ks),
-        _flag("--alpha", values),
-        _maybe(st.just(["--quadrature"])),
-    ),
-    "shear": st.tuples(_flag("--j", spins), _flag("--theta", values)),
-    "plotdata": st.tuples(
-        _flag("--figure", st.sampled_from(["exp-A", "cayley-B12", "inv-det"])),
-        st.lists(_flag("--j", spins), min_size=1, max_size=2).map(lambda js: sum(js, [])),
-        _k,
-        _maybe(st.one_of(_flag("--theta-grid", grids), _flag("--alpha-grid", grids))),
-    ),
+        ("--csv",): _csv,
+    },
+    "asymp": {
+        ("--j-list",): _flag("--j-list", st.lists(spins, min_size=1, max_size=3).map(",".join)),
+        ("--k",): _k,
+        ("--alpha-grid",): _flag("--alpha-grid", grids),
+        ("--csv",): _csv,
+    },
+    "bridge": {
+        ("--j",): _flag("--j", spins),
+        ("--k",): _flag("--k", ks),
+        ("--alpha",): _flag("--alpha", values),
+        ("--quadrature",): _maybe(st.just(["--quadrature"])),
+    },
+    "shear": {("--j",): _flag("--j", spins), ("--theta",): _flag("--theta", values)},
+    "plotdata": {
+        ("--figure",): _flag("--figure", st.sampled_from(["exp-A", "cayley-B12", "inv-det"])),
+        ("--j",): st.lists(_flag("--j", spins), min_size=1, max_size=2).map(
+            lambda js: sum(js, [])
+        ),
+        ("--k",): _k,
+        ("--theta-grid", "--alpha-grid"): _maybe(
+            st.one_of(_flag("--theta-grid", grids), _flag("--alpha-grid", grids))
+        ),
+        ("--csv",): _csv,
+    },
 }
 
 # cheap to run but for verify, whose 2j stays small
 MORE_COMMANDS = {
-    "cfn": st.tuples(
-        _flag("--n", st.integers(-2, 40).map(str)),
-        _maybe(_flag("--k", st.integers(-2, 42).map(str))),
-        _maybe(st.just(["--table"])),
-        _csv,
-    ),
-    "basis": st.tuples(
-        _flag("--j", st.integers(0, 30).map(lambda two_j: f"{two_j}/2")),
-        _maybe(st.sampled_from([["--inverse"], ["--duals"], ["--inverse", "--duals"]])),
-        _csv,
-    ),
-    "verify": st.tuples(
-        _maybe(st.just(["--fi"])), _flag("--max-two-j", st.integers(-3, 6).map(str))
-    ),
+    "cfn": {
+        ("--n",): _flag("--n", st.integers(-2, 40).map(str)),
+        ("--k",): _maybe(_flag("--k", st.integers(-2, 42).map(str))),
+        ("--table",): _maybe(st.just(["--table"])),
+        ("--csv",): _csv,
+    },
+    "basis": {
+        ("--j",): _flag("--j", st.integers(0, 30).map(lambda two_j: f"{two_j}/2")),
+        ("--inverse", "--duals"): _maybe(
+            st.sampled_from([["--inverse"], ["--duals"], ["--inverse", "--duals"]])
+        ),
+        ("--csv",): _csv,
+    },
+    "verify": {
+        ("--fi",): _maybe(st.just(["--fi"])),
+        ("--max-two-j",): _flag("--max-two-j", st.integers(-3, 6).map(str)),
+    },
+    "fixtures": {},
 }
+
+
+def _argv(name, options, parts):
+    """The argv of command name from its drawn parts, each drawing only its own options."""
+    for own, part in zip(options, parts):
+        assert {arg.partition("=")[0] for arg in part} <= set(own), (own, part)
+    return [*name.split(), *(arg for part in parts for arg in part)]
 
 
 def _argvs(commands):
     return st.one_of(
         [
-            parts.map(lambda p, name=name: [*name.split(), *(a for part in p for a in part)])
+            st.tuples(*parts.values()).map(
+                lambda drawn, name=name, options=tuple(parts): _argv(name, options, drawn)
+            )
             for name, parts in commands.items()
         ]
     )
@@ -185,3 +209,22 @@ def test_commands_end_cleanly_over_their_documented_range(argv):
 @given(_argvs(MORE_COMMANDS))
 def test_cfn_basis_and_verify_end_cleanly_over_their_documented_range(argv):
     _assert_ends_cleanly(argv)
+
+
+def _parser_options(parser, path=()):
+    """(command path, its option strings but -h) of each leaf of the argparse tree."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _parser_options(child, (*path, name))
+
+
+def test_the_property_tests_draw_every_command_and_option_of_the_parser():
+    # a command or an option added to cli.build_parser() is drawn above, or this fails
+    drawn = {
+        name: {option for options in parts for option in options}
+        for name, parts in {**COMMANDS, **MORE_COMMANDS}.items()
+    }
+    assert drawn == dict(_parser_options(cli.build_parser()))

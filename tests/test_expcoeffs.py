@@ -35,6 +35,7 @@ from oracles import (
     series_by_coef,
     series_floats_streamed,
 )
+from test_acceptance import _fifty_thetas
 from test_integer_identities import circle_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -421,12 +422,22 @@ def test_reconstruction_numerators_by_horner_match_the_termwise_sum(two_js, thet
             assert expcoeffs._recon_numerators(two_j, s, c, d) == want, (two_j, theta)
 
 
-def test_reconstruction_at_a_given_point_is_the_same_report():
-    for two_j in (0, 7, 20):
-        for theta in verify._RECON_THETAS:
-            j = HalfInt(two_j)
-            point = expcoeffs.quarter_tan(theta)
-            assert exp_reconstruction(j, theta, point) == exp_reconstruction(j, theta)
+def test_an_eigenvalue_and_its_negative_have_one_reconstruction_error():
+    # exp_reconstruction takes one error per |M|: at -M the sum is x - iy,
+    # the conjugate of x + iy at M, and cmath.exp is the conjugate of its
+    # value at M (sin is odd), so the two errors are one number
+    rng = random.Random(0)
+    thetas = [*verify._RECON_THETAS, *_fifty_thetas()]
+    thetas += [rng.uniform(-4 * math.pi, 4 * math.pi) for _ in range(60)]
+    thetas += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300) for _ in range(30)]
+    for theta in thetas:
+        for m in range(401):
+            z = cmath.exp(1j * theta * m / 2.0)
+            near = (z.real + rng.gauss(0, 1e-12), z.imag + rng.gauss(0, 1e-12))
+            for x, y in ((z.real, z.imag), near, (rng.uniform(-2, 2), rng.uniform(-2, 2))):
+                plus = abs(complex(x, y) - z)
+                minus = abs(complex(x, -y) - cmath.exp(1j * theta * -m / 2.0))
+                assert plus == minus, (theta, m, x, y)
 
 
 def test_two_pi_rotation_signs():
