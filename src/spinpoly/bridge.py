@@ -140,30 +140,44 @@ def gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 QUADRATURE_T = 40.0
 QUADRATURE_PANELS = 64
+QUADRATURE_MAX_PANELS = 4096
+
+
+def _quadrature_panels(two_j: int, alpha: float) -> int:
+    # quadrature_check's panel rule, clamped as a float: an inf count is the cap
+    periods = abs(alpha) * (two_j * QUADRATURE_T / (2.0 * math.pi))
+    if not periods < QUADRATURE_MAX_PANELS:
+        return QUADRATURE_MAX_PANELS
+    return max(QUADRATURE_PANELS, math.ceil(periods))
 
 
 def quadrature_check(j: HalfInt, k: int, alpha: float) -> float:
     """Composite Gauss-Legendre value of (1/k!) int_0^T e^{-t} A_k(2*alpha*t) dt.
 
-    T is QUADRATURE_T, cut into QUADRATURE_PANELS panels of 8 nodes each.
-    The dropped tail is below e^-T ~ 4e-18 times the integrand scale;
+    T is QUADRATURE_T, cut into panels of 8 nodes each: one panel per
+    period of the integrand's fastest term, whose angular frequency in t is
+    |alpha| 2j, so ceil(|alpha| 2j T / (2 pi)) panels, but at least
+    QUADRATURE_PANELS = 64 and at most QUADRATURE_MAX_PANELS = 4096.  The
+    dropped tail is below e^-T ~ 4e-18 times the integrand scale;
     agreement with b_from_a_laplace within 1e-7 + e^-T is the acceptance
-    bar.  A_k is evaluated at points up to 2*|alpha|*T, so that product
-    must be finite.
+    bar, which an integrand with more periods than the cap may miss.  A_k
+    is evaluated at points up to 2*|alpha|*T, so that product must be
+    finite.  The weighted sum is divided by k! exactly, so no k overflows
+    a float factorial.
     """
     nodes, weights = gauss_legendre(8)
-    kfact = math.factorial(k)
-    h = QUADRATURE_T / QUADRATURE_PANELS
+    panels = _quadrature_panels(j.two_j, alpha)
+    h = QUADRATURE_T / panels
     points = [
         ((p + 0.5) * h + 0.5 * h * x, w)
-        for p in range(QUADRATURE_PANELS)
+        for p in range(panels)
         for x, w in zip(nodes, weights)
     ]
     values = exp_grid(j, [2.0 * alpha * t for t, _ in points], (k,))
     total = 0.0
     for (t, w), (a,) in zip(points, values):
         total += w * math.exp(-t) * a
-    return total * 0.5 * h / kfact
+    return float(Fraction(total * 0.5 * h) / math.factorial(k))
 
 
 def alpha_from_theta(m_eig: float, theta: float) -> float:

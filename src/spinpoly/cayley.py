@@ -6,10 +6,13 @@ coefficients B_k(alpha) = alpha**k * Trunc_{2j-k}[det] / det, where det
 is the characteristic determinant det(1 - 2i*alpha*n.J).  The truncation
 formula is the production route.  The general resolvent, run exactly at a
 real beta where it is the table at alpha**2 = -beta**2, is verify's check
-on it; the recursion, the central-factorial determinant and the bridge
-module's Laplace transform are further routes.  An exact table is the
-integer determinant alone, cached immutably: each B_k numerator is read
-off it on demand, and a_coeffs reads the A_k off it in lowest terms.
+on it; the central-factorial determinant det_cfn_poly, which the
+recursion's derivation lands on, and the bridge module's Laplace
+transform are further routes.  An exact table is the integer determinant
+alone, the product over the spectrum built once per spin in _b_coeffs,
+its one cache, which det_poly, b_coeffs and scaled_b read: each B_k
+numerator is read off it on demand, and a_coeffs reads the A_k off it in
+lowest terms.
 
 eval_coeffs is the table's one float evaluator: for all k, or only the k in ks,
 it rounds scaled_b's integers at alpha = p/q, each float one int/int
@@ -30,22 +33,13 @@ from .halfint import HalfInt
 
 
 def det_poly(j: HalfInt) -> Poly:
-    """det(1 - 2i*alpha*n.J) expanded exactly in alpha.
+    """det(1 - 2i*alpha*n.J) expanded exactly in alpha: the cached table's den.
 
     Product of 1 + 4*alpha^2*(j+1-n)^2 over n = 1..floor(j+1/2), that is
     of 1 + M^2 alpha^2 over the positive eigenvalues M of 2 n.J; only even
     powers appear and every coefficient is a positive integer.
     """
-    return poly(_det_ints(j.two_j))
-
-
-@lru_cache(maxsize=None)
-def _det_ints(two_j: int) -> Tuple[int, ...]:
-    out: Tuple[int, ...] = (1,)
-    for n in range(1, (two_j + 1) // 2 + 1):
-        c = (two_j + 2 - 2 * n) ** 2  # (2*(j+1-n))^2
-        out = tuple(lo + c * hi for lo, hi in zip(out + (0, 0), (0, 0) + out))
-    return out
+    return _b_coeffs(j.two_j).den
 
 
 def _integer(num: int, den: int) -> int:
@@ -136,7 +130,12 @@ class CayleyCoeffs(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _b_coeffs(two_j: int) -> CayleyCoeffs:
-    return CayleyCoeffs(HalfInt(two_j), _det_ints(two_j))
+    # the one store of the determinant: prod of 1 + M^2 alpha^2, M = 2j, 2j - 2, ... > 0
+    den: Poly = (1,)
+    for m in range(two_j, 0, -2):
+        c = m * m
+        den = tuple(lo + c * hi for lo, hi in zip(den + (0, 0), (0, 0) + den))
+    return CayleyCoeffs(HalfInt(two_j), den)
 
 
 def b_coeffs(j: HalfInt) -> CayleyCoeffs:
@@ -180,7 +179,7 @@ def scaled_b(
     (default 0..2j, in that order) are multiplied out, in the order of ks.
     Raises ValueError on a k outside 0..2j.
     """
-    return _scaled_truncations(_det_ints(two_j), two_j, p, q, ks)
+    return _scaled_truncations(_b_coeffs(two_j).den, two_j, p, q, ks)
 
 
 def _scaled_truncations(
@@ -208,7 +207,7 @@ def inv_det(j: HalfInt, alpha) -> float:
     """1/det(alpha), correctly rounded: at alpha = p/q, scaled_b's denominator
     is the integer q**deg * det(alpha), so this is one int/int division."""
     p, q = Fraction(alpha).as_integer_ratio()
-    return q ** (len(_det_ints(j.two_j)) - 1) / scaled_b(j.two_j, p, q, ())[1]
+    return q ** (len(det_poly(j)) - 1) / scaled_b(j.two_j, p, q, ())[1]
 
 
 def eval_coeffs(
@@ -250,14 +249,11 @@ def b_coeffs_recursion(j: HalfInt) -> CayleyCoeffs:
     At alpha**(2j+1+i), 0 <= i <= m, alpha**m den has kappa_{m-i} and
     alpha**(2j+1) q_m has -kappa_{m-i}: they cancel, so for any kappa the
     numerator is alpha**m Trunc_{2j-m}[den], and this path derives den alone.
+    That den's alpha**n coefficient, n >= 1, is kappa_{2j+1-n}
+    = 2**n |t(2j+2, 2j+2-n)|, det_cfn_poly's entry n, so the den returned
+    is det_cfn_poly's.
     """
-    two_j = j.two_j
-    neg_kappa = []
-    for m in range(two_j + 1):
-        num, den = cfn_pair(two_j + 2, m + 1)
-        neg_kappa.append(-_integer(abs(num) << (two_j + 1 - m), den))
-    den = [1] + [-x for x in reversed(neg_kappa)]  # 1 - alpha q_2j
-    return CayleyCoeffs(j, poly(den))
+    return CayleyCoeffs(j, det_cfn_poly(j))
 
 
 def resolvent_coeffs(eigenvalues: Sequence, alpha) -> list:

@@ -50,8 +50,10 @@ def _check_fundamental_identity(max_two_j: int) -> Iterator[_Batch]:
 
 
 def _check_exp_paths(max_two_j: int) -> Iterator[_Batch]:
+    # once per call: each power s**m is the same whatever the top, so the
+    # grid to max_two_j serves every spin and every k
+    halves = expcoeffs.half_angles(_THETAS, max_two_j)
     for j in half_integers(max_two_j):
-        halves = expcoeffs.half_angles(_THETAS, j.two_j)  # once per spin, for every k
         for k, trunc in enumerate(zip(*expcoeffs.exp_grid(j, _THETAS))):
             if expcoeffs.epsilon(j, k) == 0:
                 op, other = "a_coeff_cfn_series", expcoeffs.a_coeff_cfn_series(j, k, halves)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from spinpoly import cayley
 from spinpoly.basis import spectrum
 from spinpoly.cayley import (
     a_coeffs,
@@ -19,8 +20,10 @@ from spinpoly.cayley import (
     det_forms,
     det_poly,
     eval_coeffs,
+    inv_det,
     log_det_gamma,
     resolvent_coeffs,
+    scaled_b,
 )
 from spinpoly.exact import RationalFunction, poly, poly_mul
 from spinpoly.halfint import HalfInt, half_integers
@@ -166,10 +169,30 @@ def test_a_cold_large_cayley_table_peaks_small():
 
 def test_recursion_numerators_are_the_truncated_determinant():
     # b_coeffs_recursion derives den alone; its numerators, summed in full, must cancel to b_num's
-    for two_j in range(61):
+    for two_j in range(161):
         table = b_coeffs_recursion(HalfInt(two_j))
         nums = recursion_numerators(two_j)
         assert nums == [table.b_num(m) for m in range(two_j + 1)], two_j
+
+
+def test_every_reader_of_the_determinant_reads_one_cache():
+    # the product determinant is built once per spin, in _b_coeffs: the first
+    # reader misses and every later one, exact or float, hits
+    j = HalfInt(7)
+    readers = (
+        lambda: eval_coeffs(j, 0.3),
+        lambda: inv_det(j, 0.3),
+        lambda: det_poly(j),
+        lambda: b_coeffs(j),
+        lambda: scaled_b(j.two_j, 3, 10),
+    )
+    cayley._b_coeffs.cache_clear()
+    infos = []
+    for read in readers:
+        read()
+        infos.append(cayley._b_coeffs.cache_info())
+    assert [info.misses for info in infos] == [1] * len(readers)
+    assert all(a.hits < b.hits for a, b in zip(infos, infos[1:]))
 
 
 def test_b_num_is_the_normalized_slice_of_the_determinant():

@@ -538,6 +538,37 @@ def test_bridge_quadrature_refuses_an_alpha_whose_nodes_overflow(capsys):
         )
 
 
+def test_bridge_quadrature_divides_by_a_factorial_past_the_float_range(capsys):
+    # 171! is past the largest float; the sum is divided by k! exactly
+    code, out = run(capsys, "bridge", "--j", "86", "--k", "171", "--alpha", "0.1", "--quadrature")
+    assert code == 0
+    direct = bridge.laplace_pair(HalfInt(172), 171, 0.1).b_direct
+    assert out.splitlines()[-1] == f"B_171[86](0.1) quadrature  = {direct!r}"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "j, k, alpha",
+    [("15", "1", "2"), ("8", "1", "3"), ("9/2", "2", "4"), ("2", "1", "6"), ("1/2", "1", "25")],
+)
+def test_bridge_quadrature_resolves_a_fast_integrand(capsys, j, k, alpha):
+    # A_k(2 alpha t) turns at up to |alpha| 2j radians per unit t: 64 fixed
+    # panels missed the bar here, one panel per period meets it
+    code, _ = run(capsys, "bridge", "--j", j, "--k", k, "--alpha", alpha, "--quadrature")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_bridge_quadrature_caps_its_panels_without_a_traceback(capsys):
+    # at 2.2e306 the panel count is inf as a float; it is capped, the capped
+    # rule misses, and the miss is one stderr line
+    assert bridge._quadrature_panels(40, 2.2e306) == bridge.QUADRATURE_MAX_PANELS
+    assert cli.main(["bridge", "--j", "20", "--k", "1", "--alpha", "2.2e306", "--quadrature"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinpoly: quadrature misses the direct value by ")
+    assert len(err.splitlines()) == 1
+
+
 def test_shear_command(capsys):
     code, out = run(capsys, "shear", "--j", "3/2", "--theta", "1")
     assert code == 0

@@ -7,10 +7,13 @@ floats, multiples of pi/d that land on the poles of alpha_from_theta) as
 plain values, pi tokens and grid endpoints.  A second test, with its own
 example budget, draws `cfn` (n and k from -2 to about 40, with and without
 `--table` and `--csv`), `basis` (2j <= 30, `--inverse`, `--duals` or both),
-`verify` (`--fi` or not, `--max-two-j` from -3 to 6) and `fixtures`.  Every
-option is written in its `--flag=value` form, so a negative value is never
-read as an option.  Each command's parts are keyed by the options they
-draw, and a third test holds those to the commands and options of
+`verify` (`--fi` or not, `--max-two-j` from -3 to 6) and `fixtures`.  A
+third, with a small budget of its own, draws `bridge --quadrature` at
+2j from 160 to 400 and k across 0..2j, k >= 171 among them, where k! is
+past the float range, and asks for exit 0 wherever the quadrature's panel
+count is below its cap.  Every option is written in its `--flag=value`
+form, so a negative value is never read as an option.  Each command's parts are keyed by the options they
+draw, and a last test holds those to the commands and options of
 cli.build_parser()'s tree, `-h` aside.
 
 A run may exit 0, 1 or 2 and raises nothing; argparse's own usage errors
@@ -32,7 +35,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpoly import cli
+from spinpoly import bridge, cli
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0,
@@ -114,6 +117,22 @@ COMMANDS = {
     },
 }
 
+
+def _spin_and_k(two_j):
+    return st.one_of(st.integers(0, two_j), st.integers(min(171, two_j), two_j)).map(
+        lambda k: [f"--j={two_j}/2", f"--k={k}"]
+    )
+
+
+# the quadrature at large spins, k >= 171 drawn often
+BRIDGE_QUADRATURE = {
+    "bridge": {
+        ("--j", "--k"): st.integers(160, 400).flatmap(_spin_and_k),
+        ("--alpha",): _flag("--alpha", values),
+        ("--quadrature",): st.just(["--quadrature"]),
+    },
+}
+
 # cheap to run but for verify, whose 2j stays small
 MORE_COMMANDS = {
     "cfn": {
@@ -169,15 +188,16 @@ def _run(argv):
 
 
 def _assert_ends_cleanly(argv):
+    """Run argv, check that it ended cleanly, and return its exit code."""
     code, parsed, out, err = _run(argv)
     assert code in (0, 1, 2), (argv, code)
     if not parsed:
         assert code == 2 and "error: " in err.splitlines()[-1], (argv, err)
-        return
+        return code
     if code == 2:
         assert out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("spinpoly: error: "), (argv, err)
-        return
+        return code
     assert code == 0 or argv[0] == "bridge", (argv, code)
     if "\r\n" in out:  # CSV rows end in CRLF, printed lines in LF
         for line in out.split("\r\n")[1:]:
@@ -197,6 +217,7 @@ def _assert_ends_cleanly(argv):
         report = json.loads(out)
         assert report["passed"] is True, argv
         assert report["max_two_j"] == int(argv[-1].partition("=")[2]), argv
+    return code
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -209,6 +230,17 @@ def test_commands_end_cleanly_over_their_documented_range(argv):
 @given(_argvs(MORE_COMMANDS))
 def test_cfn_basis_and_verify_end_cleanly_over_their_documented_range(argv):
     _assert_ends_cleanly(argv)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(_argvs(BRIDGE_QUADRATURE))
+def test_bridge_quadrature_ends_cleanly_at_large_spins(argv):
+    code = _assert_ends_cleanly(argv)
+    options = dict(arg.partition("=")[::2] for arg in argv[1:])
+    two_j = int(options["--j"].partition("/")[0])
+    alpha = cli._parse_float_token(options["--alpha"])
+    if bridge._quadrature_panels(two_j, alpha) < bridge.QUADRATURE_MAX_PANELS:
+        assert code == 0, argv
 
 
 def _parser_options(parser, path=()):

@@ -201,8 +201,9 @@ def test_scaled_b_matches_the_exact_table():
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    # the tables a patched _pairs or _det_ints feeds are cached; start and
-    # end clean, with unswept exp series frontiers for the test alone
+    # a patched _pairs feeds cached tables, and a patched _b_coeffs reads the
+    # real cache; start and end clean, with unswept exp series frontiers for
+    # the test alone
     caches = (
         expcoeffs._recon_weights,
         expcoeffs._series,
@@ -243,13 +244,13 @@ def test_perturbed_series_pair_fails_exp_reconstruction(monkeypatch, capsys, fre
 
 
 def test_perturbed_determinant_fails_cayley_reconstruction(monkeypatch, capsys, fresh_caches):
-    real = cayley._det_ints
+    real = cayley._b_coeffs
 
     def perturbed(two_j):
-        det = real(two_j)
-        return det[:-1] + (det[-1] + 1,) if len(det) > 1 else det
+        det = real(two_j).den
+        return real(two_j)._replace(den=det[:-1] + (det[-1] + 1,) if len(det) > 1 else det)
 
-    monkeypatch.setattr(cayley, "_det_ints", perturbed)
+    monkeypatch.setattr(cayley, "_b_coeffs", perturbed)
     assert cayley.cayley_reconstruction(HalfInt(3), F(1, 2)).exact is False
     code, check = _verify_detail(capsys, "cayley-reconstruction")
     assert code == 1
@@ -302,13 +303,13 @@ def test_broken_pair_fails_pairing_parity(monkeypatch, capsys, fresh_caches):
 def test_perturbed_determinant_fails_path_equality(monkeypatch, capsys, fresh_caches):
     # one coefficient of den at spin 5/2 off by 1: the exact resolvent, built
     # from the spectrum alone, no longer matches the table's partial sums
-    real = cayley._det_ints
+    real = cayley._b_coeffs
 
     def perturbed(two_j):
-        det = real(two_j)
-        return det[:2] + (det[2] + 1,) + det[3:] if two_j == 5 else det
+        det = real(two_j).den
+        return real(two_j)._replace(den=det[:2] + (det[2] + 1,) + det[3:] if two_j == 5 else det)
 
-    monkeypatch.setattr(cayley, "_det_ints", perturbed)
+    monkeypatch.setattr(cayley, "_b_coeffs", perturbed)
     code, check = _verify_detail(capsys, "cayley-path-equality")
     assert code == 1
     assert check["passed"] is False
@@ -320,8 +321,12 @@ def test_perturbed_determinant_fails_path_equality(monkeypatch, capsys, fresh_ca
 def test_doubled_determinant_fails_determinant_forms(monkeypatch, capsys, fresh_caches):
     # r_n is homogeneous of degree 0 in den, so twice den passes the path
     # equality; determinant-forms is what pins den's scale
-    real = cayley._det_ints
-    monkeypatch.setattr(cayley, "_det_ints", lambda two_j: tuple(2 * c for c in real(two_j)))
+    real = cayley._b_coeffs
+
+    def doubled(two_j):
+        return real(two_j)._replace(den=tuple(2 * c for c in real(two_j).den))
+
+    monkeypatch.setattr(cayley, "_b_coeffs", doubled)
     code, check = _verify_detail(capsys, "cayley-path-equality")
     assert code == 1
     assert check["passed"] is True
